@@ -48,12 +48,12 @@ from .liealg import (
 from .solv import (
     ConjectureResult,
     DivisibilityReport,
-    SolvCache,
     conjecture_sum,
     divisibility_report,
     equivariance_check,
     is_s_lie,
     pair_solvable,
+    plane_table,
     quotient_compatibility_check,
     sol_of_algebra,
     solvabilizer,

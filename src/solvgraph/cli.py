@@ -2,8 +2,8 @@
 
 Algebras are named by compact specs: sl2@3, gl2@5, t3@2, so3@5, w3, or
 file:PATH for a structure-constants file.  All commands are deterministic;
-identical invocations produce byte-identical output regardless of the
-thread count.
+identical invocations produce byte-identical output.  Every solvability
+query a command makes reads the loaded algebra's plane table (see solv).
 """
 
 from __future__ import annotations
@@ -81,10 +81,9 @@ def _print_kv(pairs):
 
 def cmd_info(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
-    cache = solv.SolvCache()
-    sol = solv.sol_of_algebra(L, cache, force=args.force)
+    sol = solv.sol_of_algebra(L, force=args.force)
     rad = liealg.radical(L, force=args.force)
-    s_lie, _ = solv.is_s_lie(L, cache, force=args.force)
+    s_lie, _ = solv.is_s_lie(L, force=args.force)
     solvable = liealg.is_solvable(L)
     if args.format == "json":
         print(json.dumps({
@@ -104,7 +103,7 @@ def cmd_info(args) -> int:
 
 def cmd_graph(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
-    G = graph.build(L, threads=args.threads, force=args.force)
+    G = graph.build(L, force=args.force)
     if args.dot:
         graph.export_dot(G, args.dot)
     if args.json:
@@ -118,7 +117,7 @@ def cmd_graph(args) -> int:
 
 def cmd_degrees(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
-    G = graph.build(L, threads=args.threads, force=args.force)
+    G = graph.build(L, force=args.force)
     seq = graph.degree_sequence(G)
     if args.format == "json":
         print(json.dumps({"degrees": [[d, m] for d, m in seq.items()]},
@@ -147,15 +146,14 @@ def cmd_verify(args) -> int:
     spec = parse_spec(args.algebra)
     if spec.kind not in ("sl", "gl") or spec.n != 2:
         raise ValueError("verify supports only the sl2@q and gl2@q families")
-    report = formulas.verify(f"{spec.kind}2", spec.p, threads=args.threads,
-                             force=args.force)
+    report = formulas.verify(f"{spec.kind}2", spec.p, force=args.force)
     print(report.to_json() if args.format == "json" else report.text())
     return 0 if report.passed else 1
 
 
 def cmd_complement(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
-    G = graph.build(L, threads=args.threads, force=args.force)
+    G = graph.build(L, force=args.force)
     parts = graph.complement_components(G)
     print(f"components={len(parts)}")
     return 0
@@ -170,9 +168,8 @@ def cmd_solvabilizer(args) -> int:
     if len(coords) != L.dim:
         raise ValueError(f"expected {L.dim} coordinates, got {len(coords)}")
     x = tuple(c % L.field.p for c in coords)
-    cache = solv.SolvCache()
-    members = solv.solvabilizer(L, x, cache, force=args.force)
-    rep = solv.divisibility_report(L, x, cache, force=args.force)
+    members = solv.solvabilizer(L, x, force=args.force)
+    rep = solv.divisibility_report(L, x, force=args.force)
     if args.format == "json":
         print(json.dumps({
             "element": list(x), "size": rep.sol_size, "members": list(members),
@@ -215,14 +212,20 @@ def cmd_slie(args) -> int:
     return 0
 
 
+def _thread_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(sub, threads=False, formats=("text", "json")):
     sub.add_argument("algebra", help="algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH")
     sub.add_argument("--force", action="store_true",
                      help="override the enumeration size cap")
     sub.add_argument("--format", choices=formats, default="text")
     if threads:
-        sub.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the graph build")
+        sub.add_argument("--threads", type=_thread_count, default=1,
+                         help="accepted and ignored, so existing scripts still parse")
 
 
 def make_parser() -> argparse.ArgumentParser:

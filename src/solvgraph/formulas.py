@@ -148,7 +148,7 @@ def _gl2_traceless_part(x, q: int) -> tuple[int, int, int]:
     return ((x[0] - shift) % q, x[1] % q, x[2] % q)
 
 
-def verify(family: str, q: int, threads: int = 1, force: bool = False) -> VerificationReport:
+def verify(family: str, q: int, force: bool = False) -> VerificationReport:
     """Build the graph for sl2 or gl2 over F_q and compare with the closed forms.
 
     Checks the degree multiset, then that the eigenvalue class of every
@@ -184,7 +184,7 @@ def verify(family: str, q: int, threads: int = 1, force: bool = False) -> Verifi
     else:
         raise ValueError(f"unknown family {family!r}; expected 'sl2' or 'gl2'")
 
-    G = build(L, threads=threads, force=force)
+    G = build(L, force=force)
     computed = degree_sequence(G)
     mismatch = None
     if computed != expected:

@@ -1,11 +1,11 @@
 """The solvable graph of a Lie algebra and its complement.
 
 Vertices are the elements outside the global solvabilizer; two vertices are
-adjacent when they generate a solvable subalgebra.  Adjacency is constant on
-pairs of projective lines (it only depends on the span of the pair), so the
-build classifies line pairs once and then expands to per-vertex bitmask
-rows.  The expansion is cross-checked against directly computed pairs in the
-test suite.
+adjacent when they generate a solvable subalgebra.  Adjacency only depends
+on the plane the pair spans, so the build reads the algebra's plane table
+(see solv): the neighbor bitset of each vertex line, restricted to vertex
+lines, is expanded into per-vertex bitmask rows.  The expansion is
+cross-checked against directly computed pairs in the test suite.
 
 Adjacency rows are Python ints used as bitsets over vertex positions: bit j
 of rows[i] is set iff vertices i and j are adjacent.
@@ -14,11 +14,10 @@ of rows[i] is set iff vertices i and j are adjacent.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .liealg import LieAlgebra, require_enumerable
-from .solv import SolvCache, pair_solvable, sol_of_algebra
+from .solv import plane_table, sol_of_algebra
 
 
 class SolvGraph:
@@ -66,65 +65,37 @@ class SolvGraph:
                 m ^= b
 
 
-def _eval_pairs(L, reps, pairs, cache):
-    return [pair_solvable(L, reps[i], reps[j], cache) for i, j in pairs]
-
-
-def build(L: LieAlgebra, cache: SolvCache | None = None, threads: int = 1,
-          force: bool = False) -> SolvGraph:
-    """Build the solvable graph of L.
-
-    With threads > 1 the line-pair classification is partitioned across a
-    thread pool; the predicate is pure and the cache merge is last-write-wins
-    with identical values, so the result does not depend on scheduling.
-    """
+def build(L: LieAlgebra, force: bool = False) -> SolvGraph:
+    """Build the solvable graph of L from its plane table."""
     require_enumerable(L, force)
-    if cache is None:
-        cache = SolvCache()
-    sol = set(sol_of_algebra(L, cache, force=force))
+    sol = set(sol_of_algebra(L, force=force))
     vertices = tuple(m for m in range(L.size) if m not in sol)
     pos = {m: i for i, m in enumerate(vertices)}
+    _, nbr = plane_table(L)
 
-    vlines = []
-    for line in L.lines():
-        inside = [m in sol for m in line]
-        if any(inside) != all(inside):
-            raise AssertionError("sol(L) split a projective line")
-        if not inside[0]:
-            vlines.append(tuple(pos[m] for m in line))
+    vlines = {}  # line id -> vertex positions, for the lines outside sol(L)
+    masks = [0] * len(nbr)  # vertex-position bitmask of each vertex line
+    for l, line in enumerate(L.lines()):
+        if line[0] not in sol:
+            vlines[l] = tuple(pos[m] for m in line)
+            masks[l] = sum(1 << q for q in vlines[l])
+    vertex_mask = sum(1 << l for l in vlines)
 
-    reps = [L.vector(vertices[line[0]]) for line in vlines]
-    nlines = len(vlines)
-    pairs = [(i, j) for i in range(nlines) for j in range(i + 1, nlines)]
-    if threads > 1 and pairs:
-        chunk = (len(pairs) + threads - 1) // threads
-        slices = [pairs[k:k + chunk] for k in range(0, len(pairs), chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            flag_chunks = list(pool.map(
-                lambda sl: _eval_pairs(L, reps, sl, cache), slices))
-        flags = [f for ch in flag_chunks for f in ch]
-    else:
-        flags = _eval_pairs(L, reps, pairs, cache)
-
-    adj_lines = [[] for _ in range(nlines)]
-    for (i, j), ok in zip(pairs, flags):
-        if ok:
-            adj_lines[i].append(j)
-            adj_lines[j].append(i)
-
-    masks = [sum(1 << q for q in line) for line in vlines]
     rows = [0] * len(vertices)
-    for i, line in enumerate(vlines):
-        acc = masks[i]
-        for j in adj_lines[i]:
-            acc |= masks[j]
-        for q in line:
+    for l, vline in vlines.items():
+        acc = 0
+        adj = nbr[l] & vertex_mask
+        while adj:
+            b = adj & -adj
+            acc |= masks[b.bit_length() - 1]
+            adj ^= b
+        for q in vline:
             rows[q] = acc & ~(1 << q)
 
     total_degree = sum(r.bit_count() for r in rows)
     if total_degree % 2:
         raise AssertionError("adjacency rows are not symmetric")
-    return SolvGraph(L, vertices, rows, tuple(vlines), total_degree // 2)
+    return SolvGraph(L, vertices, rows, tuple(vlines.values()), total_degree // 2)
 
 
 def degree_sequence(G: SolvGraph) -> dict[int, int]:

@@ -16,6 +16,7 @@ from typing import NamedTuple
 from .ffalg import PrimeField, Subspace, _rref_raw, full_space, kernel, rref
 
 DEFAULT_ELEMENT_CAP = 1 << 24
+MAX_FILE_DIM = 64  # checked before from_file allocates the dim**3 table
 
 
 class ValidationError(ValueError):
@@ -28,16 +29,19 @@ class CapExceeded(RuntimeError):
 
 def element_cap() -> int:
     """Cap on |L| for whole-algebra enumerations; override via SOLVGRAPH_CAP."""
-    try:
-        return int(os.environ["SOLVGRAPH_CAP"])
-    except (KeyError, ValueError):
+    raw = os.environ.get("SOLVGRAPH_CAP")
+    if raw is None:
         return DEFAULT_ELEMENT_CAP
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"SOLVGRAPH_CAP must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def require_enumerable(L: "LieAlgebra", force: bool = False):
-    if not force and L.size > element_cap():
+    cap = element_cap()
+    if not force and L.size > cap:
         raise CapExceeded(
-            f"|L| = {L.size} exceeds the enumeration cap {element_cap()}; "
+            f"|L| = {L.size} exceeds the enumeration cap {cap}; "
             "use force to override")
 
 
@@ -49,8 +53,9 @@ class LieAlgebra:
     validation and all operations on them are pure.
     """
 
+    # _plane_table is filled on first use by solv.plane_table.
     __slots__ = ("field", "dim", "constants", "labels", "name",
-                 "basis_matrices", "matrix_size", "_lines")
+                 "basis_matrices", "matrix_size", "_lines", "_plane_table")
 
     def __init__(self, field: PrimeField, constants, labels=None, name="L",
                  basis_matrices=None, matrix_size=None):
@@ -69,6 +74,7 @@ class LieAlgebra:
         self.basis_matrices = basis_matrices
         self.matrix_size = matrix_size
         self._lines = None
+        self._plane_table = None
         self._validate()
 
     def _validate(self):
@@ -378,6 +384,9 @@ def from_file(path) -> LieAlgebra:
                 if len(parts) != 2 or not parts[1].isdigit():
                     raise ValueError(f"{where}: expected 'dim <n>'")
                 dim = int(parts[1])
+                if dim > MAX_FILE_DIM:
+                    raise ValueError(
+                        f"{where}: dim {dim} exceeds the limit {MAX_FILE_DIM}")
             elif parts[0] == "labels":
                 labels = parts[1:]
             else:

@@ -1,21 +1,17 @@
-"""Solvabilizer machinery.
+"""Solvabilizer machinery over one plane table per algebra.
 
-Everything funnels through one memoized predicate: whether the subalgebra
-generated by a pair of elements is solvable.  That subalgebra depends only
-on span{x, y}, so results are cached under the canonical RREF form of the
-span; the cache collapses the quadratic pair loop to one test per at most
-two-dimensional subspace.
-
-Several whole-algebra scans exploit that solvabilizer membership does not
-change when either element is scaled, and therefore only walk one
-representative per projective line.  The per-element operations stay
-elementwise and exact.
+The subalgebra generated by x and y depends only on the plane span{x, y}.
+plane_table() enumerates every two-dimensional subspace once, directly in
+reduced row-echelon form, classifies it with pair_solvable, and records the
+verdicts per projective line.  sol(L), every solvabilizer, the conjecture
+sum, the S-property and the solvable graph are all read off that table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from .ffalg import Subspace, rref
@@ -32,75 +28,103 @@ from .liealg import (
 )
 
 
-class SolvCache(dict):
-    """Memo table mapping span{x, y} (an RREF Subspace) to solvability.
-
-    Shared mutable state for one algebra; the predicate is deterministic, so
-    concurrent writers can only ever store the same value for a key and
-    last-write-wins merging is safe.
-    """
-
-
-def pair_solvable(L: LieAlgebra, x, y, cache: SolvCache | None = None) -> bool:
+def pair_solvable(L: LieAlgebra, x, y) -> bool:
     """True iff the subalgebra generated by x and y is solvable."""
-    key = rref([x, y], L.field, ambient=L.dim)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = derived_series(L, subalgebra_closure(L, key.basis)).terminated
-    if cache is not None:
-        cache[key] = result
-    return result
+    return derived_series(L, subalgebra_closure(L, [x, y])).terminated
 
 
-def solvabilizer(L: LieAlgebra, x, cache: SolvCache | None = None,
-                 force: bool = False) -> tuple[int, ...]:
+def _rref_planes(n: int, p: int):
+    """Every two-dimensional subspace of F_p^n once, as its RREF rows (r1, r2).
+
+    The leading ones sit at columns c1 < c2; r1 is zero at c2, and the
+    entries after each leading one are otherwise free.  That gives the
+    Gaussian binomial [n 2]_p pairs.
+    """
+    for c1 in range(n):
+        for c2 in range(c1 + 1, n):
+            cut = c2 - c1 - 1
+            for v1 in product(range(p), repeat=n - 2 - c1):
+                r1 = (0,) * c1 + (1,) + v1[:cut] + (0,) + v1[cut:]
+                for v2 in product(range(p), repeat=n - 1 - c2):
+                    yield r1, (0,) * c2 + (1,) + v2
+
+
+def plane_table(L: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The plane table (line_of, nbr) of L, built on first use and kept on L.
+
+    line_of[m] is the position in L.lines() of the line holding element m,
+    and -1 for 0.  Bit m of nbr[l] is set iff lines l and m lie in a
+    solvable plane; every line sees itself.  Callers enforce the
+    enumeration cap before asking for the table.
+    """
+    if L._plane_table is not None:
+        return L._plane_table
+    p = L.field.p
+    lines = L.lines()
+    line_of = [-1] * L.size
+    for l, line in enumerate(lines):
+        for m in line:
+            line_of[m] = l
+    nbr = [1 << l for l in range(len(lines))]
+    for r1, r2 in _rref_planes(L.dim, p):
+        if pair_solvable(L, r1, r2):
+            ids = [line_of[L.index(r2)]] + [
+                line_of[L.index(tuple((a + t * b) % p for a, b in zip(r1, r2)))]
+                for t in range(p)]
+            mask = sum(1 << l for l in ids)
+            for l in ids:
+                nbr[l] |= mask
+    L._plane_table = (tuple(line_of), tuple(nbr))
+    return L._plane_table
+
+
+def _line_members(L: LieAlgebra, mask: int) -> tuple[int, ...]:
+    """Sorted indices of 0 and of every element on the lines in a line bitset."""
+    lines = L.lines()
+    out = [0]
+    while mask:
+        b = mask & -mask
+        out.extend(lines[b.bit_length() - 1])
+        mask ^= b
+    out.sort()
+    return tuple(out)
+
+
+def solvabilizer(L: LieAlgebra, x, force: bool = False) -> tuple[int, ...]:
     """Sorted indices of all y in L with <x, y> solvable."""
     require_enumerable(L, force)
-    if cache is None:
-        cache = SolvCache()
-    return tuple(m for m in range(L.size)
-                 if pair_solvable(L, x, L.vector(m), cache))
+    m = L.index(x)
+    if m == 0:
+        return tuple(range(L.size))
+    line_of, nbr = plane_table(L)
+    return _line_members(L, nbr[line_of[m]])
 
 
-def solvabilizer_set(L: LieAlgebra, A, B, cache: SolvCache | None = None) -> tuple[int, ...]:
+def solvabilizer_set(L: LieAlgebra, A, B) -> tuple[int, ...]:
     """Members of A that generate a solvable subalgebra with every member of B.
 
     A and B are iterables of element indices.  An empty A gives the empty
     set; an empty B imposes no constraint and gives all of A.
     """
-    A = sorted(set(A))
-    B = sorted(set(B))
-    if not A:
-        return ()
-    if not B:
-        return tuple(A)
-    if cache is None:
-        cache = SolvCache()
-    bvecs = [L.vector(b) for b in B]
-    return tuple(a for a in A
-                 if all(pair_solvable(L, L.vector(a), bv, cache) for bv in bvecs))
+    require_enumerable(L)
+    line_of, nbr = plane_table(L)
+    need = 0
+    for b in set(B):
+        if b:
+            need |= 1 << line_of[b]
+    return tuple(a for a in sorted(set(A))
+                 if a == 0 or nbr[line_of[a]] & need == need)
 
 
-def sol_of_algebra(L: LieAlgebra, cache: SolvCache | None = None,
-                   force: bool = False) -> tuple[int, ...]:
+def sol_of_algebra(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
     """Sorted indices of the elements generating a solvable subalgebra with all of L.
 
-    Membership is constant on projective lines in both arguments, so lines
-    are admitted or rejected whole after testing their representatives.
+    These are 0 and the lines whose neighbor bitset holds every line.
     """
     require_enumerable(L, force)
-    if cache is None:
-        cache = SolvCache()
-    lines = L.lines()
-    reps = [L.vector(line[0]) for line in lines]
-    members = [0]
-    for line in lines:
-        y = L.vector(line[0])
-        if all(pair_solvable(L, h, y, cache) for h in reps):
-            members.extend(line)
-    return tuple(sorted(members))
+    _, nbr = plane_table(L)
+    full = (1 << len(nbr)) - 1
+    return _line_members(L, sum(1 << l for l, row in enumerate(nbr) if row == full))
 
 
 def _vadd(u, v, p):
@@ -117,28 +141,32 @@ def _additively_closed(L: LieAlgebra, members: tuple[int, ...]) -> tuple[bool, S
     return len(members) == span.size, span
 
 
-def is_s_lie(L: LieAlgebra, cache: SolvCache | None = None, force: bool = False):
+def is_s_lie(L: LieAlgebra, force: bool = False):
     """Test whether every per-element solvabilizer is a subalgebra.
 
     Returns (True, None), or (False, (x, a, b)) where a and b both lie in
     the solvabilizer of x but a + b or [a, b] does not.  Solvabilizers are
-    constant on projective lines, so only line representatives are examined;
-    lines are visited in order of their smallest member and the witness is
-    the first failing triple in element-index order.
+    constant on projective lines and determined by the line's neighbor
+    bitset, so each distinct bitset is examined once; lines are visited in
+    order of their smallest member and the witness is the first failing
+    triple in element-index order.
     """
     require_enumerable(L, force)
-    if cache is None:
-        cache = SolvCache()
     p = L.field.p
-    for line in L.lines():
-        x = L.vector(line[0])
-        sol = solvabilizer(L, x, cache, force=force)
+    _, nbr = plane_table(L)
+    passed = set()
+    for line, mask in zip(L.lines(), nbr):
+        if mask in passed:
+            continue
+        sol = _line_members(L, mask)
         members = set(sol)
         closed, span = _additively_closed(L, sol)
         if closed and all(L.index(L.bracket(u, v)) in members
                           for i, u in enumerate(span.basis)
                           for v in span.basis[i + 1:]):
+            passed.add(mask)
             continue
+        x = L.vector(line[0])
         vecs = [L.vector(m) for m in sol]
         for a in vecs:
             for b in vecs:
@@ -156,19 +184,16 @@ class ConjectureResult(NamedTuple):
     quotient: int | Fraction
 
 
-def conjecture_sum(L: LieAlgebra, cache: SolvCache | None = None,
-                   force: bool = False) -> ConjectureResult:
+def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
     """Sum of |sol_L(x)| over all x of L, and its divisibility by |L|.
 
-    The summand is constant on projective lines and equals |L| at x = 0.
+    The summand is |L| at x = 0.  On a line l it is 1 + (p-1)|nbr[l]|, and
+    each line holds p-1 elements.
     """
     require_enumerable(L, force)
-    if cache is None:
-        cache = SolvCache()
-    total = L.size
-    for line in L.lines():
-        size = len(solvabilizer(L, L.vector(line[0]), cache, force=force))
-        total += len(line) * size
+    p = L.field.p
+    total = L.size + sum((p - 1) * (1 + (p - 1) * mask.bit_count())
+                         for mask in plane_table(L)[1])
     q, r = divmod(total, L.size)
     return ConjectureResult(total, L.size, r == 0,
                             q if r == 0 else Fraction(total, L.size))
@@ -192,23 +217,20 @@ class DivisibilityReport:
     coset_closed: bool
 
 
-def divisibility_report(L: LieAlgebra, x, cache: SolvCache | None = None,
-                        force: bool = False) -> DivisibilityReport:
+def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityReport:
     """Compute |sol_L(x)| and check the divisibility and coset properties."""
     require_enumerable(L, force)
-    if cache is None:
-        cache = SolvCache()
     p = L.field.p
     x = tuple(v % p for v in x)
-    sol_x = solvabilizer(L, x, cache, force=force)
+    sol_x = solvabilizer(L, x, force=force)
     members = set(sol_x)
 
-    sol_all = sol_of_algebra(L, cache, force=force)
+    sol_all = sol_of_algebra(L, force=force)
     sol_closed, _ = _additively_closed(L, sol_all)
     sol_divides = (len(sol_x) % len(sol_all) == 0) if sol_closed else None
 
     cent_size = centralizer(L, x).size
-    s_lie, _ = is_s_lie(L, cache, force=force)
+    s_lie, _ = is_s_lie(L, force=force)
     cent_divides = (len(sol_x) % cent_size == 0) if s_lie else None
 
     coset_closed = all(
@@ -228,19 +250,16 @@ def divisibility_report(L: LieAlgebra, x, cache: SolvCache | None = None,
 
 
 def equivariance_check(L: LieAlgebra, phi: LinearMap, x,
-                       cache: SolvCache | None = None, force: bool = False) -> bool:
+                       force: bool = False) -> bool:
     """True iff the phi-image of sol_L(x) equals sol_L(phi(x)) as a set."""
     if not is_lie_automorphism(L, phi):
         raise ValueError("map is not a Lie algebra automorphism")
-    if cache is None:
-        cache = SolvCache()
-    sol_x = solvabilizer(L, x, cache, force=force)
+    sol_x = solvabilizer(L, x, force=force)
     image = sorted(L.index(phi.apply(L.vector(m))) for m in sol_x)
-    return tuple(image) == solvabilizer(L, phi.apply(x), cache, force=force)
+    return tuple(image) == solvabilizer(L, phi.apply(x), force=force)
 
 
 def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
-                                 cache: SolvCache | None = None,
                                  force: bool = False) -> bool:
     """Check that solvabilizers project onto those of L/N, with matching sizes.
 
@@ -254,23 +273,20 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
     if not derived_series(L, N).terminated:
         raise ValueError("N is not solvable")
     require_enumerable(L, force)
-    if cache is None:
-        cache = SolvCache()
-    sol_members = set(sol_of_algebra(L, cache, force=force))
+    sol_members = set(sol_of_algebra(L, force=force))
     for v in N.elements():
         if L.index(v) not in sol_members:
             raise ValueError("N is not contained in sol(L)")
 
     Q, project, _ = quotient(L, N)
-    qcache = SolvCache()
     nsize = N.size
     for m in range(L.size):
         x = L.vector(m)
-        sol_x = solvabilizer(L, x, cache, force=force)
+        sol_x = solvabilizer(L, x, force=force)
         projected = tuple(sorted({Q.index(project(L.vector(a))) for a in sol_x}))
-        sol_q = solvabilizer(Q, project(x), qcache, force=force)
+        sol_q = solvabilizer(Q, project(x), force=force)
         if projected != sol_q:
             return False
         if len(sol_x) != nsize * len(sol_q):
             return False
-    return is_s_lie(L, cache, force=force)[0] == is_s_lie(Q, qcache, force=force)[0]
+    return is_s_lie(L, force=force)[0] == is_s_lie(Q, force=force)[0]

@@ -35,7 +35,6 @@ from solvgraph.liealg import (
     subalgebra_closure,
 )
 from solvgraph.solv import (
-    SolvCache,
     conjecture_sum,
     divisibility_report,
     equivariance_check,
@@ -181,15 +180,14 @@ def test_pair_symmetry_and_scale_invariance():
                     assert direct_pair_solvable(L, xs, ys) == base
     L = make_sl(2, 5)
     rng = random.Random(100)
-    cache = SolvCache()
     for _ in range(300):
         x = tuple(rng.randrange(5) for _ in range(3))
         y = tuple(rng.randrange(5) for _ in range(3))
-        base = pair_solvable(L, x, y, cache)
-        assert pair_solvable(L, y, x, cache) == base
+        base = pair_solvable(L, x, y)
+        assert pair_solvable(L, y, x) == base
         al, be = rng.randrange(1, 5), rng.randrange(1, 5)
         assert pair_solvable(L, tuple(al * v % 5 for v in x),
-                             tuple(be * v % 5 for v in y), cache) == base
+                             tuple(be * v % 5 for v in y)) == base
     _ok("pair symmetry and scale invariance (exhaustive q=2,3; random q=5)")
 
 
@@ -197,9 +195,8 @@ def test_divisibility_and_coset_properties():
     rng = random.Random(101)
     for L in (make_sl(2, 2), make_w3(2), make_sl(2, 3), make_gl(2, 3)):
         p = L.field.p
-        cache = SolvCache()
         for line in L.lines():
-            rep = divisibility_report(L, L.vector(line[0]), cache)
+            rep = divisibility_report(L, L.vector(line[0]))
             assert rep.sol_size % p == 0
             assert rep.coset_closed
             if rep.sol_divides is not None:
@@ -207,10 +204,9 @@ def test_divisibility_and_coset_properties():
             if rep.centralizer_divides is not None:
                 assert rep.centralizer_divides
     L = make_sl(2, 5)
-    cache = SolvCache()
     for _ in range(12):
         x = tuple(rng.randrange(5) for _ in range(3))
-        rep = divisibility_report(L, x, cache)
+        rep = divisibility_report(L, x)
         assert rep.sol_size % 5 == 0
         assert rep.coset_closed
     _ok("q | |sol_L(x)| and coset property (exhaustive q=2,3; random q=5)")
@@ -218,22 +214,20 @@ def test_divisibility_and_coset_properties():
 
 def test_centralizer_and_radical_containments():
     for L in (make_sl(2, 2), make_w3(2), make_sl(2, 3), make_gl(2, 3), make_t(2, 3)):
-        cache = SolvCache()
-        sol = set(sol_of_algebra(L, cache))
+        sol = set(sol_of_algebra(L))
         for v in radical(L).elements():
             assert L.index(v) in sol
         for line in L.lines():
             x = L.vector(line[0])
-            members = set(solvabilizer(L, x, cache))
+            members = set(solvabilizer(L, x))
             for cvec in centralizer(L, x).elements():
                 assert L.index(cvec) in members
     # randomized spot checks at q = 5
     L = make_sl(2, 5)
-    cache = SolvCache()
     rng = random.Random(104)
     for _ in range(10):
         x = tuple(rng.randrange(5) for _ in range(3))
-        members = set(solvabilizer(L, x, cache))
+        members = set(solvabilizer(L, x))
         for cvec in centralizer(L, x).elements():
             assert L.index(cvec) in members
     _ok("C_L(x) inside sol_L(x) and R(L) inside sol(L)")
@@ -241,11 +235,10 @@ def test_centralizer_and_radical_containments():
 
 def test_degree_identity_everywhere():
     for L in (make_sl(2, 3), make_gl(2, 3), make_w3(2)):
-        cache = SolvCache()
-        G = build(L, cache)
-        base = len(sol_of_algebra(L, cache))
+        G = build(L)
+        base = len(sol_of_algebra(L))
         for m in G.vertices:
-            assert G.degree(m) == len(solvabilizer(L, L.vector(m), cache)) - base - 1
+            assert G.degree(m) == len(solvabilizer(L, L.vector(m))) - base - 1
     _ok("deg(x) = |sol_L(x)| - |sol(L)| - 1 on every vertex")
 
 
@@ -255,29 +248,28 @@ def test_solvabilizer_set_identities():
     for L in (make_sl(2, 3), make_w3(2)):
         rng = random.Random(102)
         universe = list(range(L.size))
-        cache = SolvCache()
         for _ in range(25):
             B = rng.sample(universe, rng.randrange(1, 8))
             A = rng.sample(B, rng.randrange(1, len(B) + 1))
             C = rng.sample(universe, rng.randrange(1, 8))
-            sol_a_c = set(solvabilizer_set(L, A, C, cache))
-            sol_b_c = set(solvabilizer_set(L, B, C, cache))
+            sol_a_c = set(solvabilizer_set(L, A, C))
+            sol_b_c = set(solvabilizer_set(L, B, C))
             assert sol_a_c <= sol_b_c
-            assert set(solvabilizer_set(L, C, B, cache)) \
-                <= set(solvabilizer_set(L, C, A, cache))
+            assert set(solvabilizer_set(L, C, B)) \
+                <= set(solvabilizer_set(L, C, A))
             assert sol_a_c == set(A) & sol_b_c
-            assert set(solvabilizer_set(L, B, set(A) | set(C), cache)) == \
-                set(solvabilizer_set(L, B, A, cache)) & set(solvabilizer_set(L, B, C, cache))
-            assert set(solvabilizer_set(L, B, set(A) & set(C), cache)) >= \
-                set(solvabilizer_set(L, B, A, cache)) | set(solvabilizer_set(L, B, C, cache))
-            inner = solvabilizer_set(L, B, A, cache)
-            if set(solvabilizer_set(L, A, inner, cache)) != set(A):
+            assert set(solvabilizer_set(L, B, set(A) | set(C))) == \
+                set(solvabilizer_set(L, B, A)) & set(solvabilizer_set(L, B, C))
+            assert set(solvabilizer_set(L, B, set(A) & set(C))) >= \
+                set(solvabilizer_set(L, B, A)) | set(solvabilizer_set(L, B, C))
+            inner = solvabilizer_set(L, B, A)
+            if set(solvabilizer_set(L, A, inner)) != set(A):
                 violations.append((L.name, sorted(A), sorted(B)))
         # pointwise intersection identity and the global solvabilizer
         expected = set(range(L.size))
         for m in range(L.size):
-            expected &= set(solvabilizer(L, L.vector(m), cache))
-        assert set(sol_of_algebra(L, cache)) == expected
+            expected &= set(solvabilizer(L, L.vector(m)))
+        assert set(sol_of_algebra(L)) == expected
     assert not violations, f"reflexivity identity violated: {violations}"
     _ok("solvabilizer set identities (monotonicity, restriction, unions, reflexivity)")
 
@@ -285,11 +277,10 @@ def test_solvabilizer_set_identities():
 def test_sol_absorption():
     for L in (make_sl(2, 3), make_w3(2), make_gl(2, 3)):
         p = L.field.p
-        cache = SolvCache()
-        sol_l = [L.vector(m) for m in sol_of_algebra(L, cache)]
+        sol_l = [L.vector(m) for m in sol_of_algebra(L)]
         for line in L.lines():
             x = L.vector(line[0])
-            members = set(solvabilizer(L, x, cache))
+            members = set(solvabilizer(L, x))
             assert all(
                 L.index(tuple((u + v) % p for u, v in zip(L.vector(m), s))) in members
                 for m in members for s in sol_l)
@@ -298,7 +289,6 @@ def test_sol_absorption():
 
 def test_automorphism_equivariance_ten_conjugations():
     L = make_sl(2, 3)
-    cache = SolvCache()
     rng = random.Random(103)
     done = 0
     while done < 10:
@@ -307,7 +297,7 @@ def test_automorphism_equivariance_ten_conjugations():
             continue
         phi = conjugation_automorphism(L, g)
         for x in ((1, 0, 0), (0, 0, 1), (1, 1, 0)):
-            assert equivariance_check(L, phi, x, cache)
+            assert equivariance_check(L, phi, x)
         done += 1
     _ok("solvabilizer equivariance under 10 conjugation automorphisms of sl2@3")
 
@@ -316,16 +306,14 @@ def test_quotient_compatibility_gl2_mod_center():
     L = make_gl(2, 3)
     N = center(L)
     assert N.size == 3
-    cache = SolvCache()
-    assert quotient_compatibility_check(L, N, cache)
+    assert quotient_compatibility_check(L, N)
     # sizes divide by |N| = 3 throughout, checked against the quotient
     from solvgraph.liealg import quotient
     Q, project, _ = quotient(L, N)
-    qcache = SolvCache()
     for m in range(L.size):
         x = L.vector(m)
-        big = len(solvabilizer(L, x, cache))
-        small = len(solvabilizer(Q, project(x), qcache))
+        big = len(solvabilizer(L, x))
+        small = len(solvabilizer(Q, project(x)))
         assert big == 3 * small
     _ok("quotient compatibility for gl2@3 mod its center (sizes divide by 3)")
 

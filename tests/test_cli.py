@@ -241,6 +241,13 @@ class TestFileSpecs:
         assert code == 2
         assert "itself" in err
 
+    def test_absurd_dim_rejected_before_allocation(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("p 2\ndim 1000000\n")
+        code, _, err = run_cli(capsys, "info", f"file:{path}")
+        assert code == 2
+        assert "dim 1000000" in err and "limit 64" in err
+
 
 class TestErrorsAndCap:
     def test_bad_spec_exit_code(self, capsys):
@@ -260,6 +267,21 @@ class TestErrorsAndCap:
         code, out, _ = run_cli(capsys, "graph", "sl2@5", "--force")
         assert code == 0
         assert out.startswith("vertices=124 ")
+
+    def test_invalid_cap_rejected(self, capsys, monkeypatch):
+        for bad in ("lots", "0", "-5"):
+            monkeypatch.setenv("SOLVGRAPH_CAP", bad)
+            code, _, err = run_cli(capsys, "degrees", "sl2@3")
+            assert code == 2
+            assert "SOLVGRAPH_CAP" in err and repr(bad) in err
+
+    def test_nonpositive_threads_rejected(self, capsys):
+        for bad in ("0", "-1"):
+            with pytest.raises(SystemExit) as exc:
+                main(["degrees", "sl2@3", "--threads", bad])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--threads" in err and repr(bad) in err
 
 
 class TestDeterminism:

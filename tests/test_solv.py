@@ -9,6 +9,7 @@ from oracles import (
     direct_solvabilizer,
     is_additively_closed_indices,
 )
+from solvgraph.ffalg import rref
 from solvgraph.liealg import (
     LinearMap,
     center,
@@ -18,12 +19,13 @@ from solvgraph.liealg import (
     radical,
 )
 from solvgraph.solv import (
-    SolvCache,
+    _rref_planes,
     conjecture_sum,
     divisibility_report,
     equivariance_check,
     is_s_lie,
     pair_solvable,
+    plane_table,
     quotient_compatibility_check,
     sol_of_algebra,
     solvabilizer,
@@ -54,16 +56,15 @@ class TestPairSolvable:
         assert not pair_solvable(w3, (0, 1, 0), (0, 0, 1))
 
     def test_cache_agrees_with_direct_computation(self, sl2_3, w3):
-        # the memo key assumes the generated subalgebra only depends on the
-        # span of the pair; check every pair against fresh closures
+        # the plane table assumes the generated subalgebra only depends on
+        # the span of the pair; check its bit for every pair against fresh
+        # closures
         for L in (sl2_3, w3):
-            cache = SolvCache()
+            line_of, nbr = plane_table(L)
             for i in range(L.size):
-                x = L.vector(i)
                 for j in range(L.size):
-                    y = L.vector(j)
-                    assert pair_solvable(L, x, y, cache) == \
-                        direct_pair_solvable(L, x, y)
+                    bit = i == 0 or j == 0 or bool(nbr[line_of[i]] >> line_of[j] & 1)
+                    assert bit == direct_pair_solvable(L, L.vector(i), L.vector(j))
 
     def test_symmetry_exhaustive_small_fields(self, sl2_2, sl2_3, w3):
         for L in (sl2_2, w3, sl2_3):
@@ -90,16 +91,46 @@ class TestPairSolvable:
     def test_scale_invariance_randomized_f5(self, sl2_5):
         L = sl2_5
         rng = random.Random(20)
-        cache = SolvCache()
         for _ in range(200):
             x = tuple(rng.randrange(5) for _ in range(3))
             y = tuple(rng.randrange(5) for _ in range(3))
-            base = pair_solvable(L, x, y, cache)
+            base = pair_solvable(L, x, y)
             a, b = rng.randrange(1, 5), rng.randrange(1, 5)
             xs = tuple(a * v % 5 for v in x)
             ys = tuple(b * v % 5 for v in y)
-            assert pair_solvable(L, xs, ys, cache) == base
-            assert pair_solvable(L, y, x, cache) == base
+            assert pair_solvable(L, xs, ys) == base
+            assert pair_solvable(L, y, x) == base
+
+
+def gaussian_binomial_2(n, p):
+    """Number of two-dimensional subspaces of F_p^n."""
+    return (p**n - 1) * (p**(n - 1) - 1) // ((p * p - 1) * (p - 1))
+
+
+class TestPlaneTable:
+    def test_plane_count_is_gaussian_binomial(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
+        # each yielded pair is an RREF basis of a distinct plane, and there
+        # are [n 2]_p of them, so every plane is visited exactly once
+        for L in (sl2_2, sl2_3, w3, t2_3, make_t(3, 2), gl2_3):
+            planes = list(_rref_planes(L.dim, L.field.p))
+            assert len(planes) == gaussian_binomial_2(L.dim, L.field.p)
+            spans = [rref(pair, L.field, ambient=L.dim) for pair in planes]
+            assert [span.basis for span in spans] == planes
+            assert len(set(spans)) == len(planes)
+
+    def test_each_plane_classified_once_per_conjecture_run(self, monkeypatch, capsys):
+        from solvgraph import cli, solv
+        calls = []
+        real = solv.pair_solvable
+
+        def counting(L, x, y):
+            calls.append((x, y))
+            return real(L, x, y)
+
+        monkeypatch.setattr(solv, "pair_solvable", counting)
+        assert cli.main(["conjecture", "sl2@5"]) == 0
+        assert capsys.readouterr().out == "sum=3625 order=125 divisible=yes quotient=29\n"
+        assert len(calls) == gaussian_binomial_2(3, 5)
 
 
 class TestSolvabilizer:
@@ -118,8 +149,8 @@ class TestSolvabilizer:
     def test_zero_sees_everything(self, sl2_3):
         assert solvabilizer(sl2_3, (0, 0, 0)) == tuple(range(27))
 
-    def test_matches_elementwise_oracle(self, sl2_3, w3, gl2_3):
-        for L in (w3, sl2_3, gl2_3):
+    def test_matches_elementwise_oracle(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
+        for L in (sl2_2, w3, sl2_3, t2_3, gl2_3):
             for line in L.lines()[:6]:
                 x = L.vector(line[0])
                 assert solvabilizer(L, x) == direct_solvabilizer(L, x)
@@ -215,21 +246,19 @@ class TestSolOfAlgebra:
 
     def test_equals_intersection_of_solvabilizers(self, sl2_3, w3):
         for L in (sl2_3, w3):
-            cache = SolvCache()
             expected = set(range(L.size))
             for m in range(L.size):
-                expected &= set(solvabilizer(L, L.vector(m), cache))
-            assert set(sol_of_algebra(L, cache)) == expected
+                expected &= set(solvabilizer(L, L.vector(m)))
+            assert set(sol_of_algebra(L)) == expected
 
     def test_absorbed_by_every_solvabilizer(self, sl2_3, w3, gl2_3):
         # sol(L) + sol_L(x) = sol_L(x), elementwise
         for L in (sl2_3, w3, gl2_3):
             p = L.field.p
-            cache = SolvCache()
-            sol_l = [L.vector(m) for m in sol_of_algebra(L, cache)]
+            sol_l = [L.vector(m) for m in sol_of_algebra(L)]
             for line in L.lines()[:8]:
                 x = L.vector(line[0])
-                members = set(solvabilizer(L, x, cache))
+                members = set(solvabilizer(L, x))
                 for a in list(members):
                     av = L.vector(a)
                     for s in sol_l:
@@ -267,6 +296,20 @@ class TestSLie:
         assert sl2_3.index((0, 1, 0)) in sol_h
         assert sl2_3.index((1, 1, 0)) not in sol_h
 
+    def test_verdict_matches_elementwise_oracle(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
+        # S-Lie iff every direct solvabilizer is additively and bracket closed
+        for L in (sl2_2, sl2_3, w3, t2_3, make_t(3, 2), gl2_3):
+            expected = True
+            for m in range(L.size):
+                sol = direct_solvabilizer(L, L.vector(m))
+                members = set(sol)
+                if not (is_additively_closed_indices(L, sol) and all(
+                        L.index(L.bracket(L.vector(a), L.vector(b))) in members
+                        for a in sol for b in sol)):
+                    expected = False
+                    break
+            assert is_s_lie(L)[0] == expected, L.name
+
     def test_s_lie_example_solvabilizers_are_subalgebras(self, w3):
         # every solvabilizer of the char-2 simple algebra is a subalgebra:
         # they are spans of (a and one other line), checked additively here
@@ -282,8 +325,8 @@ class TestConjectureSum:
         assert conjecture_sum(sl2_5) == (3625, 125, True, 29)
         assert conjecture_sum(gl2_3) == (2673, 81, True, 33)
 
-    def test_line_shortcut_matches_direct_sum(self, sl2_3, w3):
-        for L in (sl2_3, w3):
+    def test_line_shortcut_matches_direct_sum(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
+        for L in (sl2_2, sl2_3, w3, t2_3, make_t(3, 2), gl2_3):
             direct = sum(len(direct_solvabilizer(L, L.vector(m)))
                          for m in range(L.size))
             assert conjecture_sum(L).total == direct
@@ -330,18 +373,16 @@ class TestDivisibilityReport:
     def test_p_divides_and_coset_everywhere_small(self, sl2_2, sl2_3, w3, gl2_3):
         for L in (sl2_2, w3, sl2_3, gl2_3):
             p = L.field.p
-            cache = SolvCache()
             for line in L.lines():
-                rep = divisibility_report(L, L.vector(line[0]), cache)
+                rep = divisibility_report(L, L.vector(line[0]))
                 assert rep.sol_size % p == 0
                 assert rep.coset_closed
 
     def test_centralizer_inside_solvabilizer(self, sl2_3, w3, gl2_3):
         for L in (sl2_3, w3, gl2_3):
-            cache = SolvCache()
             for line in L.lines():
                 x = L.vector(line[0])
-                members = set(solvabilizer(L, x, cache))
+                members = set(solvabilizer(L, x))
                 for c in centralizer(L, x).elements():
                     assert L.index(c) in members
 
@@ -402,7 +443,6 @@ class TestQuotientCompatibility:
 class TestSolvableFamily:
     def test_every_solvabilizer_is_everything(self):
         for L in (make_t(2, 3), make_t(3, 2)):
-            cache = SolvCache()
             for line in L.lines():
                 x = L.vector(line[0])
-                assert len(solvabilizer(L, x, cache)) == L.size
+                assert len(solvabilizer(L, x)) == L.size
