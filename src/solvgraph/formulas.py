@@ -31,17 +31,32 @@ def _require_odd_prime(q: int):
         raise ValueError("q must be an odd prime")
 
 
+def _class_table(family: str, q: int) -> dict[SpectralClass, tuple[int, int]]:
+    """(degree, vertex count) of each spectral class, largest degree first.
+
+    A full matrix is a traceless one plus one of q scalars, and the scalars
+    lie in sol(L); so each gl2 class holds q times as many vertices, and
+    each vertex sees q(d + 1) - 1 others where its traceless part sees d.
+    """
+    _require_odd_prime(q)
+    if family not in ("sl2", "gl2"):
+        raise ValueError(f"unknown family {family!r}; expected 'sl2' or 'gl2'")
+    table = {
+        SpectralClass.TWO_EIGENVALUES: (2 * q * q - q - 2, q * (q * q - 1) // 2),
+        SpectralClass.ONE_EIGENVALUE: (q * q - 2, q * q - 1),
+        SpectralClass.NO_EIGENVALUE: (q - 2, q * (q - 1) ** 2 // 2),
+    }
+    if family == "gl2":
+        table = {cls: (q * (d + 1) - 1, q * n) for cls, (d, n) in table.items()}
+    return table
+
+
 def sl2_expected(q: int) -> dict[int, int]:
     """Predicted degree multiset for the traceless 2x2 family over F_q, q odd.
 
     {2q^2-q-2: q(q^2-1)/2,  q^2-2: q^2-1,  q-2: q(q-1)^2/2}
     """
-    _require_odd_prime(q)
-    return {
-        2 * q * q - q - 2: q * (q * q - 1) // 2,
-        q * q - 2: q * q - 1,
-        q - 2: q * (q - 1) ** 2 // 2,
-    }
+    return dict(_class_table("sl2", q).values())
 
 
 def gl2_expected(q: int) -> dict[int, int]:
@@ -49,12 +64,7 @@ def gl2_expected(q: int) -> dict[int, int]:
 
     {2q^3-q^2-q-1: q^2(q^2-1)/2,  q^3-q-1: q^3-q,  q^2-q-1: q^2(q-1)^2/2}
     """
-    _require_odd_prime(q)
-    return {
-        2 * q**3 - q * q - q - 1: q * q * (q * q - 1) // 2,
-        q**3 - q - 1: q**3 - q,
-        q * q - q - 1: q * q * (q - 1) ** 2 // 2,
-    }
+    return dict(_class_table("gl2", q).values())
 
 
 def is_quadratic_residue(t: int, q: int) -> bool:
@@ -92,8 +102,8 @@ def spectral_class_sl2(L: LieAlgebra, x) -> SpectralClass:
 
 def spectral_counts(q: int) -> tuple[int, int, int]:
     """Vertex counts (no eigenvalue, one, two) for the traceless family."""
-    _require_odd_prime(q)
-    return (q * (q - 1) ** 2 // 2, q * q - 1, q * (q * q - 1) // 2)
+    table = _class_table("sl2", q)
+    return tuple(table[cls][1] for cls in SpectralClass)
 
 
 @dataclass
@@ -154,35 +164,19 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
     Checks the degree multiset, then that the eigenvalue class of every
     vertex determines its degree exactly, and finally the per-class counts.
     """
-    _require_odd_prime(q)
+    table = _class_table(family, q)
     if family == "sl2":
         L = make_sl(2, q)
-        expected = sl2_expected(q)
-        degree_of_class = {
-            SpectralClass.NO_EIGENVALUE: q - 2,
-            SpectralClass.ONE_EIGENVALUE: q * q - 2,
-            SpectralClass.TWO_EIGENVALUES: 2 * q * q - q - 2,
-        }
-        counts = spectral_counts(q)
 
         def classify(x):
             return _discriminant_class(x[2], x[0], x[1], q)
-    elif family == "gl2":
+    else:
         L = make_gl(2, q)
-        expected = gl2_expected(q)
-        degree_of_class = {
-            SpectralClass.NO_EIGENVALUE: q * q - q - 1,
-            SpectralClass.ONE_EIGENVALUE: q**3 - q - 1,
-            SpectralClass.TWO_EIGENVALUES: 2 * q**3 - q * q - q - 1,
-        }
-        base = spectral_counts(q)
-        counts = (q * base[0], q * base[1], q * base[2])
 
         def classify(x):
             a, b, c = _gl2_traceless_part(x, q)
             return _discriminant_class(a, b, c, q)
-    else:
-        raise ValueError(f"unknown family {family!r}; expected 'sl2' or 'gl2'")
+    expected = dict(table.values())
 
     G = build(L, force=force)
     computed = degree_sequence(G)
@@ -192,20 +186,15 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
 
     observed_counts = {cls: 0 for cls in SpectralClass}
     if mismatch is None:
-        for pos, m in enumerate(G.vertices):
-            x = L.vector(m)
-            cls = classify(x)
+        for m in G.vertices:
+            cls = classify(L.vector(m))
             observed_counts[cls] += 1
-            deg = G.rows[pos].bit_count()
-            if deg != degree_of_class[cls]:
+            deg = G.degree(m)
+            if deg != table[cls][0]:
                 mismatch = (f"vertex {m} of class {cls.value} has degree {deg}, "
-                            f"expected {degree_of_class[cls]}")
+                            f"expected {table[cls][0]}")
                 break
-    expected_counts = {
-        SpectralClass.NO_EIGENVALUE: counts[0],
-        SpectralClass.ONE_EIGENVALUE: counts[1],
-        SpectralClass.TWO_EIGENVALUES: counts[2],
-    }
+    expected_counts = {cls: table[cls][1] for cls in SpectralClass}
     if mismatch is None and observed_counts != expected_counts:
         mismatch = (f"class counts {observed_counts} != expected {expected_counts}")
 

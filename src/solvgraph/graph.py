@@ -2,13 +2,11 @@
 
 Vertices are the elements outside the global solvabilizer; two vertices are
 adjacent when they generate a solvable subalgebra.  Adjacency only depends
-on the plane the pair spans, so the build reads the algebra's plane table
-(see solv): the neighbor bitset of each vertex line, restricted to vertex
-lines, is expanded into per-vertex bitmask rows.  The expansion is
-cross-checked against directly computed pairs in the test suite.
-
-Adjacency rows are Python ints used as bitsets over vertex positions: bit j
-of rows[i] is set iff vertices i and j are adjacent.
+on the plane the pair spans, so the graph is a view of the algebra's plane
+table (see solv): it keeps one row per vertex line, the line's neighbor
+bitset restricted to vertex lines.  Degrees, edge counts and the components
+of the graph and of its complement are read off those rows.  Per-vertex
+bitmask rows are expanded only by edges() and the rows property.
 """
 
 from __future__ import annotations
@@ -21,22 +19,34 @@ from .solv import plane_table, sol_of_algebra
 
 
 class SolvGraph:
-    """Solvable graph with bitmask adjacency rows.
+    """Solvable graph held as per-line rows.
 
-    vertices: ascending element indices of L minus sol(L).
-    rows[i]:  neighbor bitmask of the vertex at position i.
-    lines:    vertex positions grouped by projective line.
+    vertices:     ascending element indices of L minus sol(L).
+    lines:        vertex positions grouped by projective line; line k holds
+                  p - 1 vertices.
+    line_rows[k]: bitset over line numbers k' of the lines adjacent to
+                  line k, including k itself.  A vertex on line k is
+                  adjacent to every vertex on those lines but itself.
     """
 
-    __slots__ = ("algebra", "vertices", "rows", "lines", "edge_count", "_pos")
+    __slots__ = ("algebra", "vertices", "lines", "line_rows", "edge_count",
+                 "_pos", "_line_at")
 
-    def __init__(self, algebra, vertices, rows, lines, edge_count):
+    def __init__(self, algebra, vertices, lines, line_rows):
         self.algebra = algebra
         self.vertices = vertices
-        self.rows = rows
         self.lines = lines
-        self.edge_count = edge_count
+        self.line_rows = line_rows
         self._pos = {m: i for i, m in enumerate(vertices)}
+        self._line_at = [0] * len(vertices)
+        for k, line in enumerate(lines):
+            for q in line:
+                self._line_at[q] = k
+        total_degree = sum(len(line) * self._line_degree(k)
+                           for k, line in enumerate(lines))
+        if total_degree % 2:
+            raise AssertionError("line rows are not symmetric")
+        self.edge_count = total_degree // 2
 
     @property
     def vertex_count(self) -> int:
@@ -45,20 +55,39 @@ class SolvGraph:
     def position(self, element_index: int) -> int:
         return self._pos[element_index]
 
-    def degree(self, element_index: int) -> int:
-        return self.rows[self._pos[element_index]].bit_count()
+    def _line_degree(self, k: int) -> int:
+        return (self.algebra.field.p - 1) * self.line_rows[k].bit_count() - 1
 
-    def adjacent(self, u: int, v: int) -> bool:
-        """Adjacency by element index."""
-        return bool(self.rows[self._pos[u]] >> self._pos[v] & 1)
+    def degree(self, element_index: int) -> int:
+        return self._line_degree(self._line_at[self._pos[element_index]])
 
     def degrees(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
+        return [self._line_degree(k) for k in self._line_at]
+
+    def _line_masks(self) -> list[int]:
+        """For each line row, the vertex positions on its lines as one bitmask."""
+        masks = [sum(1 << q for q in line) for line in self.lines]
+        out = []
+        for row in self.line_rows:
+            acc = 0
+            while row:
+                b = row & -row
+                acc |= masks[b.bit_length() - 1]
+                row ^= b
+            out.append(acc)
+        return out
+
+    @property
+    def rows(self) -> list[int]:
+        """Per-vertex neighbor bitmasks: bit j of rows[i] is set iff i ~ j."""
+        masks = self._line_masks()
+        return [masks[k] & ~(1 << i) for i, k in enumerate(self._line_at)]
 
     def edges(self):
         """Yield position pairs (i, j), i < j, in lexicographic order."""
-        for i, row in enumerate(self.rows):
-            m = row >> (i + 1) << (i + 1)
+        masks = self._line_masks()
+        for i, k in enumerate(self._line_at):
+            m = masks[k] >> (i + 1) << (i + 1)
             while m:
                 b = m & -m
                 yield i, b.bit_length() - 1
@@ -73,124 +102,91 @@ def build(L: LieAlgebra, force: bool = False) -> SolvGraph:
     pos = {m: i for i, m in enumerate(vertices)}
     _, nbr = plane_table(L)
 
-    vlines = {}  # line id -> vertex positions, for the lines outside sol(L)
-    masks = [0] * len(nbr)  # vertex-position bitmask of each vertex line
-    for l, line in enumerate(L.lines()):
-        if line[0] not in sol:
-            vlines[l] = tuple(pos[m] for m in line)
-            masks[l] = sum(1 << q for q in vlines[l])
-    vertex_mask = sum(1 << l for l in vlines)
-
-    rows = [0] * len(vertices)
-    for l, vline in vlines.items():
-        acc = 0
-        adj = nbr[l] & vertex_mask
+    all_lines = L.lines()
+    ids = [l for l, line in enumerate(all_lines) if line[0] not in sol]
+    number = {l: k for k, l in enumerate(ids)}  # plane-table line -> row
+    vertex_mask = sum(1 << l for l in ids)
+    line_rows = []
+    for l in ids:
+        row, adj = 0, nbr[l] & vertex_mask
         while adj:
             b = adj & -adj
-            acc |= masks[b.bit_length() - 1]
+            row |= 1 << number[b.bit_length() - 1]
             adj ^= b
-        for q in vline:
-            rows[q] = acc & ~(1 << q)
-
-    total_degree = sum(r.bit_count() for r in rows)
-    if total_degree % 2:
-        raise AssertionError("adjacency rows are not symmetric")
-    return SolvGraph(L, vertices, rows, tuple(vlines.values()), total_degree // 2)
+        line_rows.append(row)
+    lines = tuple(tuple(pos[m] for m in all_lines[l]) for l in ids)
+    return SolvGraph(L, vertices, lines, tuple(line_rows))
 
 
 def degree_sequence(G: SolvGraph) -> dict[int, int]:
     """Multiset of vertex degrees as {degree: multiplicity}, largest first."""
     counts: dict[int, int] = {}
-    for r in G.rows:
-        d = r.bit_count()
-        counts[d] = counts.get(d, 0) + 1
+    for k, line in enumerate(G.lines):
+        d = G._line_degree(k)
+        counts[d] = counts.get(d, 0) + len(line)
     return dict(sorted(counts.items(), reverse=True))
 
 
-def _bits_to_elements(G: SolvGraph, mask: int) -> list[int]:
+def _line_walk(G: SolvGraph, flip: int) -> list[list[int]]:
+    """Components as element-index lists, largest first, by a walk over lines.
+
+    Line k's neighbors are the lines in line_rows[k] ^ flip: flip = 0 walks
+    the graph and flip = -1 its complement.  The walk shrinks an unvisited
+    line set, so memory stays linear in the line count even though the
+    complement is dense.  All vertices of a line share one component: in the
+    graph they are mutually adjacent, and in the complement every vertex
+    line l has a neighbor line.  nbr[l] is not full, since otherwise l would
+    lie in sol(L), and a line missing from nbr[l] is itself outside sol(L),
+    whose lines see every line.
+    """
+    unvisited = (1 << len(G.lines)) - 1
     out = []
-    while mask:
-        b = mask & -mask
-        out.append(G.vertices[b.bit_length() - 1])
-        mask ^= b
+    while unvisited:
+        frontier = unvisited & -unvisited
+        unvisited ^= frontier
+        comp = 0
+        while frontier:
+            comp |= frontier
+            nxt = 0
+            while frontier:
+                b = frontier & -frontier
+                nxt |= G.line_rows[b.bit_length() - 1] ^ flip
+                frontier ^= b
+            frontier = nxt & unvisited
+            unvisited ^= frontier
+        part = []
+        while comp:
+            b = comp & -comp
+            part.extend(G.vertices[q] for q in G.lines[b.bit_length() - 1])
+            comp ^= b
+        part.sort()
+        out.append(part)
+    out.sort(key=lambda c: (-len(c), c[0]))
     return out
-
-
-def _sorted_parts(parts: list[list[int]]) -> list[list[int]]:
-    parts.sort(key=lambda c: (-len(c), c[0]))
-    return parts
 
 
 def components(G: SolvGraph) -> list[list[int]]:
     """Connected components as element-index lists, largest first."""
-    n = len(G.vertices)
-    seen = 0
-    out = []
-    for s in range(n):
-        if seen >> s & 1:
-            continue
-        comp = 0
-        frontier = 1 << s
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                nxt |= G.rows[b.bit_length() - 1]
-                m ^= b
-            frontier = nxt & ~comp
-        seen |= comp
-        out.append(_bits_to_elements(G, comp))
-    return _sorted_parts(out)
+    return _line_walk(G, 0)
 
 
 def complement_components(G: SolvGraph) -> list[list[int]]:
-    """Components of the complement graph, without materializing its edges.
-
-    Walks a shrinking unvisited set: the complement neighbors of vertex i
-    are the unvisited vertices absent from rows[i].  Memory stays linear in
-    the vertex count even though the complement is dense.
-    """
-    n = len(G.vertices)
-    unvisited = (1 << n) - 1 if n else 0
-    out = []
-    while unvisited:
-        b = unvisited & -unvisited
-        unvisited ^= b
-        comp = 0
-        frontier = b
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            m = frontier
-            while m:
-                bb = m & -m
-                m ^= bb
-                gain = unvisited & ~G.rows[bb.bit_length() - 1]
-                nxt |= gain
-                unvisited &= ~gain
-            frontier = nxt
-        out.append(_bits_to_elements(G, comp))
-    return _sorted_parts(out)
+    """Components of the complement graph, without materializing its edges."""
+    return _line_walk(G, -1)
 
 
 # ---------------------------------------------------------------------------
 # Exports.  All outputs are deterministic: vertices ascend by element index
 # and edges are emitted in lexicographic position order.
 
-def _label(G: SolvGraph, element_index: int) -> str:
-    coords = G.algebra.vector(element_index)
-    return "(" + ",".join(str(c) for c in coords) + ")"
-
-
 def export_dot(G: SolvGraph, path):
     """Graphviz DOT file; nodes are labeled by coordinate tuples."""
+    labels = ["(" + ",".join(str(c) for c in G.algebra.vector(m)) + ")"
+              for m in G.vertices]
     lines = [f'graph "{G.algebra.name}" {{']
-    for m in G.vertices:
-        lines.append(f'  "{_label(G, m)}";')
+    lines.extend(f'  "{label}";' for label in labels)
     for i, j in G.edges():
-        lines.append(f'  "{_label(G, G.vertices[i])}" -- "{_label(G, G.vertices[j])}";')
+        lines.append(f'  "{labels[i]}" -- "{labels[j]}";')
     lines.append("}")
     Path(path).write_text("\n".join(lines) + "\n")
 

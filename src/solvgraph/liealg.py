@@ -32,7 +32,7 @@ def element_cap() -> int:
     raw = os.environ.get("SOLVGRAPH_CAP")
     if raw is None:
         return DEFAULT_ELEMENT_CAP
-    if not raw.strip().isdigit() or int(raw) < 1:
+    if not raw.strip().isdecimal() or int(raw) < 1:
         raise ValueError(f"SOLVGRAPH_CAP must be a positive integer, got {raw!r}")
     return int(raw)
 
@@ -377,11 +377,11 @@ def from_file(path) -> LieAlgebra:
             parts = line.split()
             where = f"{path.name}:{lineno}"
             if parts[0] == "p":
-                if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+                if len(parts) != 2 or not parts[1].lstrip("-").isdecimal():
                     raise ValueError(f"{where}: expected 'p <prime>'")
                 p = int(parts[1])
             elif parts[0] == "dim":
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not parts[1].isdecimal():
                     raise ValueError(f"{where}: expected 'dim <n>'")
                 dim = int(parts[1])
                 if dim > MAX_FILE_DIM:

@@ -86,6 +86,34 @@ def build_bruteforce(L):
     return vertices, edges, degrees
 
 
+def components_bruteforce(vertices, edges):
+    """Components of the graph and of its complement, by union-find.
+
+    Unions run over the raw pair loop: adjacent pairs for the graph, the
+    remaining pairs for the complement.  Each result lists sorted element
+    lists, largest first, ties broken by smallest element.
+    """
+    def parts(joined):
+        parent = {m: m for m in vertices}
+
+        def find(m):
+            while parent[m] != m:
+                parent[m] = parent[parent[m]]
+                m = parent[m]
+            return m
+
+        for i, u in enumerate(vertices):
+            for v in vertices[i + 1:]:
+                if joined(frozenset((u, v))):
+                    parent[find(u)] = find(v)
+        groups = {}
+        for m in vertices:
+            groups.setdefault(find(m), []).append(m)
+        return sorted(groups.values(), key=lambda c: (-len(c), c[0]))
+
+    return parts(edges.__contains__), parts(lambda e: e not in edges)
+
+
 def eigenvalue_count(disc, q):
     """Number of roots of lambda**2 = disc over F_q, by scanning all lambda."""
     return sum(1 for lam in range(q) if (lam * lam - disc) % q == 0)

@@ -6,6 +6,7 @@ largest sweeps carry the ``slow`` marker but still finish well inside
 their budgets (five and ten minutes respectively).
 """
 
+import os
 import random
 import subprocess
 import sys
@@ -316,6 +317,20 @@ def test_quotient_compatibility_gl2_mod_center():
         small = len(solvabilizer(Q, project(x)))
         assert big == 3 * small
     _ok("quotient compatibility for gl2@3 mod its center (sizes divide by 3)")
+
+
+def test_verify_sl2_f31_peak_memory():
+    # the graph keeps one row per line; per-vertex rows would need ~140 MB
+    cmd = [sys.executable, "-m", "solvgraph", "verify", "sl2@31"]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE) as proc:
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert out.decode().splitlines()[-1] == "result=PASS"
+    peak_mb = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 60
+    _ok(f"verify sl2@31 in a child with peak RSS {peak_mb:.1f} MB")
 
 
 def test_spectral_correspondence():

@@ -269,7 +269,7 @@ class TestErrorsAndCap:
         assert out.startswith("vertices=124 ")
 
     def test_invalid_cap_rejected(self, capsys, monkeypatch):
-        for bad in ("lots", "0", "-5"):
+        for bad in ("lots", "0", "-5", "²"):
             monkeypatch.setenv("SOLVGRAPH_CAP", bad)
             code, _, err = run_cli(capsys, "degrees", "sl2@3")
             assert code == 2

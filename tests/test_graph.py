@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from oracles import build_bruteforce
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from oracles import build_bruteforce, components_bruteforce
 from solvgraph.graph import (
     build,
     complement_components,
@@ -12,8 +15,53 @@ from solvgraph.graph import (
     export_dot,
     export_json,
 )
-from solvgraph.liealg import CapExceeded
+from solvgraph.liealg import CapExceeded, LieAlgebra, make_gl, subalgebra_closure
 from solvgraph.solv import sol_of_algebra, solvabilizer
+
+
+def _assert_matches_bruteforce(L):
+    G = build(L)
+    vertices, edges, degrees = build_bruteforce(L)
+    assert G.vertices == vertices
+    got_edges = {frozenset((G.vertices[i], G.vertices[j])) for i, j in G.edges()}
+    assert got_edges == edges
+    assert G.edge_count == len(edges)
+    assert G.degrees() == [G.degree(m) for m in vertices] == \
+        [degrees[m] for m in vertices]
+    assert (components(G), complement_components(G)) == \
+        components_bruteforce(vertices, edges)
+
+
+def _closed_subalgebra(L, x, y):
+    """The subalgebra generated by x and y as an algebra of its own.
+
+    Brackets of the RREF basis lie in the span, so their coordinates in
+    that basis are their entries at the pivot columns.
+    """
+    S = subalgebra_closure(L, [x, y])
+    basis = S.basis
+    constants = [[[L.bracket(u, v)[c] for c in S.pivots] for v in basis]
+                 for u in basis]
+    return LieAlgebra(L.field, constants, name=f"<x,y> in {L.name}")
+
+
+_HOSTS = (make_gl(2, 3), make_gl(3, 2))
+
+
+@st.composite
+def _generated_subalgebras(draw):
+    L = draw(st.sampled_from(_HOSTS))
+    coords = st.tuples(*[st.integers(0, L.field.p - 1)] * L.dim)
+    S = _closed_subalgebra(L, draw(coords), draw(coords))
+    assume(S.dim <= 4)
+    return S
+
+
+class TestRandomSubalgebras:
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_generated_subalgebras())
+    def test_build_matches_bruteforce(self, S):
+        _assert_matches_bruteforce(S)
 
 
 class TestBuild:
@@ -46,18 +94,15 @@ class TestBuild:
                 assert (row >> j & 1) == (G.rows[j] >> i & 1)
 
     def test_line_expansion_matches_bruteforce(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
-        # the production build expands the plane table's line bitsets;
+        # the production graph is read off the plane table's line bitsets;
         # compare against the raw quadratic loop with fresh closures
         for L in (sl2_2, w3, sl2_3, t2_3, gl2_3):
+            _assert_matches_bruteforce(L)
+            # the complement walk relies on every vertex line having a
+            # complement neighbor line
             G = build(L)
-            vertices, edges, degrees = build_bruteforce(L)
-            assert G.vertices == vertices
-            got_edges = {frozenset((G.vertices[i], G.vertices[j]))
-                         for i, j in G.edges()}
-            assert got_edges == edges
-            assert G.edge_count == len(edges)
-            for m in vertices:
-                assert G.degree(m) == degrees[m]
+            full = (1 << len(G.lines)) - 1
+            assert all(row != full for row in G.line_rows)
 
     def test_cap_enforced(self, sl2_5, monkeypatch):
         monkeypatch.setenv("SOLVGRAPH_CAP", "100")
@@ -181,7 +226,7 @@ class TestComplement:
         # no algebra produces exactly one vertex (vertices come in pairs at
         # minimum), so exercise the function contract on a synthetic graph
         from solvgraph.graph import SolvGraph
-        G = SolvGraph(w3, (2,), [0], ((0,),), 0)
+        G = SolvGraph(w3, (2,), ((0,),), (1,))
         assert complement_components(G) == [[2]]
         assert components(G) == [[2]]
 

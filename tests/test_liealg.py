@@ -182,6 +182,16 @@ labels a b c
         with pytest.raises(ValueError, match="bad.txt:3"):
             from_file(path)
 
+    def test_non_decimal_digits_name_the_line(self, tmp_path):
+        # superscript digits pass str.isdigit() but not int()
+        path = tmp_path / "bad.txt"
+        path.write_text("p 3\ndim ²\n")
+        with pytest.raises(ValueError, match="bad.txt:2: expected 'dim"):
+            from_file(path)
+        path.write_text("p ³\ndim 2\n")
+        with pytest.raises(ValueError, match="bad.txt:1: expected 'p"):
+            from_file(path)
+
     def test_out_of_range_indices(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("p 3\ndim 2\n0 1 5 1\n")
