@@ -6,7 +6,7 @@ representation, so subspace equality and hashing are bit-exact comparisons
 of the basis rows.  Every arithmetic step reduces mod p immediately.
 
 All objects are immutable after construction and all operations are pure
-functions, so values can be shared freely across threads.
+functions.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ class Subspace:
 
     Construct through :func:`rref` or :func:`kernel`; the basis rows are
     already reduced and the pivot entries are 1.  Equality and hashing use
-    the basis rows verbatim, which makes a Subspace a sound memoization key.
+    the basis rows verbatim, so two Subspaces are equal iff they span the
+    same space.
     """
 
     __slots__ = ("field", "ambient", "basis", "pivots")

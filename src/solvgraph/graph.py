@@ -14,8 +14,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .liealg import LieAlgebra, require_enumerable
-from .solv import plane_table, sol_of_algebra
+from .liealg import LieAlgebra
+from .solv import bits, plane_table
 
 
 class SolvGraph:
@@ -67,15 +67,7 @@ class SolvGraph:
     def _line_masks(self) -> list[int]:
         """For each line row, the vertex positions on its lines as one bitmask."""
         masks = [sum(1 << q for q in line) for line in self.lines]
-        out = []
-        for row in self.line_rows:
-            acc = 0
-            while row:
-                b = row & -row
-                acc |= masks[b.bit_length() - 1]
-                row ^= b
-            out.append(acc)
-        return out
+        return [sum(masks[k] for k in bits(row)) for row in self.line_rows]
 
     @property
     def rows(self) -> list[int]:
@@ -87,35 +79,27 @@ class SolvGraph:
         """Yield position pairs (i, j), i < j, in lexicographic order."""
         masks = self._line_masks()
         for i, k in enumerate(self._line_at):
-            m = masks[k] >> (i + 1) << (i + 1)
-            while m:
-                b = m & -m
-                yield i, b.bit_length() - 1
-                m ^= b
+            for j in bits(masks[k] >> (i + 1) << (i + 1)):
+                yield i, j
 
 
 def build(L: LieAlgebra, force: bool = False) -> SolvGraph:
-    """Build the solvable graph of L from its plane table."""
-    require_enumerable(L, force)
-    sol = set(sol_of_algebra(L, force=force))
-    vertices = tuple(m for m in range(L.size) if m not in sol)
-    pos = {m: i for i, m in enumerate(vertices)}
-    _, nbr = plane_table(L)
+    """Build the solvable graph of L from its plane table.
 
+    The vertex lines are the lines whose row is not full; full rows are sol(L).
+    """
+    _, nbr = plane_table(L, force)
+    full = (1 << len(nbr)) - 1
+    ids = [l for l, row in enumerate(nbr) if row != full]
     all_lines = L.lines()
-    ids = [l for l, line in enumerate(all_lines) if line[0] not in sol]
+    vertices = tuple(sorted(m for l in ids for m in all_lines[l]))
+    pos = {m: i for i, m in enumerate(vertices)}
     number = {l: k for k, l in enumerate(ids)}  # plane-table line -> row
     vertex_mask = sum(1 << l for l in ids)
-    line_rows = []
-    for l in ids:
-        row, adj = 0, nbr[l] & vertex_mask
-        while adj:
-            b = adj & -adj
-            row |= 1 << number[b.bit_length() - 1]
-            adj ^= b
-        line_rows.append(row)
+    line_rows = tuple(sum(1 << number[m] for m in bits(nbr[l] & vertex_mask))
+                      for l in ids)
     lines = tuple(tuple(pos[m] for m in all_lines[l]) for l in ids)
-    return SolvGraph(L, vertices, lines, tuple(line_rows))
+    return SolvGraph(L, vertices, lines, line_rows)
 
 
 def degree_sequence(G: SolvGraph) -> dict[int, int]:
@@ -148,19 +132,11 @@ def _line_walk(G: SolvGraph, flip: int) -> list[list[int]]:
         while frontier:
             comp |= frontier
             nxt = 0
-            while frontier:
-                b = frontier & -frontier
-                nxt |= G.line_rows[b.bit_length() - 1] ^ flip
-                frontier ^= b
+            for k in bits(frontier):
+                nxt |= G.line_rows[k] ^ flip
             frontier = nxt & unvisited
             unvisited ^= frontier
-        part = []
-        while comp:
-            b = comp & -comp
-            part.extend(G.vertices[q] for q in G.lines[b.bit_length() - 1])
-            comp ^= b
-        part.sort()
-        out.append(part)
+        out.append(sorted(G.vertices[q] for k in bits(comp) for q in G.lines[k]))
     out.sort(key=lambda c: (-len(c), c[0]))
     return out
 
@@ -180,27 +156,36 @@ def complement_components(G: SolvGraph) -> list[list[int]]:
 # and edges are emitted in lexicographic position order.
 
 def export_dot(G: SolvGraph, path):
-    """Graphviz DOT file; nodes are labeled by coordinate tuples."""
+    """Graphviz DOT file; nodes are labeled by coordinate tuples.
+
+    Lines are written as they are produced; the edge list is never held.
+    """
     labels = ["(" + ",".join(str(c) for c in G.algebra.vector(m)) + ")"
               for m in G.vertices]
-    lines = [f'graph "{G.algebra.name}" {{']
-    lines.extend(f'  "{label}";' for label in labels)
-    for i, j in G.edges():
-        lines.append(f'  "{labels[i]}" -- "{labels[j]}";')
-    lines.append("}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(f'graph "{G.algebra.name}" {{\n')
+        fh.writelines(f'  "{label}";\n' for label in labels)
+        fh.writelines(f'  "{labels[i]}" -- "{labels[j]}";\n' for i, j in G.edges())
+        fh.write("}\n")
 
 
 def export_json(G: SolvGraph, path):
-    """JSON with algebra metadata, vertex coordinates and the edge list."""
-    payload = {
+    """JSON with algebra metadata, vertex coordinates and the edge list.
+
+    Edges are written pair by pair, in the bytes json.dumps would give.
+    """
+    head = json.dumps({
         "algebra": G.algebra.name,
         "p": G.algebra.field.p,
         "dim": G.algebra.dim,
         "vertices": [[m, list(G.algebra.vector(m))] for m in G.vertices],
-        "edges": [[G.vertices[i], G.vertices[j]] for i, j in G.edges()],
-    }
-    Path(path).write_text(json.dumps(payload, separators=(",", ":")) + "\n")
+    }, separators=(",", ":"))
+    vs = G.vertices
+    with open(path, "w") as fh:
+        fh.write(head[:-1] + ',"edges":[')
+        fh.writelines(f"{',' if n else ''}[{vs[i]},{vs[j]}]"
+                      for n, (i, j) in enumerate(G.edges()))
+        fh.write("]}\n")
 
 
 def export_degrees_csv(G: SolvGraph, path):

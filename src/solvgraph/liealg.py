@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .ffalg import PrimeField, Subspace, _rref_raw, full_space, kernel, rref
 
 DEFAULT_ELEMENT_CAP = 1 << 24
-MAX_FILE_DIM = 64  # checked before from_file allocates the dim**3 table
+MAX_DIM = 64  # checked before a builtin or a file allocates its dim**3 table
 
 
 class ValidationError(ValueError):
@@ -268,11 +268,19 @@ def _from_matrix_basis(mats, labels, field, name, matrix_size):
                       basis_matrices=tuple(mats), matrix_size=matrix_size)
 
 
-def make_gl(n: int, p: int) -> LieAlgebra:
-    """All n-by-n matrices with bracket xy - yx; basis E_ij in row-major order."""
+def _family_field(n: int, p: int, dim: int) -> PrimeField:
+    """F_p for a builtin n-by-n family of dimension dim, checked before any matrix."""
     if n < 1:
         raise ValueError("n must be at least 1")
     field = PrimeField(p)
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} exceeds the limit {MAX_DIM}")
+    return field
+
+
+def make_gl(n: int, p: int) -> LieAlgebra:
+    """All n-by-n matrices with bracket xy - yx; basis E_ij in row-major order."""
+    field = _family_field(n, p, n * n)
     mats, labels = [], []
     for i in range(n):
         for j in range(n):
@@ -288,9 +296,7 @@ def make_sl(n: int, p: int) -> LieAlgebra:
     differences E_ii - E_(i+1)(i+1).  For n = 2 this is e, f, h with
     [h,e] = 2e, [h,f] = -2f, [e,f] = h.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    field = PrimeField(p)
+    field = _family_field(n, p, n * n - 1)
     mats, labels = [], []
     for i in range(n):
         for j in range(n):
@@ -308,9 +314,7 @@ def make_sl(n: int, p: int) -> LieAlgebra:
 
 def make_t(n: int, p: int) -> LieAlgebra:
     """Upper triangular n-by-n matrices, dimension n(n+1)/2."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    field = PrimeField(p)
+    field = _family_field(n, p, n * (n + 1) // 2)
     mats, labels = [], []
     for i in range(n):
         for j in range(i, n):
@@ -326,9 +330,7 @@ def make_so(n: int, p: int) -> LieAlgebra:
     symmetric matrices with zero diagonal, and the family is still closed
     under the bracket.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    field = PrimeField(p)
+    field = _family_field(n, p, n * (n - 1) // 2)
     mats, labels = [], []
     for i in range(n):
         for j in range(i + 1, n):
@@ -365,7 +367,7 @@ def from_file(path) -> LieAlgebra:
     when both orientations are present.  ``#`` starts a comment.
     """
     path = Path(path)
-    p = None
+    field = None
     dim = None
     labels = None
     entries: dict[tuple[int, int, int], tuple[int, int]] = {}
@@ -377,16 +379,18 @@ def from_file(path) -> LieAlgebra:
             parts = line.split()
             where = f"{path.name}:{lineno}"
             if parts[0] == "p":
-                if len(parts) != 2 or not parts[1].lstrip("-").isdecimal():
+                if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
                     raise ValueError(f"{where}: expected 'p <prime>'")
-                p = int(parts[1])
+                try:
+                    field = PrimeField(int(parts[1]))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
             elif parts[0] == "dim":
                 if len(parts) != 2 or not parts[1].isdecimal():
                     raise ValueError(f"{where}: expected 'dim <n>'")
                 dim = int(parts[1])
-                if dim > MAX_FILE_DIM:
-                    raise ValueError(
-                        f"{where}: dim {dim} exceeds the limit {MAX_FILE_DIM}")
+                if dim > MAX_DIM:
+                    raise ValueError(f"{where}: dim {dim} exceeds the limit {MAX_DIM}")
             elif parts[0] == "labels":
                 labels = parts[1:]
             else:
@@ -397,11 +401,11 @@ def from_file(path) -> LieAlgebra:
                 except ValueError:
                     raise ValueError(f"{where}: expected four integers, got {line!r}") from None
                 entries[(i, j, k)] = (v, lineno)
-    if p is None:
+    if field is None:
         raise ValueError(f"{path.name}: missing 'p' line")
     if dim is None:
         raise ValueError(f"{path.name}: missing 'dim' line")
-    field = PrimeField(p)
+    p = field.p
     if labels is not None and len(labels) != dim:
         raise ValueError(f"{path.name}: expected {dim} labels, got {len(labels)}")
 

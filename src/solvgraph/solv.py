@@ -49,14 +49,16 @@ def _rref_planes(n: int, p: int):
                     yield r1, (0,) * c2 + (1,) + v2
 
 
-def plane_table(L: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def plane_table(L: LieAlgebra, force: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The plane table (line_of, nbr) of L, built on first use and kept on L.
 
     line_of[m] is the position in L.lines() of the line holding element m,
     and -1 for 0.  Bit m of nbr[l] is set iff lines l and m lie in a
-    solvable plane; every line sees itself.  Callers enforce the
-    enumeration cap before asking for the table.
+    solvable plane; every line sees itself.  Every call checks the
+    enumeration cap, also when the table is already built, so each query
+    that reads the table is refused over the cap unless forced.
     """
+    require_enumerable(L, force)
     if L._plane_table is not None:
         return L._plane_table
     p = L.field.p
@@ -78,26 +80,32 @@ def plane_table(L: LieAlgebra) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return L._plane_table
 
 
+def bits(mask: int):
+    """Yield the positions of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _line_members(L: LieAlgebra, mask: int) -> tuple[int, ...]:
     """Sorted indices of 0 and of every element on the lines in a line bitset."""
     lines = L.lines()
     out = [0]
-    while mask:
-        b = mask & -mask
-        out.extend(lines[b.bit_length() - 1])
-        mask ^= b
+    for l in bits(mask):
+        out.extend(lines[l])
     out.sort()
     return tuple(out)
 
 
 def solvabilizer(L: LieAlgebra, x, force: bool = False) -> tuple[int, ...]:
-    """Sorted indices of all y in L with <x, y> solvable."""
-    require_enumerable(L, force)
+    """Sorted indices of all y in L with <x, y> solvable.
+
+    0 lies in every plane, so its row holds every line.
+    """
+    line_of, nbr = plane_table(L, force)
     m = L.index(x)
-    if m == 0:
-        return tuple(range(L.size))
-    line_of, nbr = plane_table(L)
-    return _line_members(L, nbr[line_of[m]])
+    return _line_members(L, nbr[line_of[m]] if m else (1 << len(nbr)) - 1)
 
 
 def solvabilizer_set(L: LieAlgebra, A, B) -> tuple[int, ...]:
@@ -106,7 +114,6 @@ def solvabilizer_set(L: LieAlgebra, A, B) -> tuple[int, ...]:
     A and B are iterables of element indices.  An empty A gives the empty
     set; an empty B imposes no constraint and gives all of A.
     """
-    require_enumerable(L)
     line_of, nbr = plane_table(L)
     need = 0
     for b in set(B):
@@ -121,8 +128,7 @@ def sol_of_algebra(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
 
     These are 0 and the lines whose neighbor bitset holds every line.
     """
-    require_enumerable(L, force)
-    _, nbr = plane_table(L)
+    _, nbr = plane_table(L, force)
     full = (1 << len(nbr)) - 1
     return _line_members(L, sum(1 << l for l, row in enumerate(nbr) if row == full))
 
@@ -151,9 +157,8 @@ def is_s_lie(L: LieAlgebra, force: bool = False):
     order of their smallest member and the witness is the first failing
     triple in element-index order.
     """
-    require_enumerable(L, force)
     p = L.field.p
-    _, nbr = plane_table(L)
+    _, nbr = plane_table(L, force)
     passed = set()
     for line, mask in zip(L.lines(), nbr):
         if mask in passed:
@@ -190,10 +195,9 @@ def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
     The summand is |L| at x = 0.  On a line l it is 1 + (p-1)|nbr[l]|, and
     each line holds p-1 elements.
     """
-    require_enumerable(L, force)
     p = L.field.p
     total = L.size + sum((p - 1) * (1 + (p - 1) * mask.bit_count())
-                         for mask in plane_table(L)[1])
+                         for mask in plane_table(L, force)[1])
     q, r = divmod(total, L.size)
     return ConjectureResult(total, L.size, r == 0,
                             q if r == 0 else Fraction(total, L.size))
@@ -219,7 +223,6 @@ class DivisibilityReport:
 
 def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityReport:
     """Compute |sol_L(x)| and check the divisibility and coset properties."""
-    require_enumerable(L, force)
     p = L.field.p
     x = tuple(v % p for v in x)
     sol_x = solvabilizer(L, x, force=force)
@@ -272,7 +275,6 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
         raise ValueError("N is not an ideal")
     if not derived_series(L, N).terminated:
         raise ValueError("N is not solvable")
-    require_enumerable(L, force)
     sol_members = set(sol_of_algebra(L, force=force))
     for v in N.elements():
         if L.index(v) not in sol_members:

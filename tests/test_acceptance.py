@@ -6,7 +6,6 @@ largest sweeps carry the ``slow`` marker but still finish well inside
 their budgets (five and ten minutes respectively).
 """
 
-import os
 import random
 import subprocess
 import sys
@@ -319,18 +318,44 @@ def test_quotient_compatibility_gl2_mod_center():
     _ok("quotient compatibility for gl2@3 mod its center (sizes divide by 3)")
 
 
+# Linux carries the peak RSS of the process that spawns a command into the
+# command's ru_maxrss at exec.  So a bare interpreter spawns it and reports
+# its exit code and ru_maxrss; spawned from the test process, the figure
+# could not fall below the test process's own peak.
+_SPAWN_AND_WAIT = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def _child_peak(*args):
+    """Run solvgraph in a child; return its exit code, stdout and peak RSS in MB."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPAWN_AND_WAIT, "-m", "solvgraph", *args],
+        capture_output=True, text=True, check=True)
+    code, kib = proc.stderr.split()[-2:]
+    return int(code), proc.stdout, int(kib) / 1024  # ru_maxrss is in KiB on Linux
+
+
 def test_verify_sl2_f31_peak_memory():
     # the graph keeps one row per line; per-vertex rows would need ~140 MB
-    cmd = [sys.executable, "-m", "solvgraph", "verify", "sl2@31"]
-    with subprocess.Popen(cmd, stdout=subprocess.PIPE) as proc:
-        out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
-    assert proc.returncode == 0
-    assert out.decode().splitlines()[-1] == "result=PASS"
-    peak_mb = usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    code, out, peak_mb = _child_peak("verify", "sl2@31")
+    assert code == 0
+    assert out.splitlines()[-1] == "result=PASS"
     assert peak_mb < 60
     _ok(f"verify sl2@31 in a child with peak RSS {peak_mb:.1f} MB")
+
+
+def test_graph_exports_stream(tmp_path):
+    # the edge list is written as it is produced; held whole, it took ~44 MB
+    code, out, peak_mb = _child_peak("graph", "sl2@13", "--json", str(tmp_path / "g.json"),
+                                     "--dot", str(tmp_path / "g.dot"))
+    assert code == 0
+    assert out == "vertices=2196 edges=195534 components=79\n"
+    assert peak_mb < 30
+    _ok(f"graph sl2@13 --json --dot in a child with peak RSS {peak_mb:.1f} MB")
 
 
 def test_spectral_correspondence():

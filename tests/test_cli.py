@@ -255,6 +255,14 @@ class TestErrorsAndCap:
         assert code == 2
         assert "error:" in err
 
+    def test_absurd_builtin_dimension_rejected(self):
+        # in a child with a timeout: building gl100@2 would never finish
+        for spec, dim in (("gl100@2", 10000), ("sl9@2", 80), ("t12@3", 78), ("so12@5", 66)):
+            proc = subprocess.run([sys.executable, "-m", "solvgraph", "info", spec],
+                                  capture_output=True, text=True, timeout=30)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr == f"error: dimension {dim} exceeds the limit 64\n"
+
     def test_w3_at_odd_p_rejected(self, capsys):
         code, _, err = run_cli(capsys, "info", "w3@3")
         assert code == 2

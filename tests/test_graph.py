@@ -272,6 +272,12 @@ class TestExports:
         export_dot(build(sl2_2), path)
         assert path.read_text() == 'graph "sl2@2" {\n}\n'
 
+    def test_json_empty_graph(self, sl2_2, tmp_path):
+        path = tmp_path / "g.json"
+        export_json(build(sl2_2), path)
+        assert path.read_bytes() == \
+            b'{"algebra":"sl2@2","p":2,"dim":3,"vertices":[],"edges":[]}\n'
+
     def test_dot_labels_are_coordinates(self, w3, tmp_path):
         path = tmp_path / "g.dot"
         export_dot(build(w3), path)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from oracles import radical_bruteforce
+from solvgraph import liealg
 from solvgraph.ffalg import PrimeField, rref
 from solvgraph.liealg import (
     CapExceeded,
@@ -68,6 +69,17 @@ class TestConstructors:
     def test_nonprime_rejected(self):
         with pytest.raises(ValueError):
             make_sl(2, 6)
+
+    def test_dimension_capped_before_any_matrix(self, monkeypatch):
+        def no_matrices(*args):
+            raise AssertionError("a basis matrix was built")
+        monkeypatch.setattr(liealg, "_unit_matrix", no_matrices)
+        for make, n in ((make_gl, 9), (make_sl, 9), (make_t, 11), (make_so, 12)):
+            with pytest.raises(ValueError, match="limit 64"):
+                make(n, 2)
+        # gl8 has dimension 64, the limit itself, so it gets to the matrices
+        with pytest.raises(AssertionError, match="basis matrix"):
+            make_gl(8, 5)
 
     def test_validation_catches_bad_table(self):
         fld = PrimeField(3)
@@ -163,9 +175,11 @@ labels a b c
 
     def test_nonprime_p_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("p 4\ndim 1\n")
-        with pytest.raises(ValueError, match="prime"):
-            from_file(path)
+        for p, message in (("4", "4 is not prime"), ("--3", "expected 'p <prime>'"),
+                           ("4294967311", r"p must be at most 2\^31 - 1")):
+            path.write_text(f"p {p}\ndim 1\n")
+            with pytest.raises(ValueError, match=f"^bad.txt:1: {message}"):
+                from_file(path)
 
     def test_missing_headers(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from oracles import (
     direct_pair_solvable,
     direct_sol_of_algebra,
@@ -10,16 +13,20 @@ from oracles import (
     is_additively_closed_indices,
 )
 from solvgraph.ffalg import rref
+from solvgraph.graph import build
 from solvgraph.liealg import (
+    CapExceeded,
     LinearMap,
     center,
     centralizer,
     conjugation_automorphism,
     make_t,
+    quotient,
     radical,
 )
 from solvgraph.solv import (
     _rref_planes,
+    bits,
     conjecture_sum,
     divisibility_report,
     equivariance_check,
@@ -133,6 +140,35 @@ class TestPlaneTable:
         assert len(calls) == gaussian_binomial_2(3, 5)
 
 
+class TestPlaneTableGate:
+    def test_every_query_checks_the_cap_with_the_table_built(self, sl2_5, monkeypatch):
+        x = (1, 0, 0)
+        queries = {
+            "solvabilizer of 0": lambda **kw: solvabilizer(sl2_5, sl2_5.zero(), **kw),
+            "solvabilizer": lambda **kw: solvabilizer(sl2_5, x, **kw),
+            "sol_of_algebra": lambda **kw: sol_of_algebra(sl2_5, **kw),
+            "is_s_lie": lambda **kw: is_s_lie(sl2_5, **kw),
+            "conjecture_sum": lambda **kw: conjecture_sum(sl2_5, **kw),
+            "divisibility_report": lambda **kw: divisibility_report(sl2_5, x, **kw),
+            "build": lambda **kw: build(sl2_5, **kw).line_rows,
+        }
+        answers = {name: query() for name, query in queries.items()}  # builds the table
+        monkeypatch.setenv("SOLVGRAPH_CAP", "100")  # |sl2@5| = 125
+        for name, query in queries.items():
+            with pytest.raises(CapExceeded):
+                query()
+            assert query(force=True) == answers[name], name
+        with pytest.raises(CapExceeded):
+            solvabilizer_set(sl2_5, [1], [2])
+
+
+class TestBits:
+    @settings(derandomize=True)
+    @given(st.integers(min_value=0, max_value=2**200))
+    def test_lists_set_bit_positions_ascending(self, m):
+        assert list(bits(m)) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
 class TestSolvabilizer:
     def test_w3_a_sees_everything(self, w3):
         assert solvabilizer(w3, (1, 0, 0)) == tuple(range(8))
@@ -146,8 +182,10 @@ class TestSolvabilizer:
         assert len(sol) == 15
         assert sol == SL2_3_SOL_H
 
-    def test_zero_sees_everything(self, sl2_3):
-        assert solvabilizer(sl2_3, (0, 0, 0)) == tuple(range(27))
+    def test_zero_sees_everything(self, sl2_3, w3, gl2_3, t2_3):
+        point, _, _ = quotient(t2_3, t2_3.full_space())  # zero-dimensional
+        for L in (sl2_3, w3, gl2_3, t2_3, point):
+            assert solvabilizer(L, L.zero()) == tuple(range(L.size))
 
     def test_matches_elementwise_oracle(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
         for L in (sl2_2, w3, sl2_3, t2_3, gl2_3):
