@@ -165,8 +165,6 @@ def cmd_solvabilizer(args) -> int:
         coords = tuple(int(c) for c in args.element.split(","))
     except ValueError:
         raise ValueError(f"cannot parse element coordinates {args.element!r}") from None
-    if len(coords) != L.dim:
-        raise ValueError(f"expected {L.dim} coordinates, got {len(coords)}")
     x = tuple(c % L.field.p for c in coords)
     members = solv.solvabilizer(L, x, force=args.force)
     rep = solv.divisibility_report(L, x, force=args.force)

@@ -13,7 +13,7 @@ import enum
 import json
 from dataclasses import dataclass
 
-from .ffalg import _is_prime
+from .ffalg import PrimeField
 from .graph import build, degree_sequence
 from .liealg import LieAlgebra, make_gl, make_sl
 
@@ -25,8 +25,7 @@ class SpectralClass(enum.Enum):
 
 
 def _require_odd_prime(q: int):
-    if not _is_prime(q):
-        raise ValueError(f"{q} is not prime")
+    PrimeField(q)  # bounds q before the primality test, so a huge q fails at once
     if q == 2:
         raise ValueError("q must be an odd prime")
 

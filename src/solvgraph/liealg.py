@@ -13,7 +13,7 @@ import os
 from pathlib import Path
 from typing import NamedTuple
 
-from .ffalg import PrimeField, Subspace, _rref_raw, full_space, kernel, rref
+from .ffalg import PrimeField, Subspace, _rref_raw, full_space, kernel, rref, zero_space
 
 DEFAULT_ELEMENT_CAP = 1 << 24
 MAX_DIM = 64  # checked before a builtin or a file allocates its dim**3 table
@@ -449,21 +449,27 @@ class SeriesReport(NamedTuple):
     terminated: bool
 
 
-def subalgebra_closure(L: LieAlgebra, generators) -> Subspace:
-    """Smallest bracket-closed subspace containing the generators.
+def _bracket_closure(L: LieAlgebra, vectors, partners=None) -> Subspace:
+    """Smallest subspace holding the vectors and closed under brackets with
+    its own members (partners None) or with every partner.
 
-    Alternates spanning and adjoining pairwise basis brackets until the rank
-    stabilizes; the rank can grow at most dim(L) times.
+    By bilinearity it is enough to bracket each vector that enlarges the
+    span once: with the basis it joins, or with the partners.
     """
-    space = rref(list(generators), L.field, ambient=L.dim)
-    while True:
-        basis = space.basis
-        new = [L.bracket(u, v)
-               for i, u in enumerate(basis) for v in basis[i + 1:]]
-        bigger = rref(list(basis) + new, L.field, ambient=L.dim)
-        if bigger.dim == space.dim:
-            return space
-        space = bigger
+    space = zero_space(L.dim, L.field)
+    stack = list(vectors)
+    while stack:
+        v = space.reduce(stack.pop())
+        if any(v):
+            others = space.basis if partners is None else partners
+            stack.extend(L.bracket(u, v) for u in others)
+            space = rref(space.basis + (v,), L.field, ambient=L.dim)
+    return space
+
+
+def subalgebra_closure(L: LieAlgebra, generators) -> Subspace:
+    """Smallest bracket-closed subspace containing the generators, in RREF."""
+    return _bracket_closure(L, generators)
 
 
 def derived_series(L: LieAlgebra, space: Subspace) -> SeriesReport:
@@ -509,15 +515,8 @@ def center(L: LieAlgebra) -> Subspace:
 
 
 def ideal_closure(L: LieAlgebra, x) -> Subspace:
-    """Smallest ad-invariant subspace containing x."""
-    space = rref([x], L.field, ambient=L.dim)
-    while True:
-        new = [L.bracket(L.basis_vector(i), v)
-               for i in range(L.dim) for v in space.basis]
-        bigger = rref(list(space.basis) + new, L.field, ambient=L.dim)
-        if bigger.dim == space.dim:
-            return space
-        space = bigger
+    """Smallest ad-invariant subspace containing x, in RREF."""
+    return _bracket_closure(L, [x], [L.basis_vector(i) for i in range(L.dim)])
 
 
 def is_ideal(L: LieAlgebra, space: Subspace) -> bool:

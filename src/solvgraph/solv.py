@@ -103,6 +103,8 @@ def solvabilizer(L: LieAlgebra, x, force: bool = False) -> tuple[int, ...]:
 
     0 lies in every plane, so its row holds every line.
     """
+    if len(x) != L.dim:
+        raise ValueError(f"expected {L.dim} coordinates, got {len(x)}")
     line_of, nbr = plane_table(L, force)
     m = L.index(x)
     return _line_members(L, nbr[line_of[m]] if m else (1 << len(nbr)) - 1)
@@ -164,13 +166,11 @@ def is_s_lie(L: LieAlgebra, force: bool = False):
         if mask in passed:
             continue
         sol = _line_members(L, mask)
-        members = set(sol)
         closed, span = _additively_closed(L, sol)
-        if closed and all(L.index(L.bracket(u, v)) in members
-                          for i, u in enumerate(span.basis)
-                          for v in span.basis[i + 1:]):
+        if closed and subalgebra_closure(L, span.basis) == span:
             passed.add(mask)
             continue
+        members = set(sol)
         x = L.vector(line[0])
         vecs = [L.vector(m) for m in sol]
         for a in vecs:

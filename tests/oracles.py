@@ -2,18 +2,51 @@
 
 Everything here deliberately avoids the production shortcuts: no caching,
 no projective-line collapsing, no bitmask expansion.  Solvability of a pair
-is recomputed from a fresh closure every time, the subspace lattice is
-enumerated outright for radicals, and graphs are assembled from the raw
-quadratic pair loop.
+is recomputed every time from a round-based closure of its own, the
+subspace lattice is enumerated outright for radicals, and graphs are
+assembled from the raw quadratic pair loop.
 """
 
 from solvgraph.ffalg import rref
-from solvgraph.liealg import derived_series, is_ideal, subalgebra_closure
+from solvgraph.liealg import derived_series, is_ideal
+
+
+def subalgebra_closure_rounds(L, generators):
+    """Reference subalgebra closure: span, adjoin every pairwise basis
+    bracket, and repeat until the rank stabilizes."""
+    space = rref(list(generators), L.field, ambient=L.dim)
+    while True:
+        basis = space.basis
+        new = [L.bracket(u, v)
+               for i, u in enumerate(basis) for v in basis[i + 1:]]
+        bigger = rref(list(basis) + new, L.field, ambient=L.dim)
+        if bigger.dim == space.dim:
+            return space
+        space = bigger
+
+
+def ideal_closure_rounds(L, x):
+    """Reference ideal closure: adjoin the brackets of every basis vector
+    of L with the whole span, and repeat until the rank stabilizes."""
+    space = rref([x], L.field, ambient=L.dim)
+    while True:
+        new = [L.bracket(L.basis_vector(i), v)
+               for i in range(L.dim) for v in space.basis]
+        bigger = rref(list(space.basis) + new, L.field, ambient=L.dim)
+        if bigger.dim == space.dim:
+            return space
+        space = bigger
+
+
+def is_subalgebra(L, space):
+    """Direct check that every pairwise basis bracket stays in the span."""
+    return all(space.contains(L.bracket(u, v))
+               for u in space.basis for v in space.basis)
 
 
 def direct_pair_solvable(L, x, y):
-    """Fresh closure-and-derived-series test, bypassing all memoization."""
-    return derived_series(L, subalgebra_closure(L, [x, y])).terminated
+    """Fresh reference closure and derived series, bypassing all memoization."""
+    return derived_series(L, subalgebra_closure_rounds(L, [x, y])).terminated
 
 
 def direct_solvabilizer(L, x):

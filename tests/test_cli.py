@@ -162,6 +162,15 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_huge_q_rejected_at_once(self):
+        # in a child with a timeout: trial division up to sqrt(q) would
+        # not finish before the size bound is checked
+        proc = subprocess.run([sys.executable, "-m", "solvgraph", "verify",
+                               "sl2@2305843009213693951"],
+                              capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: p must be at most 2^31 - 1\n"
+
 
 class TestComplementCommand:
     def test_sl2_f3(self, capsys):

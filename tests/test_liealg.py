@@ -2,7 +2,16 @@ import random
 
 import pytest
 
-from oracles import radical_bruteforce
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    all_subspaces,
+    ideal_closure_rounds,
+    is_subalgebra,
+    radical_bruteforce,
+    subalgebra_closure_rounds,
+)
 from solvgraph import liealg
 from solvgraph.ffalg import PrimeField, rref
 from solvgraph.liealg import (
@@ -269,6 +278,46 @@ class TestClosure:
             assert all(big.contains(v) for v in small.basis)
             again = subalgebra_closure(gl2_3, small.basis)
             assert again == small
+
+
+_CLOSURE_HOSTS = (make_gl(2, 3), make_gl(3, 2), make_sl(3, 2), make_t(3, 3), make_so(4, 3))
+
+
+@st.composite
+def _host_and_vectors(draw):
+    L = draw(st.sampled_from(_CLOSURE_HOSTS))
+    coords = st.tuples(*[st.integers(0, L.field.p - 1)] * L.dim)
+    return L, draw(st.lists(coords, max_size=3)), draw(coords)
+
+
+def _smallest_containing(L, spaces, vectors):
+    """The least-dimensional space in the list holding every vector."""
+    idx = {L.index(v) for v in vectors}
+    return min((s for s, members in spaces if idx <= members), key=lambda s: s.dim)
+
+
+class TestClosureAgainstReferences:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(_host_and_vectors())
+    def test_matches_round_based_closure(self, case):
+        L, gens, x = case
+        assert subalgebra_closure(L, gens) == subalgebra_closure_rounds(L, gens)
+        assert ideal_closure(L, x) == ideal_closure_rounds(L, x)
+
+    def test_smallest_in_subspace_lattice(self, sl2_3, w3, t2_3, gl2_3):
+        # subalgebras and ideals are closed under intersection, so the
+        # least-dimensional one holding the generators is the closure
+        for L in (sl2_3, w3, t2_3, gl2_3):
+            lattice = [(s, {L.index(v) for v in s.elements()}) for s in all_subspaces(L)]
+            subalgebras = [(s, m) for s, m in lattice if is_subalgebra(L, s)]
+            ideals = [(s, m) for s, m in lattice if is_ideal(L, s)]
+            reps = [L.vector(line[0]) for line in L.lines()]
+            assert subalgebra_closure(L, []) == _smallest_containing(L, subalgebras, [])
+            for i, x in enumerate(reps):
+                assert ideal_closure(L, x) == _smallest_containing(L, ideals, [x])
+                for y in reps[i:]:
+                    assert subalgebra_closure(L, [x, y]) == \
+                        _smallest_containing(L, subalgebras, [x, y])
 
 
 class TestDerivedSeries:

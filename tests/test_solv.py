@@ -193,6 +193,13 @@ class TestSolvabilizer:
                 x = L.vector(line[0])
                 assert solvabilizer(L, x) == direct_solvabilizer(L, x)
 
+    def test_wrong_length_element_rejected(self, sl2_3):
+        # L.index takes any length, so a wrong one would name another element
+        for x, n in (((1,), 1), ((0, 1), 2), ((1, 0, 0, 0), 4), ((0, 0, 0, 1), 4)):
+            for query in (solvabilizer, divisibility_report):
+                with pytest.raises(ValueError, match=f"^expected 3 coordinates, got {n}$"):
+                    query(sl2_3, x)
+
     def test_own_multiples_always_present(self, sl2_3, w3):
         for L in (sl2_3, w3):
             p = L.field.p
