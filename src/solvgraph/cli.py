@@ -211,7 +211,7 @@ def cmd_slie(args) -> int:
 
 
 def _thread_count(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
+    if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
 

@@ -38,15 +38,6 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
     def neg(self, a: int) -> int:
         return -a % self.p
 

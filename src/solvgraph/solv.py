@@ -1,10 +1,19 @@
 """Solvabilizer machinery over one plane table per algebra.
 
 The subalgebra generated by x and y depends only on the plane span{x, y}.
-plane_table() enumerates every two-dimensional subspace once, directly in
-reduced row-echelon form, classifies it with pair_solvable, and records the
-verdicts per projective line.  sol(L), every solvabilizer, the conjecture
-sum, the S-property and the solvable graph are all read off that table.
+plane_table() records, per projective line, which lines share a solvable
+plane with it.  sol(L), every solvabilizer, the conjecture sum, the
+S-property and the solvable graph are all read off that table.
+
+Coset decomposition: let N be a solvable ideal and pi: L -> Q = L/N the
+projection.  For a subalgebra K, K meet N is solvable and
+K/(K meet N) is isomorphic to pi(K), so K is solvable iff pi(K) is.  As
+pi<x, y> = <pi x, pi y>, the pair x, y generates a solvable subalgebra iff
+pi x, pi y do in Q.  So plane_table() classifies the planes of Q, not of L:
+it takes N = L when L is solvable and the center otherwise, and lifts Q's
+table to L's lines.  Only an algebra with zero center that is not solvable
+has its own planes enumerated, each once, directly in reduced row-echelon
+form, and classified with pair_solvable.
 """
 
 from __future__ import annotations
@@ -18,10 +27,12 @@ from .ffalg import Subspace, rref
 from .liealg import (
     LieAlgebra,
     LinearMap,
+    center,
     centralizer,
     derived_series,
     is_ideal,
     is_lie_automorphism,
+    is_solvable,
     quotient,
     require_enumerable,
     subalgebra_closure,
@@ -57,17 +68,37 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[tuple[int, ...], tu
     solvable plane; every line sees itself.  Every call checks the
     enumeration cap, also when the table is already built, so each query
     that reads the table is refused over the cap unless forced.
+
+    The table is lifted from the one of Q = L/N, with N = L when L is
+    solvable and N = center(L) otherwise (see the module docstring).  A
+    line inside N sees every line.  Any other line l sees the lines of N
+    and every line over a Q-line that sees pi(l); that includes the lines
+    over pi(l) itself, as two dependent projections generate a subalgebra
+    of dimension at most 1, which is solvable.  Q's table is built the same
+    way, so the recursion ends at an algebra with zero center that is not
+    solvable, whose planes are classified directly.
     """
     require_enumerable(L, force)
     if L._plane_table is not None:
         return L._plane_table
-    p = L.field.p
     lines = L.lines()
     line_of = [-1] * L.size
     for l, line in enumerate(lines):
         for m in line:
             line_of[m] = l
-    nbr = [1 << l for l in range(len(lines))]
+    N = L.full_space() if is_solvable(L) else center(L)
+    if N.dim:
+        nbr = _lifted_rows(L, N)
+    else:
+        nbr = _classified_rows(L, line_of)
+    L._plane_table = (tuple(line_of), tuple(nbr))
+    return L._plane_table
+
+
+def _classified_rows(L: LieAlgebra, line_of) -> list[int]:
+    """Neighbor bitsets of L's lines, classifying every plane of L once."""
+    p = L.field.p
+    nbr = [1 << l for l in range(len(L.lines()))]
     for r1, r2 in _rref_planes(L.dim, p):
         if pair_solvable(L, r1, r2):
             ids = [line_of[L.index(r2)]] + [
@@ -76,8 +107,26 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[tuple[int, ...], tu
             mask = sum(1 << l for l in ids)
             for l in ids:
                 nbr[l] |= mask
-    L._plane_table = (tuple(line_of), tuple(nbr))
-    return L._plane_table
+    return nbr
+
+
+def _lifted_rows(L: LieAlgebra, N: Subspace) -> list[int]:
+    """Neighbor bitsets of L's lines, lifted from the table of L/N."""
+    Q, project, _ = quotient(L, N)
+    q_line_of, q_nbr = plane_table(Q, force=True)
+    in_n = 0
+    over = [0] * len(q_nbr)  # the L-lines over each Q-line
+    q_lines = []
+    for l, line in enumerate(L.lines()):
+        ql = q_line_of[Q.index(project(L.vector(line[0])))]
+        q_lines.append(ql)
+        if ql < 0:
+            in_n |= 1 << l
+        else:
+            over[ql] |= 1 << l
+    full = (1 << len(q_lines)) - 1
+    lifted = [in_n | sum(over[k] for k in bits(row)) for row in q_nbr]
+    return [full if ql < 0 else lifted[ql] for ql in q_lines]
 
 
 def bits(mask: int):

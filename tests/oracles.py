@@ -8,7 +8,7 @@ assembled from the raw quadratic pair loop.
 """
 
 from solvgraph.ffalg import rref
-from solvgraph.liealg import derived_series, is_ideal
+from solvgraph.liealg import LieAlgebra, derived_series, is_ideal
 
 
 def subalgebra_closure_rounds(L, generators):
@@ -36,6 +36,35 @@ def ideal_closure_rounds(L, x):
         if bigger.dim == space.dim:
             return space
         space = bigger
+
+
+def direct_sum(A, B):
+    """The Lie algebra A + B: A's basis first, B's after, and every bracket
+    between the two summands zero."""
+    if A.field != B.field:
+        raise ValueError("summands live over different fields")
+    n = A.dim + B.dim
+    zero = (0,) * n
+    constants = [[A.constants[i][j] + (0,) * B.dim if j < A.dim else zero
+                  for j in range(n)] for i in range(A.dim)]
+    constants += [[zero if j < A.dim else (0,) * A.dim + B.constants[i][j - A.dim]
+                   for j in range(n)] for i in range(B.dim)]
+    return LieAlgebra(A.field, constants, labels=A.labels + B.labels,
+                      name=f"{A.name}+{B.name}")
+
+
+def closed_subalgebra(L, generators):
+    """The subalgebra generated by the generators, as an algebra of its own.
+
+    Brackets of the RREF basis of the reference closure lie in the span,
+    so their coordinates in that basis are their entries at the pivot
+    columns.
+    """
+    S = subalgebra_closure_rounds(L, generators)
+    basis = S.basis
+    constants = [[[L.bracket(u, v)[c] for c in S.pivots] for v in basis]
+                 for u in basis]
+    return LieAlgebra(L.field, constants, name=f"<generators> in {L.name}")
 
 
 def is_subalgebra(L, space):

@@ -300,6 +300,20 @@ class TestErrorsAndCap:
             err = capsys.readouterr().err
             assert "--threads" in err and repr(bad) in err
 
+    def test_non_decimal_threads_rejected(self, capsys, monkeypatch):
+        # "²".isdigit() holds but int("²") fails; the message must name the
+        # option and the value, not the parsing function
+        monkeypatch.setenv("COLUMNS", "80")  # fixes argparse's usage wrapping
+        with pytest.raises(SystemExit) as exc:
+            main(["degrees", "sl2@3", "--threads", "²"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "usage: solvgraph degrees [-h] [--force] [--format {text,json,csv}]\n"
+            "                         [--threads THREADS]\n"
+            "                         algebra\n"
+            "solvgraph degrees: error: argument --threads: "
+            "must be a positive integer, got '²'\n")
+
 
 class TestDeterminism:
     def test_stdout_identical_across_runs_and_threads(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import build_bruteforce, components_bruteforce
+from oracles import build_bruteforce, closed_subalgebra, components_bruteforce
 from solvgraph.graph import (
     build,
     complement_components,
@@ -15,7 +15,7 @@ from solvgraph.graph import (
     export_dot,
     export_json,
 )
-from solvgraph.liealg import CapExceeded, LieAlgebra, make_gl, subalgebra_closure
+from solvgraph.liealg import CapExceeded, make_gl
 from solvgraph.solv import sol_of_algebra, solvabilizer
 
 
@@ -32,19 +32,6 @@ def _assert_matches_bruteforce(L):
         components_bruteforce(vertices, edges)
 
 
-def _closed_subalgebra(L, x, y):
-    """The subalgebra generated by x and y as an algebra of its own.
-
-    Brackets of the RREF basis lie in the span, so their coordinates in
-    that basis are their entries at the pivot columns.
-    """
-    S = subalgebra_closure(L, [x, y])
-    basis = S.basis
-    constants = [[[L.bracket(u, v)[c] for c in S.pivots] for v in basis]
-                 for u in basis]
-    return LieAlgebra(L.field, constants, name=f"<x,y> in {L.name}")
-
-
 _HOSTS = (make_gl(2, 3), make_gl(3, 2))
 
 
@@ -52,7 +39,7 @@ _HOSTS = (make_gl(2, 3), make_gl(3, 2))
 def _generated_subalgebras(draw):
     L = draw(st.sampled_from(_HOSTS))
     coords = st.tuples(*[st.integers(0, L.field.p - 1)] * L.dim)
-    S = _closed_subalgebra(L, draw(coords), draw(coords))
+    S = closed_subalgebra(L, [draw(coords), draw(coords)])
     assume(S.dim <= 4)
     return S
 

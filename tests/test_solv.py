@@ -1,15 +1,19 @@
 import random
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    closed_subalgebra,
     direct_pair_solvable,
     direct_sol_of_algebra,
     direct_solvabilizer,
+    direct_sum,
     is_additively_closed_indices,
 )
 from solvgraph.ffalg import rref
@@ -20,9 +24,14 @@ from solvgraph.liealg import (
     center,
     centralizer,
     conjugation_automorphism,
+    from_file,
+    is_solvable,
+    make_gl,
+    make_sl,
     make_t,
     quotient,
     radical,
+    to_file,
 )
 from solvgraph.solv import (
     _rref_planes,
@@ -125,7 +134,9 @@ class TestPlaneTable:
             assert [span.basis for span in spans] == planes
             assert len(set(spans)) == len(planes)
 
-    def test_each_plane_classified_once_per_conjecture_run(self, monkeypatch, capsys):
+    @staticmethod
+    def _classifications(monkeypatch, capsys, argv):
+        """Run the CLI once; return its stdout and the pair_solvable call count."""
         from solvgraph import cli, solv
         calls = []
         real = solv.pair_solvable
@@ -135,9 +146,26 @@ class TestPlaneTable:
             return real(L, x, y)
 
         monkeypatch.setattr(solv, "pair_solvable", counting)
-        assert cli.main(["conjecture", "sl2@5"]) == 0
-        assert capsys.readouterr().out == "sum=3625 order=125 divisible=yes quotient=29\n"
-        assert len(calls) == gaussian_binomial_2(3, 5)
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out, len(calls)
+
+    def test_each_plane_classified_once_per_conjecture_run(self, monkeypatch, capsys):
+        out, calls = self._classifications(monkeypatch, capsys, ["conjecture", "sl2@5"])
+        assert out == "sum=3625 order=125 divisible=yes quotient=29\n"
+        assert calls == gaussian_binomial_2(3, 5)
+
+    def test_only_planes_of_the_quotient_classified(self, monkeypatch, capsys):
+        # gl2 has center the scalars, and gl2/center has [3 2]_5 planes
+        out, calls = self._classifications(monkeypatch, capsys, ["conjecture", "gl2@5"])
+        assert out == "sum=90625 order=625 divisible=yes quotient=145\n"
+        assert calls == gaussian_binomial_2(3, 5)
+
+    def test_solvable_algebra_classifies_no_plane(self, monkeypatch, capsys):
+        # t3 is solvable, so every verdict is known in advance
+        out, calls = self._classifications(monkeypatch, capsys, ["info", "t3@3"])
+        assert out == ("algebra=t3@3\np=3\ndim=6\norder=729\nsolvable=true\n"
+                       "sol_size=729\nradical_dim=6\nradical_size=729\ns_lie=true\n")
+        assert calls == 0
 
 
 class TestPlaneTableGate:
@@ -460,9 +488,76 @@ class TestEquivariance:
             equivariance_check(sl2_3, broken, (1, 0, 0))
 
 
+def _assert_table_matches_oracle(L):
+    """The table bit of every pair of distinct line representatives equals a
+    fresh reference closure.
+
+    The verdict depends only on the plane the pair spans, so the reference
+    runs once per plane, on the first pair of representatives met in it.
+    """
+    line_of, nbr = plane_table(L)
+    reps = [L.vector(line[0]) for line in L.lines()]
+    verdicts = {}
+    for i, x in enumerate(reps):
+        assert line_of[L.index(x)] == i
+        for j in range(i + 1, len(reps)):
+            y = reps[j]
+            plane = rref([x, y], L.field, ambient=L.dim)
+            if plane not in verdicts:
+                verdicts[plane] = direct_pair_solvable(L, x, y)
+            assert bool(nbr[i] >> j & 1) == verdicts[plane] == bool(nbr[j] >> i & 1)
+
+
+# gl2@3 + sl2@3, with basis E00, E01, E10, E11 of gl2, then e, f, h of sl2
+_GL2_SL2 = direct_sum(make_gl(2, 3), make_sl(2, 3))
+
+# generator pairs of subalgebras that are not solvable and have a nonzero
+# center, so their tables are lifted from a quotient (I is gl2's identity):
+# (e + I, e), (f, f) generate the diagonal sl2 plus the scalars of gl2
+# (dim 4, center dim 1); (e, e), (f + I, 0) generate gl2 plus the e of sl2
+# (dim 5, center dim 2)
+_LIFTED_PAIRS = (
+    ((1, 1, 0, 1, 1, 0, 0), (0, 0, 1, 0, 0, 1, 0)),
+    ((0, 1, 0, 0, 1, 0, 0), (1, 0, 1, 1, 0, 0, 0)),
+)
+
+
+class TestQuotientPath:
+    def test_table_matches_oracle(self, sl2_2, gl2_3, t2_3, w3):
+        for L in (sl2_2, w3, t2_3, make_t(3, 2), gl2_3, make_gl(2, 5)):
+            _assert_table_matches_oracle(L)
+
+    @pytest.mark.slow
+    def test_table_matches_oracle_gl3_f2(self):
+        _assert_table_matches_oracle(make_gl(3, 2))
+
+    def test_fixed_pairs_take_the_lift(self):
+        for x, y in _LIFTED_PAIRS:
+            S = closed_subalgebra(_GL2_SL2, [x, y])
+            assert center(S).dim > 0 and not is_solvable(S)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 2)] * _GL2_SL2.dim), min_size=2, max_size=2))
+    @example(list(_LIFTED_PAIRS[0]))
+    @example(list(_LIFTED_PAIRS[1]))
+    def test_random_subalgebras_of_a_direct_sum(self, generators):
+        S = closed_subalgebra(_GL2_SL2, generators)
+        assume(S.dim <= 5)
+        _assert_table_matches_oracle(S)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.txt"
+            to_file(S, path)
+            T = from_file(path)
+        assert T == S and plane_table(T) == plane_table(S)
+
+
 class TestQuotientCompatibility:
     def test_gl2_mod_center(self, gl2_3):
         assert quotient_compatibility_check(gl2_3, center(gl2_3))
+
+    def test_gl2_f5_mod_center(self):
+        L = make_gl(2, 5)
+        assert quotient_compatibility_check(L, center(L))
 
     def test_zero_ideal_trivial(self, sl2_3):
         assert quotient_compatibility_check(sl2_3, sl2_3.zero_space())
