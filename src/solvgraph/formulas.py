@@ -162,6 +162,12 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
 
     Checks the degree multiset, then that the eigenvalue class of every
     vertex determines its degree exactly, and finally the per-class counts.
+
+    Lemma: for t != 0, disc(tx) = t^2 disc(x) and tx shares x's plane-table
+    row, so tx has the class and degree of x.  Hence one representative per
+    vertex line, its smallest member, is checked and counted q - 1 times;
+    lines ascend by that member, so the first mismatch is the smallest
+    failing vertex, as a per-vertex scan would find it.
     """
     table = _class_table(family, q)
     if family == "sl2":
@@ -185,14 +191,15 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
 
     observed_counts = {cls: 0 for cls in SpectralClass}
     if mismatch is None:
-        for m in G.vertices:
+        members = L.lines()
+        for l in G.lines:
+            m = members[l][0]
             cls = classify(L.vector(m))
-            observed_counts[cls] += 1
+            observed_counts[cls] += q - 1
             deg = G.degree(m)
-            if deg != table[cls][0]:
+            if mismatch is None and deg != table[cls][0]:
                 mismatch = (f"vertex {m} of class {cls.value} has degree {deg}, "
                             f"expected {table[cls][0]}")
-                break
     expected_counts = {cls: table[cls][1] for cls in SpectralClass}
     if mismatch is None and observed_counts != expected_counts:
         mismatch = (f"class counts {observed_counts} != expected {expected_counts}")

@@ -3,10 +3,11 @@
 Vertices are the elements outside the global solvabilizer; two vertices are
 adjacent when they generate a solvable subalgebra.  Adjacency only depends
 on the plane the pair spans, so the graph is a view of the algebra's plane
-table (see solv): it keeps one row per vertex line, the line's neighbor
-bitset restricted to vertex lines.  Degrees, edge counts and the components
-of the graph and of its complement are read off those rows.  Per-vertex
-bitmask rows are expanded only by edges() and the rows property.
+table (see solv): it holds the table's own rows, numbered as the table
+numbers its lines, and reads degrees, edge counts and the components of the
+graph and of its complement off the rows of the vertex lines.  Edges are
+pairs of element indices; per-vertex bitmasks are expanded only by edges()
+and the rows property, once per distinct row.
 """
 
 from __future__ import annotations
@@ -19,31 +20,29 @@ from .solv import bits, plane_table
 
 
 class SolvGraph:
-    """Solvable graph held as per-line rows.
+    """Solvable graph held as the plane table's rows.
 
-    vertices:     ascending element indices of L minus sol(L).
-    lines:        vertex positions grouped by projective line; line k holds
-                  p - 1 vertices.
-    line_rows[k]: bitset over line numbers k' of the lines adjacent to
-                  line k, including k itself.  A vertex on line k is
-                  adjacent to every vertex on those lines but itself.
+    line_of, nbr:  the plane table of the algebra (see solv.plane_table),
+                   shared, not copied.  A vertex on line l is adjacent to
+                   every vertex on the vertex lines in nbr[l] but itself.
+    lines:         ascending table numbers of the vertex lines, whose rows
+                   are not full (full rows are sol(L)); vertex_lines as a bitmask.
+    vertices:      ascending element indices of L minus sol(L).
     """
 
-    __slots__ = ("algebra", "vertices", "lines", "line_rows", "edge_count",
-                 "_pos", "_line_at")
+    __slots__ = ("algebra", "line_of", "nbr", "lines", "vertex_lines",
+                 "vertices", "edge_count")
 
-    def __init__(self, algebra, vertices, lines, line_rows):
+    def __init__(self, algebra, line_of, nbr):
         self.algebra = algebra
-        self.vertices = vertices
-        self.lines = lines
-        self.line_rows = line_rows
-        self._pos = {m: i for i, m in enumerate(vertices)}
-        self._line_at = [0] * len(vertices)
-        for k, line in enumerate(lines):
-            for q in line:
-                self._line_at[q] = k
-        total_degree = sum(len(line) * self._line_degree(k)
-                           for k, line in enumerate(lines))
+        self.line_of = line_of
+        self.nbr = nbr
+        full = (1 << len(nbr)) - 1
+        is_vertex = [row != full for row in nbr]
+        self.lines = tuple(l for l, v in enumerate(is_vertex) if v)
+        self.vertex_lines = sum(1 << l for l in self.lines)
+        self.vertices = tuple(m for m in range(1, len(line_of)) if is_vertex[line_of[m]])
+        total_degree = (algebra.field.p - 1) * sum(map(self._line_degree, self.lines))
         if total_degree % 2:
             raise AssertionError("line rows are not symmetric")
         self.edge_count = total_degree // 2
@@ -52,79 +51,70 @@ class SolvGraph:
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def position(self, element_index: int) -> int:
-        return self._pos[element_index]
-
-    def _line_degree(self, k: int) -> int:
-        return (self.algebra.field.p - 1) * self.line_rows[k].bit_count() - 1
+    def _line_degree(self, l: int) -> int:
+        return ((self.algebra.field.p - 1)
+                * (self.nbr[l] & self.vertex_lines).bit_count() - 1)
 
     def degree(self, element_index: int) -> int:
-        return self._line_degree(self._line_at[self._pos[element_index]])
+        """Degree of a vertex; KeyError for 0, members of sol(L) and non-elements."""
+        m, line_of = element_index, self.line_of
+        if not (0 < m < len(line_of) and self.vertex_lines >> line_of[m] & 1):
+            raise KeyError(m)
+        return self._line_degree(line_of[m])
 
-    def degrees(self) -> list[int]:
-        return [self._line_degree(k) for k in self._line_at]
-
-    def _line_masks(self) -> list[int]:
-        """For each line row, the vertex positions on its lines as one bitmask."""
-        masks = [sum(1 << q for q in line) for line in self.lines]
-        return [sum(masks[k] for k in bits(row)) for row in self.line_rows]
+    def _row_masks(self) -> dict[int, int]:
+        """Each distinct vertex-line row's vertices as one element bitmask;
+        lifted tables share a row per quotient line, expanded once."""
+        members = dict.fromkeys(self.lines, 0)
+        for m in self.vertices:
+            members[self.line_of[m]] |= 1 << m
+        return {row: sum(members[k] for k in bits(row & self.vertex_lines))
+                for row in {self.nbr[l] for l in self.lines}}
 
     @property
     def rows(self) -> list[int]:
-        """Per-vertex neighbor bitmasks: bit j of rows[i] is set iff i ~ j."""
-        masks = self._line_masks()
-        return [masks[k] & ~(1 << i) for i, k in enumerate(self._line_at)]
+        """Neighbor bitmask of each vertex over element indices: bit m' of
+        rows[i] is set iff vertices[i] ~ m'."""
+        masks = self._row_masks()
+        return [masks[self.nbr[self.line_of[m]]] ^ (1 << m) for m in self.vertices]
 
     def edges(self):
-        """Yield position pairs (i, j), i < j, in lexicographic order."""
-        masks = self._line_masks()
-        for i, k in enumerate(self._line_at):
-            for j in bits(masks[k] >> (i + 1) << (i + 1)):
-                yield i, j
+        """Yield element-index pairs (m, m'), m < m', in lexicographic order."""
+        masks = self._row_masks()
+        for m in self.vertices:
+            for n in bits(masks[self.nbr[self.line_of[m]]] >> (m + 1) << (m + 1)):
+                yield m, n
 
 
 def build(L: LieAlgebra, force: bool = False) -> SolvGraph:
-    """Build the solvable graph of L from its plane table.
-
-    The vertex lines are the lines whose row is not full; full rows are sol(L).
-    """
-    _, nbr = plane_table(L, force)
-    full = (1 << len(nbr)) - 1
-    ids = [l for l, row in enumerate(nbr) if row != full]
-    all_lines = L.lines()
-    vertices = tuple(sorted(m for l in ids for m in all_lines[l]))
-    pos = {m: i for i, m in enumerate(vertices)}
-    number = {l: k for k, l in enumerate(ids)}  # plane-table line -> row
-    vertex_mask = sum(1 << l for l in ids)
-    line_rows = tuple(sum(1 << number[m] for m in bits(nbr[l] & vertex_mask))
-                      for l in ids)
-    lines = tuple(tuple(pos[m] for m in all_lines[l]) for l in ids)
-    return SolvGraph(L, vertices, lines, line_rows)
+    """Build the solvable graph of L as a view of its plane table."""
+    return SolvGraph(L, *plane_table(L, force))
 
 
 def degree_sequence(G: SolvGraph) -> dict[int, int]:
     """Multiset of vertex degrees as {degree: multiplicity}, largest first."""
+    per_line = G.algebra.field.p - 1
     counts: dict[int, int] = {}
-    for k, line in enumerate(G.lines):
-        d = G._line_degree(k)
-        counts[d] = counts.get(d, 0) + len(line)
+    for l in G.lines:
+        d = G._line_degree(l)
+        counts[d] = counts.get(d, 0) + per_line
     return dict(sorted(counts.items(), reverse=True))
 
 
 def _line_walk(G: SolvGraph, flip: int) -> list[list[int]]:
     """Components as element-index lists, largest first, by a walk over lines.
 
-    Line k's neighbors are the lines in line_rows[k] ^ flip: flip = 0 walks
-    the graph and flip = -1 its complement.  The walk shrinks an unvisited
-    line set, so memory stays linear in the line count even though the
-    complement is dense.  All vertices of a line share one component: in the
-    graph they are mutually adjacent, and in the complement every vertex
+    Line l's neighbors are the unvisited lines in nbr[l] ^ flip: flip = 0
+    walks the graph and flip = -1 its complement.  The walk shrinks an
+    unvisited line set, so memory stays linear in the line count even though
+    the complement is dense.  All vertices of a line share one component: in
+    the graph they are mutually adjacent, and in the complement every vertex
     line l has a neighbor line.  nbr[l] is not full, since otherwise l would
     lie in sol(L), and a line missing from nbr[l] is itself outside sol(L),
     whose lines see every line.
     """
-    unvisited = (1 << len(G.lines)) - 1
-    out = []
+    unvisited = G.vertex_lines
+    comps = []
     while unvisited:
         frontier = unvisited & -unvisited
         unvisited ^= frontier
@@ -132,11 +122,15 @@ def _line_walk(G: SolvGraph, flip: int) -> list[list[int]]:
         while frontier:
             comp |= frontier
             nxt = 0
-            for k in bits(frontier):
-                nxt |= G.line_rows[k] ^ flip
+            for l in bits(frontier):
+                nxt |= G.nbr[l] ^ flip
             frontier = nxt & unvisited
             unvisited ^= frontier
-        out.append(sorted(G.vertices[q] for k in bits(comp) for q in G.lines[k]))
+        comps.append(comp)
+    comp_of = {l: k for k, comp in enumerate(comps) for l in bits(comp)}
+    out = [[] for _ in comps]
+    for m in G.vertices:
+        out[comp_of[G.line_of[m]]].append(m)
     out.sort(key=lambda c: (-len(c), c[0]))
     return out
 
@@ -153,19 +147,19 @@ def complement_components(G: SolvGraph) -> list[list[int]]:
 
 # ---------------------------------------------------------------------------
 # Exports.  All outputs are deterministic: vertices ascend by element index
-# and edges are emitted in lexicographic position order.
+# and edges are emitted in lexicographic element-index order.
 
 def export_dot(G: SolvGraph, path):
     """Graphviz DOT file; nodes are labeled by coordinate tuples.
 
     Lines are written as they are produced; the edge list is never held.
     """
-    labels = ["(" + ",".join(str(c) for c in G.algebra.vector(m)) + ")"
-              for m in G.vertices]
+    labels = {m: "(" + ",".join(str(c) for c in G.algebra.vector(m)) + ")"
+              for m in G.vertices}
     with open(path, "w") as fh:
         fh.write(f'graph "{G.algebra.name}" {{\n')
-        fh.writelines(f'  "{label}";\n' for label in labels)
-        fh.writelines(f'  "{labels[i]}" -- "{labels[j]}";\n' for i, j in G.edges())
+        fh.writelines(f'  "{label}";\n' for label in labels.values())
+        fh.writelines(f'  "{labels[m]}" -- "{labels[n]}";\n' for m, n in G.edges())
         fh.write("}\n")
 
 
@@ -180,11 +174,10 @@ def export_json(G: SolvGraph, path):
         "dim": G.algebra.dim,
         "vertices": [[m, list(G.algebra.vector(m))] for m in G.vertices],
     }, separators=(",", ":"))
-    vs = G.vertices
     with open(path, "w") as fh:
         fh.write(head[:-1] + ',"edges":[')
-        fh.writelines(f"{',' if n else ''}[{vs[i]},{vs[j]}]"
-                      for n, (i, j) in enumerate(G.edges()))
+        fh.writelines(f"{',' if k else ''}[{m},{n}]"
+                      for k, (m, n) in enumerate(G.edges()))
         fh.write("]}\n")
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from oracles import eigenvalue_count
+from solvgraph import formulas
 from solvgraph.formulas import (
     SpectralClass,
     gl2_expected,
@@ -10,6 +11,23 @@ from solvgraph.formulas import (
     spectral_counts,
     verify,
 )
+from solvgraph.graph import build
+from solvgraph.liealg import make_gl, make_sl
+
+_CLASS_OF_ROOT_COUNT = {0: SpectralClass.NO_EIGENVALUE,
+                        1: SpectralClass.ONE_EIGENVALUE,
+                        2: SpectralClass.TWO_EIGENVALUES}
+
+
+def _root_class(family, x, q):
+    """Spectral class of the 2x2 matrix with coordinates x, by scanning every
+    lambda for a root of its characteristic polynomial."""
+    if family == "sl2":
+        b, c, a = x
+        x = (a, b, c, -a)
+    a, b, c, d = x
+    roots = sum(1 for lam in range(q) if ((lam - a) * (lam - d) - b * c) % q == 0)
+    return _CLASS_OF_ROOT_COUNT[roots]
 
 
 class TestExpectedSequences:
@@ -77,13 +95,11 @@ class TestSpectralClass:
     def test_matches_root_scan(self, sl2_5):
         # independent check: literally count the roots of the characteristic
         # polynomial lambda^2 - (a^2 + bc)
-        classes = {0: SpectralClass.NO_EIGENVALUE,
-                   1: SpectralClass.ONE_EIGENVALUE,
-                   2: SpectralClass.TWO_EIGENVALUES}
         for m in range(1, sl2_5.size):
             x = sl2_5.vector(m)
             disc = (x[2] * x[2] + x[0] * x[1]) % 5
-            assert spectral_class_sl2(sl2_5, x) is classes[eigenvalue_count(disc, 5)]
+            assert spectral_class_sl2(sl2_5, x) is \
+                _CLASS_OF_ROOT_COUNT[eigenvalue_count(disc, 5)]
 
     def test_class_counts(self):
         assert spectral_counts(3) == (6, 8, 12)
@@ -130,3 +146,43 @@ class TestVerify:
         payload = json.loads(report.to_json())
         assert payload["passed"] is True
         assert payload["family"] == "sl2"
+
+    @pytest.mark.parametrize("family", ["sl2", "gl2"])
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_one_element_per_line_stands_for_the_line(self, family, q):
+        # verify checks each vertex line's smallest member and counts it
+        # q - 1 times; every member must share its class and degree, and
+        # the counts must be those of a per-vertex scan
+        L = make_sl(2, q) if family == "sl2" else make_gl(2, q)
+        G = build(L)
+        members = L.lines()
+        tally = {cls.value: 0 for cls in SpectralClass}
+        for l in G.lines:
+            rep = members[l][0]
+            cls = _root_class(family, L.vector(rep), q)
+            for m in members[l]:
+                assert _root_class(family, L.vector(m), q) is cls
+                assert G.degree(m) == G.degree(rep)
+                tally[cls.value] += 1
+        assert sum(tally.values()) == G.vertex_count
+        assert verify(family, q).class_counts == tally
+
+    def test_fail_names_the_smallest_failing_vertex(self, monkeypatch):
+        # every vertex reads as two-eigenvalue, so the first mismatch is the
+        # smallest vertex whose true class differs, and the counts are whole
+        for family, q in (("sl2", 5), ("gl2", 3)):
+            L = make_sl(2, q) if family == "sl2" else make_gl(2, q)
+            G = build(L)
+            first = next(m for m in G.vertices if _root_class(family, L.vector(m), q)
+                         is not SpectralClass.TWO_EIGENVALUES)
+            with monkeypatch.context() as patch:
+                patch.setattr(formulas, "_discriminant_class",
+                              lambda *args: SpectralClass.TWO_EIGENVALUES)
+                report = verify(family, q)
+            assert not report.passed
+            assert report.first_mismatch == (
+                f"vertex {first} of class two has degree {G.degree(first)}, "
+                f"expected {max(report.expected)}")
+            assert report.class_counts == {"none": 0, "one": 0, "two": G.vertex_count}
+            assert report.text().endswith("mismatch=" + report.first_mismatch
+                                          + "\nresult=FAIL")

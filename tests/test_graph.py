@@ -16,18 +16,18 @@ from solvgraph.graph import (
     export_json,
 )
 from solvgraph.liealg import CapExceeded, make_gl
-from solvgraph.solv import sol_of_algebra, solvabilizer
+from solvgraph.solv import bits, sol_of_algebra, solvabilizer
 
 
 def _assert_matches_bruteforce(L):
     G = build(L)
     vertices, edges, degrees = build_bruteforce(L)
     assert G.vertices == vertices
-    got_edges = {frozenset((G.vertices[i], G.vertices[j])) for i, j in G.edges()}
-    assert got_edges == edges
+    got_edges = list(G.edges())
+    assert got_edges == sorted(got_edges) and all(m < n for m, n in got_edges)
+    assert set(map(frozenset, got_edges)) == edges
     assert G.edge_count == len(edges)
-    assert G.degrees() == [G.degree(m) for m in vertices] == \
-        [degrees[m] for m in vertices]
+    assert [G.degree(m) for m in vertices] == [degrees[m] for m in vertices]
     assert (components(G), complement_components(G)) == \
         components_bruteforce(vertices, edges)
 
@@ -75,10 +75,12 @@ class TestBuild:
 
     def test_no_self_loops_and_symmetry(self, sl2_3):
         G = build(sl2_3)
-        for i, row in enumerate(G.rows):
-            assert not row >> i & 1
-            for j in range(G.vertex_count):
-                assert (row >> j & 1) == (G.rows[j] >> i & 1)
+        rows = dict(zip(G.vertices, G.rows))
+        for m, row in rows.items():
+            assert not row >> m & 1
+            assert set(bits(row)) <= rows.keys()
+            for n in rows:
+                assert (row >> n & 1) == (rows[n] >> m & 1)
 
     def test_line_expansion_matches_bruteforce(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
         # the production graph is read off the plane table's line bitsets;
@@ -88,8 +90,7 @@ class TestBuild:
             # the complement walk relies on every vertex line having a
             # complement neighbor line
             G = build(L)
-            full = (1 << len(G.lines)) - 1
-            assert all(row != full for row in G.line_rows)
+            assert all(G.nbr[l] & G.vertex_lines != G.vertex_lines for l in G.lines)
 
     def test_cap_enforced(self, sl2_5, monkeypatch):
         monkeypatch.setenv("SOLVGRAPH_CAP", "100")
@@ -130,10 +131,20 @@ class TestDegrees:
                 expected = len(solvabilizer(L, L.vector(m))) - sol_size - 1
                 assert G.degree(m) == expected
 
+    def test_non_vertices_raise(self, sl2_3, gl2_3):
+        # 0 and members of sol(L) are not vertices; their table rows are
+        # line_of[0] = -1 and a full row, which must not read as a degree
+        scalar = gl2_3.index((1, 0, 0, 1))
+        for L, missing in ((sl2_3, (0,)), (gl2_3, (0, scalar))):
+            G = build(L)
+            for m in missing + (-1, L.size):
+                with pytest.raises(KeyError):
+                    G.degree(m)
+
     def test_degree_sum_is_twice_edges(self, sl2_3, gl2_3):
         for L in (sl2_3, gl2_3):
             G = build(L)
-            assert sum(G.degrees()) == 2 * G.edge_count
+            assert sum(G.degree(m) for m in G.vertices) == 2 * G.edge_count
 
     def test_empty_graph_sequence(self, sl2_2):
         assert degree_sequence(build(sl2_2)) == {}
@@ -160,8 +171,8 @@ class TestComponents:
         for k, part in enumerate(components(G)):
             for m in part:
                 part_of[m] = k
-        for i, j in G.edges():
-            assert part_of[G.vertices[i]] == part_of[G.vertices[j]]
+        for m, n in G.edges():
+            assert part_of[m] == part_of[n]
 
     def test_sl2_f5_no_eigenvalue_components(self, sl2_5):
         # elements whose matrix has no eigenvalues sit in components of
@@ -211,9 +222,11 @@ class TestComplement:
 
     def test_single_vertex_graph(self, w3):
         # no algebra produces exactly one vertex (vertices come in pairs at
-        # minimum), so exercise the function contract on a synthetic graph
+        # minimum), so exercise the function contract on a synthetic table:
+        # element 2 is on line 0, whose row misses line 1, and element 1 is
+        # on line 1, whose row is full
         from solvgraph.graph import SolvGraph
-        G = SolvGraph(w3, (2,), ((0,),), (1,))
+        G = SolvGraph(w3, (-1, 1, 0), (0b01, 0b11))
         assert complement_components(G) == [[2]]
         assert components(G) == [[2]]
 
@@ -225,6 +238,7 @@ class TestComplement:
         for L in (sl2_3, w3):
             G = build(L)
             n = G.vertex_count
+            rows = G.rows
             parent = list(range(n))
 
             def find(i):
@@ -235,7 +249,7 @@ class TestComplement:
 
             for i in range(n):
                 for j in range(i + 1, n):
-                    if not G.rows[i] >> j & 1:
+                    if not rows[i] >> G.vertices[j] & 1:
                         parent[find(i)] = find(j)
             expected = len({find(i) for i in range(n)})
             assert len(complement_components(G)) == expected

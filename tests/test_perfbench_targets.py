@@ -36,7 +36,9 @@ def test_every_target_resolves():
 
 
 def test_build_result_has_what_the_tracer_reads(sl2_3):
-    # its build hook counts line pairs from len(lines) and bytes from rows
+    # its build hook counts line pairs from len(lines), the vertex lines'
+    # table numbers, and bytes from rows, one neighbor bitmask over element
+    # indices per vertex
     G = build(sl2_3)
     assert len(G.lines) == 13
     assert len(G.rows) == G.vertex_count and all(isinstance(r, int) for r in G.rows)

@@ -168,6 +168,10 @@ class TestPlaneTable:
         assert calls == 0
 
 
+def _lines_and_edges(G):
+    return G.lines, G.edge_count
+
+
 class TestPlaneTableGate:
     def test_every_query_checks_the_cap_with_the_table_built(self, sl2_5, monkeypatch):
         x = (1, 0, 0)
@@ -178,7 +182,7 @@ class TestPlaneTableGate:
             "is_s_lie": lambda **kw: is_s_lie(sl2_5, **kw),
             "conjecture_sum": lambda **kw: conjecture_sum(sl2_5, **kw),
             "divisibility_report": lambda **kw: divisibility_report(sl2_5, x, **kw),
-            "build": lambda **kw: build(sl2_5, **kw).line_rows,
+            "build": lambda **kw: _lines_and_edges(build(sl2_5, **kw)),
         }
         answers = {name: query() for name, query in queries.items()}  # builds the table
         monkeypatch.setenv("SOLVGRAPH_CAP", "100")  # |sl2@5| = 125
