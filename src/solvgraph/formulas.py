@@ -191,9 +191,8 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
 
     observed_counts = {cls: 0 for cls in SpectralClass}
     if mismatch is None:
-        members = L.lines()
         for l in G.lines:
-            m = members[l][0]
+            m = L.line_rep(l)
             cls = classify(L.vector(m))
             observed_counts[cls] += q - 1
             deg = G.degree(m)

@@ -3,16 +3,17 @@
 Vertices are the elements outside the global solvabilizer; two vertices are
 adjacent when they generate a solvable subalgebra.  Adjacency only depends
 on the plane the pair spans, so the graph is a view of the algebra's plane
-table (see solv): it holds the table's own rows, numbered as the table
-numbers its lines, and reads degrees, edge counts and the components of the
-graph and of its complement off the rows of the vertex lines.  Edges are
-pairs of element indices; per-vertex bitmasks are expanded only by edges()
-and the rows property, once per distinct row.
+table (see solv): it holds the table's rows, indexed by line number (see
+liealg), and reads degrees, edge counts and the components of the graph and
+of its complement off the rows of the vertex lines.  Nothing is kept per
+vertex.  Edges are pairs of element indices; per-vertex bitmasks are
+expanded only by edges() and the rows property, once per distinct row.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import filterfalse
 from pathlib import Path
 
 from .liealg import LieAlgebra
@@ -22,26 +23,21 @@ from .solv import bits, plane_table
 class SolvGraph:
     """Solvable graph held as the plane table's rows.
 
-    line_of, nbr:  the plane table of the algebra (see solv.plane_table),
+    nbr:           the plane table of the algebra (see solv.plane_table),
                    shared, not copied.  A vertex on line l is adjacent to
                    every vertex on the vertex lines in nbr[l] but itself.
-    lines:         ascending table numbers of the vertex lines, whose rows
-                   are not full (full rows are sol(L)); vertex_lines as a bitmask.
-    vertices:      ascending element indices of L minus sol(L).
+    lines:         ascending numbers of the vertex lines, whose rows are
+                   not full (full rows are sol(L)); vertex_lines as a bitmask.
     """
 
-    __slots__ = ("algebra", "line_of", "nbr", "lines", "vertex_lines",
-                 "vertices", "edge_count")
+    __slots__ = ("algebra", "nbr", "lines", "vertex_lines", "edge_count")
 
-    def __init__(self, algebra, line_of, nbr):
+    def __init__(self, algebra, nbr):
         self.algebra = algebra
-        self.line_of = line_of
         self.nbr = nbr
         full = (1 << len(nbr)) - 1
-        is_vertex = [row != full for row in nbr]
-        self.lines = tuple(l for l, v in enumerate(is_vertex) if v)
+        self.lines = tuple(l for l, row in enumerate(nbr) if row != full)
         self.vertex_lines = sum(1 << l for l in self.lines)
-        self.vertices = tuple(m for m in range(1, len(line_of)) if is_vertex[line_of[m]])
         total_degree = (algebra.field.p - 1) * sum(map(self._line_degree, self.lines))
         if total_degree % 2:
             raise AssertionError("line rows are not symmetric")
@@ -49,7 +45,14 @@ class SolvGraph:
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return (self.algebra.field.p - 1) * len(self.lines)
+
+    @property
+    def vertices(self) -> tuple[int, ...]:
+        """Ascending element indices of L minus sol(L), built on each access."""
+        L, full = self.algebra, (1 << len(self.nbr)) - 1
+        sol = {m for l, row in enumerate(self.nbr) if row == full for m in L.line_members(l)}
+        return tuple(filterfalse(sol.__contains__, range(1, L.size)))
 
     def _line_degree(self, l: int) -> int:
         return ((self.algebra.field.p - 1)
@@ -57,17 +60,15 @@ class SolvGraph:
 
     def degree(self, element_index: int) -> int:
         """Degree of a vertex; KeyError for 0, members of sol(L) and non-elements."""
-        m, line_of = element_index, self.line_of
-        if not (0 < m < len(line_of) and self.vertex_lines >> line_of[m] & 1):
+        m, L = element_index, self.algebra
+        if not (0 < m < L.size and self.vertex_lines >> (l := L.line(L.vector(m))) & 1):
             raise KeyError(m)
-        return self._line_degree(line_of[m])
+        return self._line_degree(l)
 
     def _row_masks(self) -> dict[int, int]:
         """Each distinct vertex-line row's vertices as one element bitmask;
         lifted tables share a row per quotient line, expanded once."""
-        members = dict.fromkeys(self.lines, 0)
-        for m in self.vertices:
-            members[self.line_of[m]] |= 1 << m
+        members = {l: sum(1 << m for m in self.algebra.line_members(l)) for l in self.lines}
         return {row: sum(members[k] for k in bits(row & self.vertex_lines))
                 for row in {self.nbr[l] for l in self.lines}}
 
@@ -75,20 +76,20 @@ class SolvGraph:
     def rows(self) -> list[int]:
         """Neighbor bitmask of each vertex over element indices: bit m' of
         rows[i] is set iff vertices[i] ~ m'."""
-        masks = self._row_masks()
-        return [masks[self.nbr[self.line_of[m]]] ^ (1 << m) for m in self.vertices]
+        masks, L = self._row_masks(), self.algebra
+        return [masks[self.nbr[L.line(L.vector(m))]] ^ (1 << m) for m in self.vertices]
 
     def edges(self):
         """Yield element-index pairs (m, m'), m < m', in lexicographic order."""
-        masks = self._row_masks()
+        masks, L = self._row_masks(), self.algebra
         for m in self.vertices:
-            for n in bits(masks[self.nbr[self.line_of[m]]] >> (m + 1) << (m + 1)):
+            for n in bits(masks[self.nbr[L.line(L.vector(m))]] >> (m + 1) << (m + 1)):
                 yield m, n
 
 
 def build(L: LieAlgebra, force: bool = False) -> SolvGraph:
     """Build the solvable graph of L as a view of its plane table."""
-    return SolvGraph(L, *plane_table(L, force))
+    return SolvGraph(L, plane_table(L, force))
 
 
 def degree_sequence(G: SolvGraph) -> dict[int, int]:
@@ -127,10 +128,7 @@ def _line_walk(G: SolvGraph, flip: int) -> list[list[int]]:
             frontier = nxt & unvisited
             unvisited ^= frontier
         comps.append(comp)
-    comp_of = {l: k for k, comp in enumerate(comps) for l in bits(comp)}
-    out = [[] for _ in comps]
-    for m in G.vertices:
-        out[comp_of[G.line_of[m]]].append(m)
+    out = [sorted(m for l in bits(comp) for m in G.algebra.line_members(l)) for comp in comps]
     out.sort(key=lambda c: (-len(c), c[0]))
     return out
 

@@ -5,6 +5,11 @@ the base-p digits of m as coordinates, least significant digit first.  The
 constant table is validated at construction: the bracket of a basis vector
 with itself vanishes, the table is antisymmetric, and the Jacobi identity
 holds on all basis triples.
+
+The projective lines are numbered in order of their smallest members: a
+vector scaled so that its last nonzero coordinate k is 1 is its line's
+smallest member and lies on line (p**k - 1)/(p - 1) plus the base-p value
+of its coordinates below k.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class LieAlgebra:
 
     # _plane_table is filled on first use by solv.plane_table.
     __slots__ = ("field", "dim", "constants", "labels", "name",
-                 "basis_matrices", "matrix_size", "_lines", "_plane_table")
+                 "basis_matrices", "matrix_size", "_plane_table")
 
     def __init__(self, field: PrimeField, constants, labels=None, name="L",
                  basis_matrices=None, matrix_size=None):
@@ -73,7 +78,6 @@ class LieAlgebra:
         self.name = name
         self.basis_matrices = basis_matrices
         self.matrix_size = matrix_size
-        self._lines = None
         self._plane_table = None
         self._validate()
 
@@ -157,28 +161,38 @@ class LieAlgebra:
                         out[k] = (out[k] + f * v) % p
         return tuple(out)
 
-    def lines(self) -> tuple[tuple[int, ...], ...]:
-        """Projective lines of nonzero elements.
+    @property
+    def line_count(self) -> int:
+        """Number of projective lines, (p**dim - 1)/(p - 1)."""
+        p = self.field.p
+        return (p ** self.dim - 1) // (p - 1)
 
-        Each line is the sorted tuple of indices of the nonzero multiples of
-        one element; lines are listed in order of their smallest member, so
-        ``line[0]`` is the canonical representative.
-        """
-        if self._lines is None:
-            p = self.field.p
-            seen = bytearray(self.size)
-            out = []
-            for m in range(1, self.size):
-                if seen[m]:
-                    continue
-                v = self.vector(m)
-                members = sorted(
-                    self.index(tuple(a * x % p for x in v)) for a in range(1, p))
-                for idx in members:
-                    seen[idx] = 1
-                out.append(tuple(members))
-            self._lines = tuple(out)
-        return self._lines
+    def line(self, v) -> int:
+        """Number of the line through the nonzero coordinate vector v."""
+        p = self.field.p
+        for k in range(len(v) - 1, -1, -1):
+            if v[k] % p:
+                inv = pow(v[k], -1, p)
+                return (p ** k - 1) // (p - 1) + self.index([x * inv for x in v[:k]])
+        raise ValueError("the zero vector lies on no line")
+
+    def line_rep(self, l: int) -> int:
+        """Index of the smallest member of line l: the p**k lines whose last
+        nonzero coordinate is k have the smallest members p**k onwards."""
+        p, block = self.field.p, 1
+        while l >= block:
+            l -= block
+            block *= p
+        return block + l
+
+    def line_members(self, l: int) -> tuple[int, ...]:
+        """Sorted indices of the p - 1 members of line l."""
+        v = self.vector(self.line_rep(l))
+        return tuple(sorted(self.index([t * x for x in v]) for t in range(1, self.field.p)))
+
+    def lines(self) -> tuple[tuple[int, ...], ...]:
+        """Members of every line, in line-number order."""
+        return tuple(map(self.line_members, range(self.line_count)))
 
     def full_space(self) -> Subspace:
         return full_space(self.dim, self.field)
@@ -526,26 +540,29 @@ def is_ideal(L: LieAlgebra, space: Subspace) -> bool:
 
 
 def radical(L: LieAlgebra, force: bool = False) -> Subspace:
-    """Maximal solvable ideal, found by exhaustive elementwise search.
+    """Maximal solvable ideal, found through L/N as solv.plane_table does.
 
-    In finite dimension the sum of two solvable ideals is again a solvable
-    ideal, so a unique maximal one exists and consists exactly of the
-    elements whose ideal closure is solvable.  The ideal closure does not
-    change under scaling, so one representative per projective line is
-    enough to decide the whole line.
+    The sum of two solvable ideals is a solvable ideal, so the radical
+    holds every solvable ideal N and is the preimage of the radical of L/N.
+    N = L if L is solvable, else the center; only with N = 0 is L searched,
+    for the elements whose ideal closure is solvable, one per line.
     """
     require_enumerable(L, force)
-    members = {0}
-    good_reps = []
-    for line in L.lines():
-        rep = L.vector(line[0])
-        if derived_series(L, ideal_closure(L, rep)).terminated:
-            members.update(line)
-            good_reps.append(rep)
-    space = rref(good_reps, L.field, ambient=L.dim)
-    if space.size != len(members):
+    if is_solvable(L):
+        space, size = L.full_space(), L.size
+    elif (N := center(L)).dim:
+        Q, _, section = quotient(L, N)
+        R = radical(Q, force=True)
+        space = rref(N.basis + tuple(map(section, R.basis)), L.field, ambient=L.dim)
+        size = N.size * R.size
+    else:
+        good_reps = [rep for rep in map(L.vector, map(L.line_rep, range(L.line_count)))
+                     if derived_series(L, ideal_closure(L, rep)).terminated]
+        space = rref(good_reps, L.field, ambient=L.dim)
+        size = 1 + (L.field.p - 1) * len(good_reps)
+    if space.size != size:
         raise AssertionError(
-            "elements with solvable ideal closure do not form a subspace")
+            f"radical candidate spans {space.size} elements, expected {size}")
     if not is_ideal(L, space) or not derived_series(L, space).terminated:
         raise AssertionError("collected radical candidate is not a solvable ideal")
     return space

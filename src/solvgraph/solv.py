@@ -60,14 +60,14 @@ def _rref_planes(n: int, p: int):
                     yield r1, (0,) * c2 + (1,) + v2
 
 
-def plane_table(L: LieAlgebra, force: bool = False) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The plane table (line_of, nbr) of L, built on first use and kept on L.
+def plane_table(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
+    """The plane table nbr of L, built on first use and kept on L.
 
-    line_of[m] is the position in L.lines() of the line holding element m,
-    and -1 for 0.  Bit m of nbr[l] is set iff lines l and m lie in a
-    solvable plane; every line sees itself.  Every call checks the
-    enumeration cap, also when the table is already built, so each query
-    that reads the table is refused over the cap unless forced.
+    nbr[l] is the neighbor bitset of line l, in the line numbering of
+    LieAlgebra.line: bit m is set iff lines l and m lie in a solvable
+    plane, and every line sees itself.  Every call checks the enumeration
+    cap, also when the table is already built, so each query that reads the
+    table is refused over the cap unless forced.
 
     The table is lifted from the one of Q = L/N, with N = L when L is
     solvable and N = center(L) otherwise (see the module docstring).  A
@@ -79,30 +79,20 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[tuple[int, ...], tu
     solvable, whose planes are classified directly.
     """
     require_enumerable(L, force)
-    if L._plane_table is not None:
-        return L._plane_table
-    lines = L.lines()
-    line_of = [-1] * L.size
-    for l, line in enumerate(lines):
-        for m in line:
-            line_of[m] = l
-    N = L.full_space() if is_solvable(L) else center(L)
-    if N.dim:
-        nbr = _lifted_rows(L, N)
-    else:
-        nbr = _classified_rows(L, line_of)
-    L._plane_table = (tuple(line_of), tuple(nbr))
+    if L._plane_table is None:
+        N = L.full_space() if is_solvable(L) else center(L)
+        L._plane_table = tuple(_lifted_rows(L, N) if N.dim else _classified_rows(L))
     return L._plane_table
 
 
-def _classified_rows(L: LieAlgebra, line_of) -> list[int]:
+def _classified_rows(L: LieAlgebra) -> list[int]:
     """Neighbor bitsets of L's lines, classifying every plane of L once."""
     p = L.field.p
-    nbr = [1 << l for l in range(len(L.lines()))]
+    nbr = [1 << l for l in range(L.line_count)]
     for r1, r2 in _rref_planes(L.dim, p):
         if pair_solvable(L, r1, r2):
-            ids = [line_of[L.index(r2)]] + [
-                line_of[L.index(tuple((a + t * b) % p for a, b in zip(r1, r2)))]
+            ids = [L.line(r2)] + [
+                L.line(tuple((a + t * b) % p for a, b in zip(r1, r2)))
                 for t in range(p)]
             mask = sum(1 << l for l in ids)
             for l in ids:
@@ -113,12 +103,13 @@ def _classified_rows(L: LieAlgebra, line_of) -> list[int]:
 def _lifted_rows(L: LieAlgebra, N: Subspace) -> list[int]:
     """Neighbor bitsets of L's lines, lifted from the table of L/N."""
     Q, project, _ = quotient(L, N)
-    q_line_of, q_nbr = plane_table(Q, force=True)
+    q_nbr = plane_table(Q, force=True)
     in_n = 0
     over = [0] * len(q_nbr)  # the L-lines over each Q-line
     q_lines = []
-    for l, line in enumerate(L.lines()):
-        ql = q_line_of[Q.index(project(L.vector(line[0])))]
+    for l in range(L.line_count):
+        w = project(L.vector(L.line_rep(l)))
+        ql = Q.line(w) if any(w) else -1  # -1: the line lies in N
         q_lines.append(ql)
         if ql < 0:
             in_n |= 1 << l
@@ -139,10 +130,9 @@ def bits(mask: int):
 
 def _line_members(L: LieAlgebra, mask: int) -> tuple[int, ...]:
     """Sorted indices of 0 and of every element on the lines in a line bitset."""
-    lines = L.lines()
     out = [0]
     for l in bits(mask):
-        out.extend(lines[l])
+        out.extend(L.line_members(l))
     out.sort()
     return tuple(out)
 
@@ -154,24 +144,25 @@ def solvabilizer(L: LieAlgebra, x, force: bool = False) -> tuple[int, ...]:
     """
     if len(x) != L.dim:
         raise ValueError(f"expected {L.dim} coordinates, got {len(x)}")
-    line_of, nbr = plane_table(L, force)
-    m = L.index(x)
-    return _line_members(L, nbr[line_of[m]] if m else (1 << len(nbr)) - 1)
+    nbr = plane_table(L, force)
+    return _line_members(L, nbr[L.line(x)] if L.index(x) else (1 << len(nbr)) - 1)
 
 
 def solvabilizer_set(L: LieAlgebra, A, B) -> tuple[int, ...]:
     """Members of A that generate a solvable subalgebra with every member of B.
 
-    A and B are iterables of element indices.  An empty A gives the empty
-    set; an empty B imposes no constraint and gives all of A.
+    A and B are iterables of element indices; one outside 0 .. |L| - 1
+    raises ValueError.  An empty A gives the empty set; an empty B imposes
+    no constraint and gives all of A.
     """
-    line_of, nbr = plane_table(L)
-    need = 0
-    for b in set(B):
-        if b:
-            need |= 1 << line_of[b]
-    return tuple(a for a in sorted(set(A))
-                 if a == 0 or nbr[line_of[a]] & need == need)
+    nbr = plane_table(L)
+
+    def line(m):
+        if not 0 <= m < L.size:
+            raise ValueError(f"element index {m} is outside 0 .. |L| - 1, |L| = {L.size}")
+        return L.line(L.vector(m))
+    need = sum(1 << l for l in {line(b) for b in B if b})
+    return tuple(a for a in sorted(set(A)) if a == 0 or nbr[line(a)] & need == need)
 
 
 def sol_of_algebra(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
@@ -179,7 +170,7 @@ def sol_of_algebra(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
 
     These are 0 and the lines whose neighbor bitset holds every line.
     """
-    _, nbr = plane_table(L, force)
+    nbr = plane_table(L, force)
     full = (1 << len(nbr)) - 1
     return _line_members(L, sum(1 << l for l, row in enumerate(nbr) if row == full))
 
@@ -209,9 +200,8 @@ def is_s_lie(L: LieAlgebra, force: bool = False):
     triple in element-index order.
     """
     p = L.field.p
-    _, nbr = plane_table(L, force)
     passed = set()
-    for line, mask in zip(L.lines(), nbr):
+    for l, mask in enumerate(plane_table(L, force)):
         if mask in passed:
             continue
         sol = _line_members(L, mask)
@@ -220,7 +210,7 @@ def is_s_lie(L: LieAlgebra, force: bool = False):
             passed.add(mask)
             continue
         members = set(sol)
-        x = L.vector(line[0])
+        x = L.vector(L.line_rep(l))
         vecs = [L.vector(m) for m in sol]
         for a in vecs:
             for b in vecs:
@@ -246,7 +236,7 @@ def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
     """
     p = L.field.p
     total = L.size + sum((p - 1) * (1 + (p - 1) * mask.bit_count())
-                         for mask in plane_table(L, force)[1])
+                         for mask in plane_table(L, force))
     q, r = divmod(total, L.size)
     return ConjectureResult(total, L.size, r == 0,
                             q if r == 0 else Fraction(total, L.size))

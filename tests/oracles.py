@@ -129,6 +129,46 @@ def radical_bruteforce(L):
     return best
 
 
+def lines_by_scan(L):
+    """Projective lines of nonzero elements by a scan over every element.
+
+    Each line is the sorted tuple of indices of the nonzero multiples of
+    one element, and lines are listed in order of their smallest member.
+    """
+    p = L.field.p
+    seen = bytearray(L.size)
+    out = []
+    for m in range(1, L.size):
+        if seen[m]:
+            continue
+        v = L.vector(m)
+        members = sorted(L.index(tuple(a * x % p for x in v)) for a in range(1, p))
+        for idx in members:
+            seen[idx] = 1
+        out.append(tuple(members))
+    return tuple(out)
+
+
+def radical_by_lines(L):
+    """Maximal solvable ideal by a search over every line of L.
+
+    The radical consists exactly of the elements whose ideal closure is
+    solvable; the closure does not change under scaling, so one member
+    decides each line.
+    """
+    members = {0}
+    good_reps = []
+    for line in lines_by_scan(L):
+        rep = L.vector(line[0])
+        if derived_series(L, ideal_closure_rounds(L, rep)).terminated:
+            members.update(line)
+            good_reps.append(rep)
+    space = rref(good_reps, L.field, ambient=L.dim)
+    assert space.size == len(members), \
+        "elements with solvable ideal closure do not form a subspace"
+    return space
+
+
 def build_bruteforce(L):
     """Reference solvable graph: vertex tuple, edge set, degree dict.
 

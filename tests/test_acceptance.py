@@ -362,12 +362,23 @@ def test_verify_gl2_f17_time():
 
 def test_verify_sl2_f61_peak_memory():
     # the graph holds the plane table's rows and verify reads one element
-    # per line; per-vertex maps and loops took ~78 MB
+    # per line; per-vertex maps and loops took ~78 MB, and the |L|-long
+    # line map and vertex tuple ~38 MB
     code, out, peak_mb = _child_peak("verify", "sl2@61")
     assert code == 0
     assert out.splitlines()[-1] == "result=PASS"
-    assert peak_mb < 45
+    assert peak_mb < 30
     _ok(f"verify sl2@61 in a child with peak RSS {peak_mb:.1f} MB")
+
+
+def test_verify_sl2_f101_peak_memory():
+    # lines are numbered by arithmetic, so nothing verify runs is |L|-long;
+    # the materialized lines, line map and vertex tuple took ~124 MB
+    code, out, peak_mb = _child_peak("verify", "sl2@101")
+    assert code == 0
+    assert out.splitlines()[-1] == "result=PASS"
+    assert peak_mb < 45
+    _ok(f"verify sl2@101 in a child with peak RSS {peak_mb:.1f} MB")
 
 
 def test_graph_exports_stream(tmp_path):

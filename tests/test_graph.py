@@ -16,7 +16,7 @@ from solvgraph.graph import (
     export_json,
 )
 from solvgraph.liealg import CapExceeded, make_gl
-from solvgraph.solv import bits, sol_of_algebra, solvabilizer
+from solvgraph.solv import bits, plane_table, sol_of_algebra, solvabilizer
 
 
 def _assert_matches_bruteforce(L):
@@ -56,6 +56,14 @@ class TestBuild:
         G = build(sl2_2)
         assert G.vertex_count == 0
         assert G.edge_count == 0
+
+    def test_holds_the_plane_table_itself(self, sl2_3, gl2_3):
+        # rows indexed by line number, shared with the algebra, not copied
+        for L in (sl2_3, gl2_3):
+            G = build(L)
+            assert G.nbr is plane_table(L) and len(G.nbr) == L.line_count
+            assert all(isinstance(row, int) for row in G.nbr)
+            assert G.vertex_count == len(G.vertices)
 
     def test_sl2_f3_counts(self, sl2_3):
         G = build(sl2_3)
@@ -132,8 +140,8 @@ class TestDegrees:
                 assert G.degree(m) == expected
 
     def test_non_vertices_raise(self, sl2_3, gl2_3):
-        # 0 and members of sol(L) are not vertices; their table rows are
-        # line_of[0] = -1 and a full row, which must not read as a degree
+        # 0 and members of sol(L) are not vertices: 0 lies on no line and
+        # sol(L)'s rows are full, which must not read as a degree
         scalar = gl2_3.index((1, 0, 0, 1))
         for L, missing in ((sl2_3, (0,)), (gl2_3, (0, scalar))):
             G = build(L)
@@ -220,13 +228,17 @@ class TestComplement:
     def test_gl2_f3_complement_connected(self, gl2_3):
         assert len(complement_components(build(gl2_3))) == 1
 
-    def test_single_vertex_graph(self, w3):
+    def test_single_vertex_graph(self):
         # no algebra produces exactly one vertex (vertices come in pairs at
-        # minimum), so exercise the function contract on a synthetic table:
-        # element 2 is on line 0, whose row misses line 1, and element 1 is
-        # on line 1, whose row is full
+        # minimum), so exercise the function contract on a synthetic table
+        # over the 2-dimensional abelian algebra over F_2, whose lines 0, 1
+        # and 2 are the elements 1, 2 and 3: element 2's row misses line 0,
+        # and the rows of elements 1 and 3 are full
+        from solvgraph.ffalg import PrimeField
         from solvgraph.graph import SolvGraph
-        G = SolvGraph(w3, (-1, 1, 0), (0b01, 0b11))
+        from solvgraph.liealg import LieAlgebra
+        L = LieAlgebra(PrimeField(2), [[[0, 0]] * 2] * 2)
+        G = SolvGraph(L, (0b111, 0b110, 0b111))
         assert complement_components(G) == [[2]]
         assert components(G) == [[2]]
 

@@ -9,7 +9,9 @@ from oracles import (
     all_subspaces,
     ideal_closure_rounds,
     is_subalgebra,
+    lines_by_scan,
     radical_bruteforce,
+    radical_by_lines,
     subalgebra_closure_rounds,
 )
 from solvgraph import liealg
@@ -423,10 +425,41 @@ class TestIdeals:
             assert len(closures) == 1
 
 
+class TestLineNumbers:
+    def test_lines_match_scan(self, w3):
+        for L in (make_sl(2, 2), make_sl(2, 7), make_gl(2, 3), make_gl(2, 5),
+                  make_t(2, 5), make_t(3, 2), make_so(3, 5), make_so(4, 3),
+                  make_sl(3, 2), w3):
+            lines = L.lines()
+            assert lines == lines_by_scan(L)
+            assert len(lines) == L.line_count
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.sampled_from((2, 3, 5, 7)), st.integers(1, 4))
+    def test_line_is_constant_on_multiples(self, p, n):
+        L = LieAlgebra(PrimeField(p), [[[0] * n] * n] * n)  # abelian
+        for m in range(1, L.size):
+            v = L.vector(m)
+            multiples = [L.index(tuple(t * x % p for x in v)) for t in range(1, p)]
+            l = L.line(v)
+            assert all(L.line(L.vector(k)) == l for k in multiples)
+            assert L.line_rep(l) == min(multiples)
+            assert L.line_members(l) == tuple(sorted(multiples))
+
+    def test_zero_vector_has_no_line(self, sl2_3, w3):
+        for L in (sl2_3, w3):
+            with pytest.raises(ValueError, match="zero vector"):
+                L.line(L.zero())
+
+
 class TestRadical:
     def test_matches_subspace_lattice_bruteforce(self, sl2_3, w3, t2_3, gl2_3):
         for L in (sl2_3, w3, t2_3, gl2_3):
             assert radical(L) == radical_bruteforce(L)
+
+    def test_matches_line_search(self):
+        for L in (make_gl(2, 5), make_gl(3, 2), make_so(4, 3)):
+            assert radical(L) == radical_by_lines(L)
 
     def test_simple_algebras_have_zero_radical(self, sl2_3, w3):
         assert radical(sl2_3).dim == 0

@@ -15,6 +15,8 @@ from oracles import (
     direct_solvabilizer,
     direct_sum,
     is_additively_closed_indices,
+    lines_by_scan,
+    radical_by_lines,
 )
 from solvgraph.ffalg import rref
 from solvgraph.graph import build
@@ -76,10 +78,11 @@ class TestPairSolvable:
         # the span of the pair; check its bit for every pair against fresh
         # closures
         for L in (sl2_3, w3):
-            line_of, nbr = plane_table(L)
+            nbr = plane_table(L)
             for i in range(L.size):
                 for j in range(L.size):
-                    bit = i == 0 or j == 0 or bool(nbr[line_of[i]] >> line_of[j] & 1)
+                    bit = i == 0 or j == 0 or bool(
+                        nbr[L.line(L.vector(i))] >> L.line(L.vector(j)) & 1)
                     assert bit == direct_pair_solvable(L, L.vector(i), L.vector(j))
 
     def test_symmetry_exhaustive_small_fields(self, sl2_2, sl2_3, w3):
@@ -251,6 +254,13 @@ class TestSolvabilizerSet:
 
     def test_w3_whole_algebra_against_b(self, w3):
         assert solvabilizer_set(w3, range(8), [2]) == (0, 1, 2, 3)
+
+    def test_out_of_range_index_rejected(self, w3):
+        # without the check, -1 and |L| + 1 would name elements 7 and 1
+        for bad in (-1, w3.size, w3.size + 1):
+            for A, B in (([1, bad], [2]), ([1], [2, bad])):
+                with pytest.raises(ValueError, match=rf"^element index {bad} .*\|L\| = 8$"):
+                    solvabilizer_set(w3, A, B)
 
     def test_monotonicity_and_intersection_identities(self, sl2_3, w3):
         # for A subset of B: sol_A(C) = A n sol_B(C) and the two
@@ -499,11 +509,11 @@ def _assert_table_matches_oracle(L):
     The verdict depends only on the plane the pair spans, so the reference
     runs once per plane, on the first pair of representatives met in it.
     """
-    line_of, nbr = plane_table(L)
-    reps = [L.vector(line[0]) for line in L.lines()]
+    nbr = plane_table(L)
+    reps = [L.vector(line[0]) for line in lines_by_scan(L)]
     verdicts = {}
     for i, x in enumerate(reps):
-        assert line_of[L.index(x)] == i
+        assert L.line(x) == i
         for j in range(i + 1, len(reps)):
             y = reps[j]
             plane = rref([x, y], L.field, ambient=L.dim)
@@ -553,6 +563,15 @@ class TestQuotientPath:
             to_file(S, path)
             T = from_file(path)
         assert T == S and plane_table(T) == plane_table(S)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 2)] * _GL2_SL2.dim), min_size=2, max_size=2))
+    @example(list(_LIFTED_PAIRS[0]))
+    @example(list(_LIFTED_PAIRS[1]))
+    def test_radical_of_random_subalgebras_matches_line_search(self, generators):
+        S = closed_subalgebra(_GL2_SL2, generators)
+        assume(S.dim <= 5)
+        assert radical(S) == radical_by_lines(S)
 
 
 class TestQuotientCompatibility:
