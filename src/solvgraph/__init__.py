@@ -42,6 +42,7 @@ from .liealg import (
     make_w3,
     quotient,
     radical,
+    solvable_ideal,
     subalgebra_closure,
     to_file,
 )

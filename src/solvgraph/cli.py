@@ -12,15 +12,14 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import formulas, graph, liealg, solv
 
 _SPEC_RE = re.compile(r"^(sl|gl|t|so)(\d+)@(\d+)$")
 
 
-@dataclass
-class AlgebraSpec:
+class AlgebraSpec(NamedTuple):
     kind: str
     n: int | None
     p: int | None
@@ -66,16 +65,25 @@ def _fmt_bool(b) -> str:
     return "true" if b else "false"
 
 
-def _fmt_tristate(b) -> str:
-    return "n/a" if b is None else _fmt_bool(b)
-
-
 def _coords(vec) -> str:
     return "(" + ",".join(str(c) for c in vec) + ")"
 
 
-def _print_kv(pairs):
-    for k, v in pairs:
+def _print_fields(fields: dict, fmt: str):
+    """Print a command's fields as compact JSON, or as key=value lines with
+    true/false, n/a for None, tuples as coordinates and lists space-separated."""
+    if fmt == "json":
+        print(json.dumps(fields, separators=(",", ":")))
+        return
+    for k, v in fields.items():
+        if v is None:
+            v = "n/a"
+        elif isinstance(v, bool):
+            v = _fmt_bool(v)
+        elif isinstance(v, tuple):
+            v = _coords(v)
+        elif isinstance(v, list):
+            v = " ".join(map(str, v))
         print(f"{k}={v}")
 
 
@@ -84,20 +92,11 @@ def cmd_info(args) -> int:
     sol = solv.sol_of_algebra(L, force=args.force)
     rad = liealg.radical(L, force=args.force)
     s_lie, _ = solv.is_s_lie(L, force=args.force)
-    solvable = liealg.is_solvable(L)
-    if args.format == "json":
-        print(json.dumps({
-            "algebra": L.name, "p": L.field.p, "dim": L.dim, "order": L.size,
-            "solvable": solvable, "sol_size": len(sol),
-            "radical_dim": rad.dim, "radical_size": rad.size, "s_lie": s_lie,
-        }, separators=(",", ":")))
-    else:
-        _print_kv([
-            ("algebra", L.name), ("p", L.field.p), ("dim", L.dim),
-            ("order", L.size), ("solvable", _fmt_bool(solvable)),
-            ("sol_size", len(sol)), ("radical_dim", rad.dim),
-            ("radical_size", rad.size), ("s_lie", _fmt_bool(s_lie)),
-        ])
+    _print_fields({
+        "algebra": L.name, "p": L.field.p, "dim": L.dim, "order": L.size,
+        "solvable": liealg.is_solvable(L), "sol_size": len(sol),
+        "radical_dim": rad.dim, "radical_size": rad.size, "s_lie": s_lie,
+    }, args.format)
     return 0
 
 
@@ -168,26 +167,14 @@ def cmd_solvabilizer(args) -> int:
     x = tuple(c % L.field.p for c in coords)
     members = solv.solvabilizer(L, x, force=args.force)
     rep = solv.divisibility_report(L, x, force=args.force)
-    if args.format == "json":
-        print(json.dumps({
-            "element": list(x), "size": rep.sol_size, "members": list(members),
-            "p_divides": rep.p_divides, "sol_size": rep.sol_of_algebra_size,
-            "sol_divides": rep.sol_divides,
-            "centralizer_size": rep.centralizer_size,
-            "centralizer_divides": rep.centralizer_divides,
-            "coset_closed": rep.coset_closed,
-        }, separators=(",", ":")))
-    else:
-        _print_kv([
-            ("element", _coords(x)), ("size", rep.sol_size),
-            ("members", " ".join(str(m) for m in members)),
-            ("p_divides", _fmt_bool(rep.p_divides)),
-            ("sol_size", rep.sol_of_algebra_size),
-            ("sol_divides", _fmt_tristate(rep.sol_divides)),
-            ("centralizer_size", rep.centralizer_size),
-            ("centralizer_divides", _fmt_tristate(rep.centralizer_divides)),
-            ("coset_closed", _fmt_bool(rep.coset_closed)),
-        ])
+    _print_fields({
+        "element": x, "size": rep.sol_size, "members": list(members),
+        "p_divides": rep.p_divides, "sol_size": rep.sol_of_algebra_size,
+        "sol_divides": rep.sol_divides,
+        "centralizer_size": rep.centralizer_size,
+        "centralizer_divides": rep.centralizer_divides,
+        "coset_closed": rep.coset_closed,
+    }, args.format)
     return 0
 
 

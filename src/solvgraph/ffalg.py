@@ -42,17 +42,10 @@ class PrimeField:
         return -a % self.p
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse, by the extended Euclidean algorithm."""
-        a %= self.p
-        if a == 0:
+        """Multiplicative inverse; ZeroDivisionError for a multiple of p."""
+        if a % self.p == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        old_r, r = a, self.p
-        old_s, s = 1, 0
-        while r:
-            q = old_r // r
-            old_r, r = r, old_r - q * r
-            old_s, s = s, old_s - q * s
-        return old_s % self.p
+        return pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ffalg import PrimeField
 from .graph import build, degree_sequence
@@ -105,8 +105,7 @@ def spectral_counts(q: int) -> tuple[int, int, int]:
     return tuple(table[cls][1] for cls in SpectralClass)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking a built graph against the closed forms."""
     family: str
     q: int
@@ -152,7 +151,7 @@ def _gl2_traceless_part(x, q: int) -> tuple[int, int, int]:
     gl2 coordinates follow the basis (E00, E01, E10, E11); division by 2
     needs q odd.
     """
-    half = pow(2, q - 2, q)  # inverse of 2
+    half = pow(2, -1, q)
     shift = (x[0] + x[3]) * half % q
     return ((x[0] - shift) % q, x[1] % q, x[2] % q)
 
@@ -195,7 +194,7 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
             m = L.line_rep(l)
             cls = classify(L.vector(m))
             observed_counts[cls] += q - 1
-            deg = G.degree(m)
+            deg = G.line_degree(l)
             if mismatch is None and deg != table[cls][0]:
                 mismatch = (f"vertex {m} of class {cls.value} has degree {deg}, "
                             f"expected {table[cls][0]}")

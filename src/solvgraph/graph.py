@@ -17,7 +17,7 @@ from itertools import filterfalse
 from pathlib import Path
 
 from .liealg import LieAlgebra
-from .solv import bits, plane_table
+from .solv import bits, plane_table, sol_lines
 
 
 class SolvGraph:
@@ -35,10 +35,9 @@ class SolvGraph:
     def __init__(self, algebra, nbr):
         self.algebra = algebra
         self.nbr = nbr
-        full = (1 << len(nbr)) - 1
-        self.lines = tuple(l for l, row in enumerate(nbr) if row != full)
-        self.vertex_lines = sum(1 << l for l in self.lines)
-        total_degree = (algebra.field.p - 1) * sum(map(self._line_degree, self.lines))
+        self.vertex_lines = ((1 << len(nbr)) - 1) ^ sol_lines(nbr)
+        self.lines = tuple(bits(self.vertex_lines))
+        total_degree = (algebra.field.p - 1) * sum(map(self.line_degree, self.lines))
         if total_degree % 2:
             raise AssertionError("line rows are not symmetric")
         self.edge_count = total_degree // 2
@@ -50,11 +49,12 @@ class SolvGraph:
     @property
     def vertices(self) -> tuple[int, ...]:
         """Ascending element indices of L minus sol(L), built on each access."""
-        L, full = self.algebra, (1 << len(self.nbr)) - 1
-        sol = {m for l, row in enumerate(self.nbr) if row == full for m in L.line_members(l)}
+        L = self.algebra
+        sol = {m for l in bits(sol_lines(self.nbr)) for m in L.line_members(l)}
         return tuple(filterfalse(sol.__contains__, range(1, L.size)))
 
-    def _line_degree(self, l: int) -> int:
+    def line_degree(self, l: int) -> int:
+        """Degree of each vertex on the vertex line l."""
         return ((self.algebra.field.p - 1)
                 * (self.nbr[l] & self.vertex_lines).bit_count() - 1)
 
@@ -63,27 +63,28 @@ class SolvGraph:
         m, L = element_index, self.algebra
         if not (0 < m < L.size and self.vertex_lines >> (l := L.line(L.vector(m))) & 1):
             raise KeyError(m)
-        return self._line_degree(l)
+        return self.line_degree(l)
 
-    def _row_masks(self) -> dict[int, int]:
-        """Each distinct vertex-line row's vertices as one element bitmask;
-        lifted tables share a row per quotient line, expanded once."""
-        members = {l: sum(1 << m for m in self.algebra.line_members(l)) for l in self.lines}
-        return {row: sum(members[k] for k in bits(row & self.vertex_lines))
-                for row in {self.nbr[l] for l in self.lines}}
+    def _vertex_masks(self) -> list[tuple[int, int]]:
+        """(m, bitmask of m and its neighbors over element indices) per vertex,
+        ascending by m.  Each distinct row is expanded once, from per-line
+        member masks; lifted tables share a row per quotient line."""
+        members = {l: self.algebra.line_members(l) for l in self.lines}
+        line_masks = {l: sum(1 << m for m in ms) for l, ms in members.items()}
+        row_masks = {row: sum(line_masks[k] for k in bits(row & self.vertex_lines))
+                     for row in {self.nbr[l] for l in self.lines}}
+        return sorted((m, row_masks[self.nbr[l]]) for l, ms in members.items() for m in ms)
 
     @property
     def rows(self) -> list[int]:
         """Neighbor bitmask of each vertex over element indices: bit m' of
         rows[i] is set iff vertices[i] ~ m'."""
-        masks, L = self._row_masks(), self.algebra
-        return [masks[self.nbr[L.line(L.vector(m))]] ^ (1 << m) for m in self.vertices]
+        return [mask ^ (1 << m) for m, mask in self._vertex_masks()]
 
     def edges(self):
         """Yield element-index pairs (m, m'), m < m', in lexicographic order."""
-        masks, L = self._row_masks(), self.algebra
-        for m in self.vertices:
-            for n in bits(masks[self.nbr[L.line(L.vector(m))]] >> (m + 1) << (m + 1)):
+        for m, mask in self._vertex_masks():
+            for n in bits(mask >> (m + 1) << (m + 1)):
                 yield m, n
 
 
@@ -97,7 +98,7 @@ def degree_sequence(G: SolvGraph) -> dict[int, int]:
     per_line = G.algebra.field.p - 1
     counts: dict[int, int] = {}
     for l in G.lines:
-        d = G._line_degree(l)
+        d = G.line_degree(l)
         counts[d] = counts.get(d, 0) + per_line
     return dict(sorted(counts.items(), reverse=True))
 
@@ -154,8 +155,9 @@ def export_dot(G: SolvGraph, path):
     """
     labels = {m: "(" + ",".join(str(c) for c in G.algebra.vector(m)) + ")"
               for m in G.vertices}
+    name = G.algebra.name.replace("\\", "\\\\").replace('"', '\\"')
     with open(path, "w") as fh:
-        fh.write(f'graph "{G.algebra.name}" {{\n')
+        fh.write(f'graph "{name}" {{\n')
         fh.writelines(f'  "{label}";\n' for label in labels.values())
         fh.writelines(f'  "{labels[m]}" -- "{labels[n]}";\n' for m, n in G.edges())
         fh.write("}\n")

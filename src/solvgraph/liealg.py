@@ -519,13 +519,17 @@ def centralizer(L: LieAlgebra, x) -> Subspace:
 
 
 def center(L: LieAlgebra) -> Subspace:
-    """Elements whose bracket with every basis vector vanishes."""
-    space = L.full_space()
-    for i in range(L.dim):
-        space = space.intersect(centralizer(L, L.basis_vector(i)))
-        if space.dim == 0:
-            break
-    return space
+    """Elements whose bracket with every basis vector vanishes: the kernel
+    of the rows c[i][.][k], one per basis vector i and coordinate k."""
+    n, c = L.dim, L.constants
+    return kernel([[c[i][j][k] for j in range(n)] for i in range(n) for k in range(n)],
+                  L.field, ncols=n)
+
+
+def solvable_ideal(L: LieAlgebra) -> Subspace:
+    """The solvable ideal N that plane tables and the radical factor out:
+    L when L is solvable, else the center."""
+    return L.full_space() if is_solvable(L) else center(L)
 
 
 def ideal_closure(L: LieAlgebra, x) -> Subspace:
@@ -544,26 +548,25 @@ def radical(L: LieAlgebra, force: bool = False) -> Subspace:
 
     The sum of two solvable ideals is a solvable ideal, so the radical
     holds every solvable ideal N and is the preimage of the radical of L/N.
-    N = L if L is solvable, else the center; only with N = 0 is L searched,
-    for the elements whose ideal closure is solvable, one per line.
+    N = solvable_ideal(L); a solvable L has L/N = 0, whose radical is 0.
+    Only with N = 0 is L searched, for the elements whose ideal closure is
+    solvable, one per line.
     """
     require_enumerable(L, force)
-    if is_solvable(L):
-        space, size = L.full_space(), L.size
-    elif (N := center(L)).dim:
+    if (N := solvable_ideal(L)).dim:
         Q, _, section = quotient(L, N)
         R = radical(Q, force=True)
         space = rref(N.basis + tuple(map(section, R.basis)), L.field, ambient=L.dim)
         size = N.size * R.size
     else:
         good_reps = [rep for rep in map(L.vector, map(L.line_rep, range(L.line_count)))
-                     if derived_series(L, ideal_closure(L, rep)).terminated]
+                     if is_solvable(L, ideal_closure(L, rep))]
         space = rref(good_reps, L.field, ambient=L.dim)
         size = 1 + (L.field.p - 1) * len(good_reps)
     if space.size != size:
         raise AssertionError(
             f"radical candidate spans {space.size} elements, expected {size}")
-    if not is_ideal(L, space) or not derived_series(L, space).terminated:
+    if not is_ideal(L, space) or not is_solvable(L, space):
         raise AssertionError("collected radical candidate is not a solvable ideal")
     return space
 

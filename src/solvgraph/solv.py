@@ -10,15 +10,15 @@ projection.  For a subalgebra K, K meet N is solvable and
 K/(K meet N) is isomorphic to pi(K), so K is solvable iff pi(K) is.  As
 pi<x, y> = <pi x, pi y>, the pair x, y generates a solvable subalgebra iff
 pi x, pi y do in Q.  So plane_table() classifies the planes of Q, not of L:
-it takes N = L when L is solvable and the center otherwise, and lifts Q's
-table to L's lines.  Only an algebra with zero center that is not solvable
-has its own planes enumerated, each once, directly in reduced row-echelon
-form, and classified with pair_solvable.
+it takes N = liealg.solvable_ideal(L), which is L when L is solvable and
+the center otherwise, and lifts Q's table to L's lines.  Only an algebra
+with zero center that is not solvable has its own planes enumerated, each
+once, directly in reduced row-echelon form, and classified with
+pair_solvable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
@@ -27,21 +27,20 @@ from .ffalg import Subspace, rref
 from .liealg import (
     LieAlgebra,
     LinearMap,
-    center,
     centralizer,
-    derived_series,
     is_ideal,
     is_lie_automorphism,
     is_solvable,
     quotient,
     require_enumerable,
+    solvable_ideal,
     subalgebra_closure,
 )
 
 
 def pair_solvable(L: LieAlgebra, x, y) -> bool:
     """True iff the subalgebra generated by x and y is solvable."""
-    return derived_series(L, subalgebra_closure(L, [x, y])).terminated
+    return is_solvable(L, subalgebra_closure(L, [x, y]))
 
 
 def _rref_planes(n: int, p: int):
@@ -69,18 +68,18 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
     cap, also when the table is already built, so each query that reads the
     table is refused over the cap unless forced.
 
-    The table is lifted from the one of Q = L/N, with N = L when L is
-    solvable and N = center(L) otherwise (see the module docstring).  A
-    line inside N sees every line.  Any other line l sees the lines of N
-    and every line over a Q-line that sees pi(l); that includes the lines
-    over pi(l) itself, as two dependent projections generate a subalgebra
-    of dimension at most 1, which is solvable.  Q's table is built the same
+    The table is lifted from the one of Q = L/N, with N =
+    liealg.solvable_ideal(L) (see the module docstring).  A line inside N
+    sees every line.  Any other line l sees the lines of N and every line
+    over a Q-line that sees pi(l); that includes the lines over pi(l)
+    itself, as two dependent projections generate a subalgebra of
+    dimension at most 1, which is solvable.  Q's table is built the same
     way, so the recursion ends at an algebra with zero center that is not
     solvable, whose planes are classified directly.
     """
     require_enumerable(L, force)
     if L._plane_table is None:
-        N = L.full_space() if is_solvable(L) else center(L)
+        N = solvable_ideal(L)
         L._plane_table = tuple(_lifted_rows(L, N) if N.dim else _classified_rows(L))
     return L._plane_table
 
@@ -170,9 +169,13 @@ def sol_of_algebra(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
 
     These are 0 and the lines whose neighbor bitset holds every line.
     """
-    nbr = plane_table(L, force)
+    return _line_members(L, sol_lines(plane_table(L, force)))
+
+
+def sol_lines(nbr) -> int:
+    """Bitset of the lines whose plane-table row holds every line: sol(L)."""
     full = (1 << len(nbr)) - 1
-    return _line_members(L, sum(1 << l for l, row in enumerate(nbr) if row == full))
+    return sum(1 << l for l, row in enumerate(nbr) if row == full)
 
 
 def _vadd(u, v, p):
@@ -242,8 +245,7 @@ def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
                             q if r == 0 else Fraction(total, L.size))
 
 
-@dataclass(frozen=True)
-class DivisibilityReport:
+class DivisibilityReport(NamedTuple):
     """Size and coset facts about one solvabilizer.
 
     sol_divides is None when sol(L) is not additively closed, and
@@ -312,7 +314,7 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
     """
     if not is_ideal(L, N):
         raise ValueError("N is not an ideal")
-    if not derived_series(L, N).terminated:
+    if not is_solvable(L, N):
         raise ValueError("N is not solvable")
     sol_members = set(sol_of_algebra(L, force=force))
     for v in N.elements():

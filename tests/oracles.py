@@ -8,7 +8,7 @@ assembled from the raw quadratic pair loop.
 """
 
 from solvgraph.ffalg import rref
-from solvgraph.liealg import LieAlgebra, derived_series, is_ideal
+from solvgraph.liealg import LieAlgebra, centralizer, derived_series, is_ideal
 
 
 def subalgebra_closure_rounds(L, generators):
@@ -112,6 +112,14 @@ def all_subspaces(L):
                     nxt.append(bigger)
         frontier = nxt
     return found
+
+
+def center_by_intersection(L):
+    """Center as the intersection of the centralizers of the basis vectors."""
+    space = L.full_space()
+    for i in range(L.dim):
+        space = space.intersect(centralizer(L, L.basis_vector(i)))
+    return space
 
 
 def radical_bruteforce(L):

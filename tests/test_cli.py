@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,63 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+_ALL_27 = " ".join(map(str, range(27)))
+
+# Stdout byte for byte, as the field-dict printer must reproduce it.
+GOLDEN = {
+    ("info", "sl2@3"): (
+        "algebra=sl2@3\np=3\ndim=3\norder=27\nsolvable=false\nsol_size=1\n"
+        "radical_dim=0\nradical_size=1\ns_lie=false\n",
+        '{"algebra":"sl2@3","p":3,"dim":3,"order":27,"solvable":false,"sol_size":1,'
+        '"radical_dim":0,"radical_size":1,"s_lie":false}\n'),
+    ("info", "w3"): (
+        "algebra=w3\np=2\ndim=3\norder=8\nsolvable=false\nsol_size=2\n"
+        "radical_dim=0\nradical_size=1\ns_lie=true\n",
+        '{"algebra":"w3","p":2,"dim":3,"order":8,"solvable":false,"sol_size":2,'
+        '"radical_dim":0,"radical_size":1,"s_lie":true}\n'),
+    ("info", "t2@3"): (
+        "algebra=t2@3\np=3\ndim=3\norder=27\nsolvable=true\nsol_size=27\n"
+        "radical_dim=3\nradical_size=27\ns_lie=true\n",
+        '{"algebra":"t2@3","p":3,"dim":3,"order":27,"solvable":true,"sol_size":27,'
+        '"radical_dim":3,"radical_size":27,"s_lie":true}\n'),
+    ("solvabilizer", "sl2@3", "--element", "0,0,1"): (
+        "element=(0,0,1)\nsize=15\nmembers=0 1 2 3 6 9 10 11 12 15 18 19 20 21 24\n"
+        "p_divides=true\nsol_size=1\nsol_divides=true\ncentralizer_size=3\n"
+        "centralizer_divides=n/a\ncoset_closed=true\n",
+        '{"element":[0,0,1],"size":15,"members":[0,1,2,3,6,9,10,11,12,15,18,19,20,21,24],'
+        '"p_divides":true,"sol_size":1,"sol_divides":true,"centralizer_size":3,'
+        '"centralizer_divides":null,"coset_closed":true}\n'),
+    ("solvabilizer", "sl2@3", "--element", "0,0,0"): (
+        f"element=(0,0,0)\nsize=27\nmembers={_ALL_27}\n"
+        "p_divides=true\nsol_size=1\nsol_divides=true\ncentralizer_size=27\n"
+        "centralizer_divides=n/a\ncoset_closed=true\n",
+        f'{{"element":[0,0,0],"size":27,"members":[{_ALL_27.replace(" ", ",")}],'
+        '"p_divides":true,"sol_size":1,"sol_divides":true,"centralizer_size":27,'
+        '"centralizer_divides":null,"coset_closed":true}\n'),
+    ("solvabilizer", "w3", "--element", "0,1,0"): (
+        "element=(0,1,0)\nsize=4\nmembers=0 1 2 3\n"
+        "p_divides=true\nsol_size=2\nsol_divides=true\ncentralizer_size=2\n"
+        "centralizer_divides=true\ncoset_closed=true\n",
+        '{"element":[0,1,0],"size":4,"members":[0,1,2,3],'
+        '"p_divides":true,"sol_size":2,"sol_divides":true,"centralizer_size":2,'
+        '"centralizer_divides":true,"coset_closed":true}\n'),
+    ("solvabilizer", "t2@3", "--element", "1,0,0"): (
+        f"element=(1,0,0)\nsize=27\nmembers={_ALL_27}\n"
+        "p_divides=true\nsol_size=27\nsol_divides=true\ncentralizer_size=9\n"
+        "centralizer_divides=true\ncoset_closed=true\n",
+        f'{{"element":[1,0,0],"size":27,"members":[{_ALL_27.replace(" ", ",")}],'
+        '"p_divides":true,"sol_size":27,"sol_divides":true,"centralizer_size":9,'
+        '"centralizer_divides":true,"coset_closed":true}\n'),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN))
+def test_info_and_solvabilizer_stdout_is_golden(capsys, argv):
+    text, js = GOLDEN[argv]
+    assert run_cli(capsys, *argv) == (0, text, "")
+    assert run_cli(capsys, *argv, "--format", "json") == (0, js, "")
 
 
 class TestSpecParsing:
@@ -323,3 +382,14 @@ class TestDeterminism:
             proc = subprocess.run(cmd + extra, capture_output=True, check=True)
             outs.add(proc.stdout)
         assert len(outs) == 1
+
+
+class TestStartup:
+    def test_cli_import_leaves_out_dataclasses_and_inspect(self):
+        # -S keeps site hooks, which may import more modules, out of the child
+        code = ("import solvgraph.cli, sys; "
+                "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout == "[]\n"

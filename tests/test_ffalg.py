@@ -28,8 +28,12 @@ class TestPrimeField:
             fld = PrimeField(p)
             for a in range(1, p):
                 assert a * fld.inv(a) % fld.p == 1
-        with pytest.raises(ZeroDivisionError):
-            F3.inv(0)
+            for a in range(-2 * p, 0):
+                if a % p:
+                    assert a * fld.inv(a) % fld.p == 1
+            for a in (0, p, 2 * p, -p):
+                with pytest.raises(ZeroDivisionError):
+                    fld.inv(a)
 
     def test_arithmetic_reduces(self):
         assert F3.neg(1) == 2

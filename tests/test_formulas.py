@@ -162,7 +162,7 @@ class TestVerify:
             cls = _root_class(family, L.vector(rep), q)
             for m in members[l]:
                 assert _root_class(family, L.vector(m), q) is cls
-                assert G.degree(m) == G.degree(rep)
+                assert G.degree(m) == G.degree(rep) == G.line_degree(l)
                 tally[cls.value] += 1
         assert sum(tally.values()) == G.vertex_count
         assert verify(family, q).class_counts == tally

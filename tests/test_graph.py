@@ -15,7 +15,7 @@ from solvgraph.graph import (
     export_dot,
     export_json,
 )
-from solvgraph.liealg import CapExceeded, make_gl
+from solvgraph.liealg import CapExceeded, from_file, make_gl
 from solvgraph.solv import bits, plane_table, sol_of_algebra, solvabilizer
 
 
@@ -279,6 +279,13 @@ class TestExports:
         edge_lines = [l for l in lines if " -- " in l]
         assert len(node_lines) == 26
         assert len(edge_lines) == 109
+
+    def test_dot_header_escapes_the_name(self, tmp_path):
+        for stem, header in (('w"3', 'graph "w\\"3" {'), ("a\\b", 'graph "a\\\\b" {')):
+            table = tmp_path / f"{stem}.txt"
+            table.write_text("p 2\ndim 3\n0 1 1 1\n0 2 2 1\n1 2 0 1\n")
+            export_dot(build(from_file(table)), tmp_path / "g.dot")
+            assert (tmp_path / "g.dot").read_text().splitlines()[0] == header
 
     def test_dot_empty_graph(self, sl2_2, tmp_path):
         path = tmp_path / "g.dot"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     all_subspaces,
+    center_by_intersection,
     ideal_closure_rounds,
     is_subalgebra,
     lines_by_scan,
@@ -37,6 +38,7 @@ from solvgraph.liealg import (
     quotient,
     radical,
     require_enumerable,
+    solvable_ideal,
     subalgebra_closure,
     to_file,
 )
@@ -406,6 +408,11 @@ class TestCenter:
         L = from_file(path)
         assert center(L).dim == 2
 
+    def test_matches_intersection_of_centralizers(self, sl2_2, sl2_3, gl2_2, gl2_3, t2_3, w3):
+        for L in (sl2_2, sl2_3, gl2_2, gl2_3, t2_3, w3, make_sl(2, 17), make_gl(2, 17),
+                  make_t(3, 3), make_gl(3, 2), make_sl(3, 2), make_so(4, 3)):
+            assert center(L) == center_by_intersection(L)
+
 
 class TestIdeals:
     def test_ideal_closure_of_e_is_everything(self, sl2_3):
@@ -454,7 +461,10 @@ class TestLineNumbers:
 
 class TestRadical:
     def test_matches_subspace_lattice_bruteforce(self, sl2_3, w3, t2_3, gl2_3):
-        for L in (sl2_3, w3, t2_3, gl2_3):
+        # solvable algebras, the 0-dimensional one included, take the
+        # quotient path through L/L = 0
+        zero = quotient(t2_3, t2_3.full_space())[0]
+        for L in (sl2_3, w3, t2_3, gl2_3, make_t(3, 2), zero):
             assert radical(L) == radical_bruteforce(L)
 
     def test_matches_line_search(self):
@@ -470,6 +480,11 @@ class TestRadical:
 
     def test_gl2_radical_is_center(self, gl2_3):
         assert radical(gl2_3) == center(gl2_3)
+
+    def test_solvable_ideal_is_l_when_solvable_else_the_center(self, sl2_3, t2_3, gl2_3):
+        assert solvable_ideal(t2_3) == t2_3.full_space()
+        assert solvable_ideal(gl2_3) == center(gl2_3)
+        assert solvable_ideal(sl2_3).dim == 0
 
 
 class TestQuotient:

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    center_by_intersection,
     closed_subalgebra,
     direct_pair_solvable,
     direct_sol_of_algebra,
@@ -45,6 +46,7 @@ from solvgraph.solv import (
     pair_solvable,
     plane_table,
     quotient_compatibility_check,
+    sol_lines,
     sol_of_algebra,
     solvabilizer,
     solvabilizer_set,
@@ -331,6 +333,12 @@ class TestSolOfAlgebra:
         for L in (sl2_2, w3, sl2_3, gl2_3, t2_3):
             assert sol_of_algebra(L) == direct_sol_of_algebra(L)
 
+    def test_sol_lines_are_the_full_rows(self, sl2_2, sl2_3, gl2_3):
+        assert sol_lines(plane_table(sl2_2)) == (1 << sl2_2.line_count) - 1
+        assert sol_lines(plane_table(sl2_3)) == 0
+        assert sol_lines(plane_table(gl2_3)) == 1 << gl2_3.line((1, 0, 0, 1))
+        assert sol_lines((0b111, 0b011, 0b101)) == 0b001
+
     def test_equals_intersection_of_solvabilizers(self, sl2_3, w3):
         for L in (sl2_3, w3):
             expected = set(range(L.size))
@@ -572,6 +580,7 @@ class TestQuotientPath:
         S = closed_subalgebra(_GL2_SL2, generators)
         assume(S.dim <= 5)
         assert radical(S) == radical_by_lines(S)
+        assert center(S) == center_by_intersection(S)
 
 
 class TestQuotientCompatibility:
