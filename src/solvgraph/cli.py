@@ -164,7 +164,7 @@ def cmd_solvabilizer(args) -> int:
         coords = tuple(int(c) for c in args.element.split(","))
     except ValueError:
         raise ValueError(f"cannot parse element coordinates {args.element!r}") from None
-    x = tuple(c % L.field.p for c in coords)
+    x = L.element(coords)
     members = solv.solvabilizer(L, x, force=args.force)
     rep = solv.divisibility_report(L, x, force=args.force)
     _print_fields({

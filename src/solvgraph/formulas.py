@@ -93,7 +93,7 @@ def spectral_class_sl2(L: LieAlgebra, x) -> SpectralClass:
     _require_odd_prime(q)
     if L.dim != 3:
         raise ValueError("expected a 3-dimensional traceless 2x2 algebra")
-    x = tuple(v % q for v in x)
+    x = L.element(x)
     if not any(x):
         raise ValueError("the zero element has no spectral class")
     return _discriminant_class(x[2], x[0], x[1], q)

@@ -17,7 +17,7 @@ from itertools import filterfalse
 from pathlib import Path
 
 from .liealg import LieAlgebra
-from .solv import bits, plane_table, sol_lines
+from .solv import bits, elements, plane_table, sol_lines
 
 
 class SolvGraph:
@@ -129,7 +129,7 @@ def _line_walk(G: SolvGraph, flip: int) -> list[list[int]]:
             frontier = nxt & unvisited
             unvisited ^= frontier
         comps.append(comp)
-    out = [sorted(m for l in bits(comp) for m in G.algebra.line_members(l)) for comp in comps]
+    out = [elements(G.algebra, comp) for comp in comps]
     out.sort(key=lambda c: (-len(c), c[0]))
     return out
 

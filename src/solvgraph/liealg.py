@@ -136,6 +136,12 @@ class LieAlgebra:
             coords.append(r)
         return tuple(coords)
 
+    def element(self, x) -> tuple[int, ...]:
+        """The coordinates x reduced mod p; ValueError unless there are dim of them."""
+        if len(x) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(x)}")
+        return tuple(v % self.field.p for v in x)
+
     def index(self, v) -> int:
         p = self.field.p
         m = 0
@@ -512,7 +518,7 @@ def is_solvable(L: LieAlgebra, space: Subspace | None = None) -> bool:
 
 def centralizer(L: LieAlgebra, x) -> Subspace:
     """Kernel of ad x: all y with [x, y] = 0."""
-    n = L.dim
+    n, x = L.dim, L.element(x)
     images = [L.bracket(x, L.basis_vector(j)) for j in range(n)]
     rows = [tuple(images[j][k] for j in range(n)) for k in range(n)]
     return kernel(rows, L.field, ncols=n)

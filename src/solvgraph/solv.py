@@ -2,8 +2,10 @@
 
 The subalgebra generated by x and y depends only on the plane span{x, y}.
 plane_table() records, per projective line, which lines share a solvable
-plane with it.  sol(L), every solvabilizer, the conjecture sum, the
-S-property and the solvable graph are all read off that table.
+plane with it: the line's row.  sol_L(x) is 0 and the lines of x's row, so
+sol(L), every solvabilizer's size, the conjecture sum, the S-property and
+the solvable graph are read off rows; elements() expands a row to element
+indices only where a query returns them.
 
 Coset decomposition: let N be a solvable ideal and pi: L -> Q = L/N the
 projection.  For a subalgebra K, K meet N is solvable and
@@ -127,24 +129,44 @@ def bits(mask: int):
         mask ^= low
 
 
-def _line_members(L: LieAlgebra, mask: int) -> tuple[int, ...]:
-    """Sorted indices of 0 and of every element on the lines in a line bitset."""
-    out = [0]
-    for l in bits(mask):
-        out.extend(L.line_members(l))
-    out.sort()
-    return tuple(out)
+def elements(L: LieAlgebra, mask: int) -> list[int]:
+    """Sorted indices of the elements on the lines of a line bitset (0 is on none)."""
+    return sorted(m for l in bits(mask) for m in L.line_members(l))
+
+
+def _row(L: LieAlgebra, x, force: bool = False) -> int:
+    """x's row: the lines y with <x, y> solvable, all of them at x = 0."""
+    x = L.element(x)
+    nbr = plane_table(L, force)
+    return nbr[L.line(x)] if any(x) else (1 << len(nbr)) - 1
+
+
+def _size(L: LieAlgebra, row: int) -> int:
+    """Number of elements in 0 and the lines of a row, p - 1 per line."""
+    return 1 + (L.field.p - 1) * row.bit_count()
+
+
+def _reps(L: LieAlgebra, row: int) -> list[tuple[int, ...]]:
+    """One vector per line of a row: the line's smallest member."""
+    return [L.vector(L.line_rep(l)) for l in bits(row)]
+
+
+def _lines_through(L: LieAlgebra, vectors) -> int:
+    """Bitset of the lines through those vectors that are nonzero mod p."""
+    return sum(1 << l for l in {L.line(v) for v in vectors if L.index(v)})
+
+
+def _is_subspace(L: LieAlgebra, row: int) -> tuple[bool, Subspace]:
+    """Whether 0 and the lines of a row form a subspace, and their span.  The
+    span of one vector per line holds the set: they are equal iff
+    p^dim = 1 + (p - 1)|row|."""
+    span = rref(_reps(L, row), L.field, ambient=L.dim)
+    return span.size == _size(L, row), span
 
 
 def solvabilizer(L: LieAlgebra, x, force: bool = False) -> tuple[int, ...]:
-    """Sorted indices of all y in L with <x, y> solvable.
-
-    0 lies in every plane, so its row holds every line.
-    """
-    if len(x) != L.dim:
-        raise ValueError(f"expected {L.dim} coordinates, got {len(x)}")
-    nbr = plane_table(L, force)
-    return _line_members(L, nbr[L.line(x)] if L.index(x) else (1 << len(nbr)) - 1)
+    """Sorted indices of all y in L with <x, y> solvable: 0 and the lines of x's row."""
+    return (0, *elements(L, _row(L, x, force)))
 
 
 def solvabilizer_set(L: LieAlgebra, A, B) -> tuple[int, ...]:
@@ -165,11 +187,9 @@ def solvabilizer_set(L: LieAlgebra, A, B) -> tuple[int, ...]:
 
 
 def sol_of_algebra(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
-    """Sorted indices of the elements generating a solvable subalgebra with all of L.
-
-    These are 0 and the lines whose neighbor bitset holds every line.
-    """
-    return _line_members(L, sol_lines(plane_table(L, force)))
+    """Sorted indices of the elements generating a solvable subalgebra with
+    all of L: 0 and the lines whose row holds every line."""
+    return (0, *elements(L, sol_lines(plane_table(L, force))))
 
 
 def sol_lines(nbr) -> int:
@@ -178,48 +198,29 @@ def sol_lines(nbr) -> int:
     return sum(1 << l for l, row in enumerate(nbr) if row == full)
 
 
-def _vadd(u, v, p):
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def _additively_closed(L: LieAlgebra, members: tuple[int, ...]) -> tuple[bool, Subspace]:
-    """Whether a 0-containing, scaling-closed index set is closed under addition.
-
-    Such a set is additively closed exactly when it fills the subspace it
-    spans, so a size comparison against the span decides it.
-    """
-    span = rref([L.vector(m) for m in members], L.field, ambient=L.dim)
-    return len(members) == span.size, span
-
-
 def is_s_lie(L: LieAlgebra, force: bool = False):
     """Test whether every per-element solvabilizer is a subalgebra.
 
     Returns (True, None), or (False, (x, a, b)) where a and b both lie in
-    the solvabilizer of x but a + b or [a, b] does not.  Solvabilizers are
-    constant on projective lines and determined by the line's neighbor
-    bitset, so each distinct bitset is examined once; lines are visited in
-    order of their smallest member and the witness is the first failing
-    triple in element-index order.
+    the solvabilizer of x but a + b or [a, b] does not.  A solvabilizer is
+    fixed by its line's row, so each distinct row is examined once, by
+    _is_subspace and the closure of the span.  A failing row is expanded to
+    elements to find the witness: the first failing triple in element-index
+    order, with lines visited in order of their smallest member.
     """
-    p = L.field.p
     passed = set()
-    for l, mask in enumerate(plane_table(L, force)):
-        if mask in passed:
+    for l, row in enumerate(plane_table(L, force)):
+        if row in passed:
             continue
-        sol = _line_members(L, mask)
-        closed, span = _additively_closed(L, sol)
+        closed, span = _is_subspace(L, row)
         if closed and subalgebra_closure(L, span.basis) == span:
-            passed.add(mask)
+            passed.add(row)
             continue
-        members = set(sol)
-        x = L.vector(L.line_rep(l))
-        vecs = [L.vector(m) for m in sol]
-        for a in vecs:
-            for b in vecs:
-                if (L.index(_vadd(a, b, p)) not in members
-                        or L.index(L.bracket(a, b)) not in members):
-                    return False, (x, a, b)
+        members = {0, *elements(L, row)}
+        vecs = [L.vector(m) for m in sorted(members)]
+        for a, b in product(vecs, repeat=2):
+            if not {L.index([u + v for u, v in zip(a, b)]), L.index(L.bracket(a, b))} <= members:
+                return False, (L.vector(L.line_rep(l)), a, b)
         raise AssertionError("subspace test failed but no witness pair found")
     return True, None
 
@@ -234,12 +235,10 @@ class ConjectureResult(NamedTuple):
 def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
     """Sum of |sol_L(x)| over all x of L, and its divisibility by |L|.
 
-    The summand is |L| at x = 0.  On a line l it is 1 + (p-1)|nbr[l]|, and
-    each line holds p-1 elements.
+    The summand is |L| at x = 0, and the size of line l's row at each of
+    the p - 1 elements of l.
     """
-    p = L.field.p
-    total = L.size + sum((p - 1) * (1 + (p - 1) * mask.bit_count())
-                         for mask in plane_table(L, force))
+    total = L.size + (L.field.p - 1) * sum(_size(L, row) for row in plane_table(L, force))
     q, r = divmod(total, L.size)
     return ConjectureResult(total, L.size, r == 0,
                             q if r == 0 else Fraction(total, L.size))
@@ -263,44 +262,42 @@ class DivisibilityReport(NamedTuple):
 
 
 def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityReport:
-    """Compute |sol_L(x)| and check the divisibility and coset properties."""
-    p = L.field.p
-    x = tuple(v % p for v in x)
-    sol_x = solvabilizer(L, x, force=force)
-    members = set(sol_x)
+    """Compute |sol_L(x)| and check the divisibility and coset properties.
 
-    sol_all = sol_of_algebra(L, force=force)
-    sol_closed, _ = _additively_closed(L, sol_all)
-    sol_divides = (len(sol_x) % len(sol_all) == 0) if sol_closed else None
-
+    All of it is read off x's row and the row of sol(L).  The coset test
+    (sol_L(x) + t x = sol_L(x) for t != 0) checks r + t x for one vector r
+    per line of the row: a multiple s r gives s r + t x = s (r + (t/s) x),
+    0 or on the line of a checked sum, and 0 + t x is 0 or on x's line.
+    """
+    p, x = L.field.p, L.element(x)
+    row = _row(L, x, force)
+    size = _size(L, row)
+    sol = sol_lines(plane_table(L, force))
+    sol_divides = (size % _size(L, sol) == 0) if _is_subspace(L, sol)[0] else None
     cent_size = centralizer(L, x).size
-    s_lie, _ = is_s_lie(L, force=force)
-    cent_divides = (len(sol_x) % cent_size == 0) if s_lie else None
-
-    coset_closed = all(
-        L.index(_vadd(L.vector(a), tuple(t * xi % p for xi in x), p)) in members
-        for a in sol_x for t in range(1, p))
-
+    cent_divides = (size % cent_size == 0) if is_s_lie(L, force=force)[0] else None
+    sums = [[a + t * b for a, b in zip(r, x)] for r in _reps(L, row) for t in range(1, p)]
     return DivisibilityReport(
         element_index=L.index(x),
-        sol_size=len(sol_x),
-        p_divides=len(sol_x) % p == 0,
-        sol_of_algebra_size=len(sol_all),
+        sol_size=size,
+        p_divides=size % p == 0,
+        sol_of_algebra_size=_size(L, sol),
         sol_divides=sol_divides,
         centralizer_size=cent_size,
         centralizer_divides=cent_divides,
-        coset_closed=coset_closed,
+        coset_closed=_lines_through(L, sums) | row == row,
     )
 
 
 def equivariance_check(L: LieAlgebra, phi: LinearMap, x,
                        force: bool = False) -> bool:
-    """True iff the phi-image of sol_L(x) equals sol_L(phi(x)) as a set."""
+    """True iff the phi-image of sol_L(x) equals sol_L(phi(x)) as a set.  As
+    phi is linear and bijective, that image is 0 and the lines through the
+    images of one vector per line of x's row."""
     if not is_lie_automorphism(L, phi):
         raise ValueError("map is not a Lie algebra automorphism")
-    sol_x = solvabilizer(L, x, force=force)
-    image = sorted(L.index(phi.apply(L.vector(m))) for m in sol_x)
-    return tuple(image) == solvabilizer(L, phi.apply(x), force=force)
+    row = _row(L, x, force)
+    return _lines_through(L, map(phi.apply, _reps(L, row))) == _row(L, phi.apply(x), force)
 
 
 def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
@@ -311,25 +308,21 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
     element x, that the projection of sol_L(x) equals the solvabilizer of
     the projection of x, that |sol_L(x)| = |N| * |sol_(L/N)(pi(x))|, and
     that L and L/N agree on whether every solvabilizer is a subalgebra.
+    As sol_L(tx) = sol_L(x) and pi(tx) = t pi(x), 0 and one element per
+    line stand for all; pi(sol_L(x)) is 0 and the lines through the
+    projections of one vector per line of x's row.
     """
     if not is_ideal(L, N):
         raise ValueError("N is not an ideal")
     if not is_solvable(L, N):
         raise ValueError("N is not solvable")
-    sol_members = set(sol_of_algebra(L, force=force))
-    for v in N.elements():
-        if L.index(v) not in sol_members:
-            raise ValueError("N is not contained in sol(L)")
+    if _lines_through(L, N.elements()) & ~sol_lines(plane_table(L, force)):
+        raise ValueError("N is not contained in sol(L)")
 
     Q, project, _ = quotient(L, N)
-    nsize = N.size
-    for m in range(L.size):
-        x = L.vector(m)
-        sol_x = solvabilizer(L, x, force=force)
-        projected = tuple(sorted({Q.index(project(L.vector(a))) for a in sol_x}))
-        sol_q = solvabilizer(Q, project(x), force=force)
-        if projected != sol_q:
-            return False
-        if len(sol_x) != nsize * len(sol_q):
+    for x in [L.zero()] + _reps(L, (1 << L.line_count) - 1):
+        row, q_row = _row(L, x, force), _row(Q, project(x), force)
+        if (_lines_through(Q, map(project, _reps(L, row))) != q_row
+                or _size(L, row) != N.size * _size(Q, q_row)):
             return False
     return is_s_lie(L, force=force)[0] == is_s_lie(Q, force=force)[0]

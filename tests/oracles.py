@@ -8,7 +8,8 @@ assembled from the raw quadratic pair loop.
 """
 
 from solvgraph.ffalg import rref
-from solvgraph.liealg import LieAlgebra, centralizer, derived_series, is_ideal
+from solvgraph.liealg import LieAlgebra, centralizer, derived_series, is_ideal, quotient
+from solvgraph.solv import sol_of_algebra, solvabilizer
 
 
 def subalgebra_closure_rounds(L, generators):
@@ -240,3 +241,57 @@ def is_additively_closed_indices(L, members):
     vecs = [L.vector(m) for m in members]
     return all(L.index(tuple((a + b) % p for a, b in zip(u, v))) in mset
                for u in vecs for v in vecs)
+
+
+# Element loops over solvabilizer lists, for the queries that solv answers
+# from plane-table rows.  solvabilizer itself is checked against
+# direct_solvabilizer; these loops check what the queries do with it.
+
+def s_lie_by_elements(L):
+    """Whether every distinct solvabilizer list fills its span and the span
+    is a subalgebra."""
+    sols = {solvabilizer(L, L.vector(m)) for m in range(L.size)}
+    return all(span_of_indices(L, s).size == len(s) and is_subalgebra(L, span_of_indices(L, s))
+               for s in sols)
+
+
+def divisibility_by_elements(L, xs):
+    """The fields of divisibility_report for each x in xs, in order: sizes
+    are list lengths, the subspace test spans every member of sol(L), and
+    the coset test adds t x to every member of sol_L(x)."""
+    p = L.field.p
+    sol_all = sol_of_algebra(L)
+    sol_closed = span_of_indices(L, sol_all).size == len(sol_all)
+    s_lie = s_lie_by_elements(L)
+    out = []
+    for x in xs:
+        x = tuple(v % p for v in x)
+        sol_x = solvabilizer(L, x)
+        members = set(sol_x)
+        cent = centralizer(L, x).size
+        coset = all(L.index(tuple((a + t * b) % p for a, b in zip(L.vector(m), x))) in members
+                    for m in sol_x for t in range(1, p))
+        out.append((L.index(x), len(sol_x), len(sol_x) % p == 0, len(sol_all),
+                    len(sol_x) % len(sol_all) == 0 if sol_closed else None,
+                    cent, len(sol_x) % cent == 0 if s_lie else None, coset))
+    return out
+
+
+def equivariance_by_elements(L, phi, x):
+    """Whether phi maps sol_L(x), element by element, onto sol_L(phi(x))."""
+    image = sorted(L.index(phi.apply(L.vector(m))) for m in solvabilizer(L, x))
+    return tuple(image) == solvabilizer(L, phi.apply(x))
+
+
+def quotient_compatibility_by_elements(L, N):
+    """quotient_compatibility_check's verdict by a loop over every element
+    of L, for a solvable ideal N inside sol(L)."""
+    Q, project, _ = quotient(L, N)
+    for m in range(L.size):
+        x = L.vector(m)
+        sol_x = solvabilizer(L, x)
+        sol_q = solvabilizer(Q, project(x))
+        if (tuple(sorted({Q.index(project(L.vector(a))) for a in sol_x})) != sol_q
+                or len(sol_x) != N.size * len(sol_q)):
+            return False
+    return s_lie_by_elements(L) == s_lie_by_elements(Q)

@@ -15,14 +15,19 @@ from oracles import (
     direct_sol_of_algebra,
     direct_solvabilizer,
     direct_sum,
+    divisibility_by_elements,
+    equivariance_by_elements,
     is_additively_closed_indices,
     lines_by_scan,
+    quotient_compatibility_by_elements,
     radical_by_lines,
 )
 from solvgraph.ffalg import rref
 from solvgraph.graph import build
+from solvgraph.formulas import spectral_class_sl2
 from solvgraph.liealg import (
     CapExceeded,
+    LieAlgebra,
     LinearMap,
     center,
     centralizer,
@@ -232,8 +237,11 @@ class TestSolvabilizer:
 
     def test_wrong_length_element_rejected(self, sl2_3):
         # L.index takes any length, so a wrong one would name another element
+        eye = LinearMap(sl2_3.field, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        queries = (solvabilizer, divisibility_report, centralizer, spectral_class_sl2,
+                   lambda L, x: equivariance_check(L, eye, x))
         for x, n in (((1,), 1), ((0, 1), 2), ((1, 0, 0, 0), 4), ((0, 0, 0, 1), 4)):
-            for query in (solvabilizer, divisibility_report):
+            for query in queries:
                 with pytest.raises(ValueError, match=f"^expected 3 coordinates, got {n}$"):
                     query(sl2_3, x)
 
@@ -618,3 +626,74 @@ class TestSolvableFamily:
             for line in L.lines():
                 x = L.vector(line[0])
                 assert len(solvabilizer(L, x)) == L.size
+
+
+def _conjugations(L, count, seed):
+    """count conjugation automorphisms of the 2x2 algebra L by invertible
+    matrices drawn from random.Random(seed)."""
+    p, rng, out = L.field.p, random.Random(seed), []
+    while len(out) < count:
+        g = tuple(tuple(rng.randrange(p) for _ in range(2)) for _ in range(2))
+        if (g[0][0] * g[1][1] - g[0][1] * g[1][0]) % p:
+            out.append(conjugation_automorphism(L, g))
+    return out
+
+
+class TestRowQueriesMatchElementLoops:
+    """The queries that read plane-table rows against element loops over
+    solvabilizer lists (tests/oracles.py)."""
+
+    def test_divisibility_report_every_element(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
+        for L in (sl2_2, sl2_3, w3, t2_3, make_t(3, 2), gl2_3):
+            p = L.field.p
+            xs = [L.vector(m) for m in range(L.size)]
+            xs += [tuple(v + p for v in x) for x in xs]  # unreduced coordinates
+            assert [tuple(divisibility_report(L, x)) for x in xs] == \
+                divisibility_by_elements(L, xs), L.name
+
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 2)] * _GL2_SL2.dim), min_size=2, max_size=2))
+    @example(list(_LIFTED_PAIRS[0]))
+    @example(list(_LIFTED_PAIRS[1]))
+    def test_divisibility_report_on_random_subalgebras(self, generators):
+        S = closed_subalgebra(_GL2_SL2, generators)
+        assume(S.dim <= 5)
+        xs = [S.zero()] + [S.vector(line[0]) for line in lines_by_scan(S)]
+        assert [tuple(divisibility_report(S, x)) for x in xs] == divisibility_by_elements(S, xs)
+
+    def test_equivariance_every_element_ten_conjugations(self, sl2_3):
+        # the automorphisms of test_automorphism_equivariance_ten_conjugations
+        for phi in _conjugations(sl2_3, 10, 103):
+            for m in range(sl2_3.size):
+                x = sl2_3.vector(m)
+                assert equivariance_check(sl2_3, phi, x) == equivariance_by_elements(sl2_3, phi, x)
+
+    def test_quotient_compatibility(self, sl2_3, gl2_3, t2_3):
+        gl2_5 = make_gl(2, 5)
+        for L, N in ((gl2_3, center(gl2_3)), (gl2_5, center(gl2_5)),
+                     (t2_3, t2_3.full_space()), (sl2_3, sl2_3.zero_space())):
+            assert quotient_compatibility_check(L, N) == quotient_compatibility_by_elements(L, N)
+
+
+class TestExpansionBoundary:
+    def test_row_queries_expand_no_line(self, sl2_5, w3, monkeypatch):
+        # only queries that return element lists expand rows to elements
+        t3_2, t3_3 = make_t(3, 2), make_t(3, 3)
+        swap = conjugation_automorphism(sl2_5, ((0, 1), (1, 0)))
+        queries = {
+            "is_s_lie t3@2": lambda: is_s_lie(t3_2),
+            "is_s_lie t3@3": lambda: is_s_lie(t3_3),
+            "is_s_lie w3": lambda: is_s_lie(w3),
+            "divisibility_report w3": lambda: divisibility_report(w3, (0, 1, 0)),
+            "divisibility_report t3@3": lambda: divisibility_report(t3_3, (1, 0, 0, 0, 0, 0)),
+            "conjecture_sum sl2@5": lambda: conjecture_sum(sl2_5),
+            "equivariance_check sl2@5": lambda: equivariance_check(sl2_5, swap, (1, 0, 0)),
+        }
+        calls = []
+        line_members = LieAlgebra.line_members
+        monkeypatch.setattr(LieAlgebra, "line_members",
+                            lambda L, l: calls.append(l) or line_members(L, l))
+        for name, query in queries.items():
+            calls.clear()
+            query()
+            assert len(calls) == 0, name
