@@ -61,10 +61,6 @@ def load_algebra(spec: AlgebraSpec) -> liealg.LieAlgebra:
     return _BUILTINS[spec.kind](spec.n, spec.p)
 
 
-def _fmt_bool(b) -> str:
-    return "true" if b else "false"
-
-
 def _coords(vec) -> str:
     return "(" + ",".join(str(c) for c in vec) + ")"
 
@@ -79,7 +75,7 @@ def _print_fields(fields: dict, fmt: str):
         if v is None:
             v = "n/a"
         elif isinstance(v, bool):
-            v = _fmt_bool(v)
+            v = "true" if v else "false"
         elif isinstance(v, tuple):
             v = _coords(v)
         elif isinstance(v, list):
@@ -89,12 +85,12 @@ def _print_fields(fields: dict, fmt: str):
 
 def cmd_info(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
-    sol = solv.sol_of_algebra(L, force=args.force)
+    sol = solv.sol_lines(solv.plane_table(L, force=args.force))
     rad = liealg.radical(L, force=args.force)
-    s_lie, _ = solv.is_s_lie(L, force=args.force)
+    s_lie = solv._failing_line(L, force=args.force) is None
     _print_fields({
         "algebra": L.name, "p": L.field.p, "dim": L.dim, "order": L.size,
-        "solvable": liealg.is_solvable(L), "sol_size": len(sol),
+        "solvable": liealg.is_solvable(L), "sol_size": solv._size(L, sol),
         "radical_dim": rad.dim, "radical_size": rad.size, "s_lie": s_lie,
     }, args.format)
     return 0
@@ -109,7 +105,7 @@ def cmd_graph(args) -> int:
         graph.export_json(G, args.json)
     if args.csv:
         graph.export_degrees_csv(G, args.csv)
-    ncomp = len(graph.components(G))
+    ncomp = len(graph._line_walk(G, 0))
     print(f"vertices={G.vertex_count} edges={G.edge_count} components={ncomp}")
     return 0
 
@@ -153,8 +149,7 @@ def cmd_verify(args) -> int:
 def cmd_complement(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
     G = graph.build(L, force=args.force)
-    parts = graph.complement_components(G)
-    print(f"components={len(parts)}")
+    print(f"components={len(graph._line_walk(G, -1))}")
     return 0
 
 
@@ -181,19 +176,12 @@ def cmd_solvabilizer(args) -> int:
 def cmd_slie(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
     verdict, witness = solv.is_s_lie(L, force=args.force)
-    if args.format == "json":
-        payload = {"s_lie": verdict}
-        if witness is not None:
-            x, a, b = witness
-            payload["witness"] = {"x": list(x), "a": list(a), "b": list(b)}
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print(f"s_lie={_fmt_bool(verdict)}")
-        if witness is not None:
-            x, a, b = witness
-            print(f"witness_x={_coords(x)}")
-            print(f"witness_a={_coords(a)}")
-            print(f"witness_b={_coords(b)}")
+    fields = {"s_lie": verdict}
+    if witness is not None and args.format == "json":
+        fields["witness"] = dict(zip("xab", map(list, witness)))
+    elif witness is not None:
+        fields.update(zip(("witness_x", "witness_a", "witness_b"), witness))
+    _print_fields(fields, args.format)
     return 0
 
 

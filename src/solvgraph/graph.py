@@ -13,6 +13,7 @@ expanded only by edges() and the rows property, once per distinct row.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import filterfalse
 from pathlib import Path
 
@@ -28,16 +29,19 @@ class SolvGraph:
                    every vertex on the vertex lines in nbr[l] but itself.
     lines:         ascending numbers of the vertex lines, whose rows are
                    not full (full rows are sol(L)); vertex_lines as a bitmask.
+    _line_degrees: {degree: number of vertex lines of that degree}, counted
+                   once here for edge_count and degree_sequence.
     """
 
-    __slots__ = ("algebra", "nbr", "lines", "vertex_lines", "edge_count")
+    __slots__ = ("algebra", "nbr", "lines", "vertex_lines", "edge_count", "_line_degrees")
 
     def __init__(self, algebra, nbr):
         self.algebra = algebra
         self.nbr = nbr
         self.vertex_lines = ((1 << len(nbr)) - 1) ^ sol_lines(nbr)
         self.lines = tuple(bits(self.vertex_lines))
-        total_degree = (algebra.field.p - 1) * sum(map(self.line_degree, self.lines))
+        self._line_degrees = Counter(map(self.line_degree, self.lines))
+        total_degree = (algebra.field.p - 1) * sum(d * n for d, n in self._line_degrees.items())
         if total_degree % 2:
             raise AssertionError("line rows are not symmetric")
         self.edge_count = total_degree // 2
@@ -96,15 +100,11 @@ def build(L: LieAlgebra, force: bool = False) -> SolvGraph:
 def degree_sequence(G: SolvGraph) -> dict[int, int]:
     """Multiset of vertex degrees as {degree: multiplicity}, largest first."""
     per_line = G.algebra.field.p - 1
-    counts: dict[int, int] = {}
-    for l in G.lines:
-        d = G.line_degree(l)
-        counts[d] = counts.get(d, 0) + per_line
-    return dict(sorted(counts.items(), reverse=True))
+    return {d: per_line * n for d, n in sorted(G._line_degrees.items(), reverse=True)}
 
 
-def _line_walk(G: SolvGraph, flip: int) -> list[list[int]]:
-    """Components as element-index lists, largest first, by a walk over lines.
+def _line_walk(G: SolvGraph, flip: int) -> list[int]:
+    """Components as line bitsets, by a walk over lines.
 
     Line l's neighbors are the unvisited lines in nbr[l] ^ flip: flip = 0
     walks the graph and flip = -1 its complement.  The walk shrinks an
@@ -114,6 +114,10 @@ def _line_walk(G: SolvGraph, flip: int) -> list[list[int]]:
     line l has a neighbor line.  nbr[l] is not full, since otherwise l would
     lie in sol(L), and a line missing from nbr[l] is itself outside sol(L),
     whose lines see every line.
+
+    Sorted largest first, ties by smallest element, as components() lists
+    are: each line holds p - 1 elements, and lines are numbered in the
+    order of their smallest members, so the lowest line c & -c holds c's.
     """
     unvisited = G.vertex_lines
     comps = []
@@ -129,19 +133,18 @@ def _line_walk(G: SolvGraph, flip: int) -> list[list[int]]:
             frontier = nxt & unvisited
             unvisited ^= frontier
         comps.append(comp)
-    out = [elements(G.algebra, comp) for comp in comps]
-    out.sort(key=lambda c: (-len(c), c[0]))
-    return out
+    comps.sort(key=lambda c: (-c.bit_count(), c & -c))
+    return comps
 
 
 def components(G: SolvGraph) -> list[list[int]]:
     """Connected components as element-index lists, largest first."""
-    return _line_walk(G, 0)
+    return [elements(G.algebra, c) for c in _line_walk(G, 0)]
 
 
 def complement_components(G: SolvGraph) -> list[list[int]]:
     """Components of the complement graph, without materializing its edges."""
-    return _line_walk(G, -1)
+    return [elements(G.algebra, c) for c in _line_walk(G, -1)]
 
 
 # ---------------------------------------------------------------------------

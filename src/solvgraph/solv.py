@@ -198,31 +198,40 @@ def sol_lines(nbr) -> int:
     return sum(1 << l for l, row in enumerate(nbr) if row == full)
 
 
-def is_s_lie(L: LieAlgebra, force: bool = False):
-    """Test whether every per-element solvabilizer is a subalgebra.
-
-    Returns (True, None), or (False, (x, a, b)) where a and b both lie in
-    the solvabilizer of x but a + b or [a, b] does not.  A solvabilizer is
-    fixed by its line's row, so each distinct row is examined once, by
-    _is_subspace and the closure of the span.  A failing row is expanded to
-    elements to find the witness: the first failing triple in element-index
-    order, with lines visited in order of their smallest member.
+def _failing_line(L: LieAlgebra, force: bool = False) -> int | None:
+    """The first line whose solvabilizer is not a subalgebra, or None: the
+    S-verdict alone.  A solvabilizer is fixed by its line's row, so each
+    distinct row is examined once, by _is_subspace and the span's closure.
     """
     passed = set()
     for l, row in enumerate(plane_table(L, force)):
         if row in passed:
             continue
         closed, span = _is_subspace(L, row)
-        if closed and subalgebra_closure(L, span.basis) == span:
-            passed.add(row)
-            continue
-        members = {0, *elements(L, row)}
-        vecs = [L.vector(m) for m in sorted(members)]
-        for a, b in product(vecs, repeat=2):
-            if not {L.index([u + v for u, v in zip(a, b)]), L.index(L.bracket(a, b))} <= members:
-                return False, (L.vector(L.line_rep(l)), a, b)
-        raise AssertionError("subspace test failed but no witness pair found")
-    return True, None
+        if not (closed and subalgebra_closure(L, span.basis) == span):
+            return l
+        passed.add(row)
+    return None
+
+
+def is_s_lie(L: LieAlgebra, force: bool = False):
+    """Test whether every per-element solvabilizer is a subalgebra.
+
+    Returns (True, None), or (False, (x, a, b)) where a and b both lie in
+    the solvabilizer of x but a + b or [a, b] does not.  The witness search
+    runs only here, on the elements of the row of _failing_line: x is that
+    line's smallest member, and (a, b) the first failing pair in
+    element-index order.
+    """
+    l = _failing_line(L, force)
+    if l is None:
+        return True, None
+    members = {0, *elements(L, plane_table(L, force)[l])}
+    vecs = [L.vector(m) for m in sorted(members)]
+    for a, b in product(vecs, repeat=2):
+        if not {L.index([u + v for u, v in zip(a, b)]), L.index(L.bracket(a, b))} <= members:
+            return False, (L.vector(L.line_rep(l)), a, b)
+    raise AssertionError("subspace test failed but no witness pair found")
 
 
 class ConjectureResult(NamedTuple):
@@ -275,7 +284,7 @@ def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityRe
     sol = sol_lines(plane_table(L, force))
     sol_divides = (size % _size(L, sol) == 0) if _is_subspace(L, sol)[0] else None
     cent_size = centralizer(L, x).size
-    cent_divides = (size % cent_size == 0) if is_s_lie(L, force=force)[0] else None
+    cent_divides = (size % cent_size == 0) if _failing_line(L, force) is None else None
     sums = [[a + t * b for a, b in zip(r, x)] for r in _reps(L, row) for t in range(1, p)]
     return DivisibilityReport(
         element_index=L.index(x),
@@ -325,4 +334,4 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
         if (_lines_through(Q, map(project, _reps(L, row))) != q_row
                 or _size(L, row) != N.size * _size(Q, q_row)):
             return False
-    return is_s_lie(L, force=force)[0] == is_s_lie(Q, force=force)[0]
+    return (_failing_line(L, force) is None) == (_failing_line(Q, force) is None)

@@ -391,6 +391,16 @@ def test_graph_exports_stream(tmp_path):
     _ok(f"graph sl2@13 --json --dot in a child with peak RSS {peak_mb:.1f} MB")
 
 
+def test_complement_gl2_f31_peak_memory():
+    # the complement's components are counted as line bitsets; expanded to
+    # element lists they took ~64 MB
+    code, out, peak_mb = _child_peak("complement", "gl2@31")
+    assert code == 0
+    assert out == "components=1\n"
+    assert peak_mb < 40
+    _ok(f"complement gl2@31 in a child with peak RSS {peak_mb:.1f} MB")
+
+
 def test_spectral_correspondence():
     degree_of = {
         SpectralClass.NO_EIGENVALUE: lambda q: q - 2,

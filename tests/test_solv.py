@@ -22,6 +22,7 @@ from oracles import (
     quotient_compatibility_by_elements,
     radical_by_lines,
 )
+from solvgraph.cli import main
 from solvgraph.ffalg import rref
 from solvgraph.graph import build
 from solvgraph.formulas import spectral_class_sl2
@@ -651,7 +652,7 @@ class TestRowQueriesMatchElementLoops:
             assert [tuple(divisibility_report(L, x)) for x in xs] == \
                 divisibility_by_elements(L, xs), L.name
 
-    @settings(max_examples=5, derandomize=True, deadline=None)
+    @settings(max_examples=20, derandomize=True, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(0, 2)] * _GL2_SL2.dim), min_size=2, max_size=2))
     @example(list(_LIFTED_PAIRS[0]))
     @example(list(_LIFTED_PAIRS[1]))
@@ -676,11 +677,20 @@ class TestRowQueriesMatchElementLoops:
 
 
 class TestExpansionBoundary:
-    def test_row_queries_expand_no_line(self, sl2_5, w3, monkeypatch):
-        # only queries that return element lists expand rows to elements
-        t3_2, t3_3 = make_t(3, 2), make_t(3, 3)
+    def test_row_queries_expand_no_line(self, sl2_5, w3, capsys, monkeypatch):
+        # only queries that return element lists expand rows to elements;
+        # verdicts and counts, also the ones commands print, read lines
+        t3_2, t3_3, gl2_5 = make_t(3, 2), make_t(3, 3), make_gl(2, 5)
         swap = conjugation_automorphism(sl2_5, ((0, 1), (1, 0)))
         queries = {
+            "info gl2@5": lambda: main(["info", "gl2@5"]),
+            "info t3@3": lambda: main(["info", "t3@3"]),
+            "graph sl2@5": lambda: main(["graph", "sl2@5"]),
+            "complement gl2@3": lambda: main(["complement", "gl2@3"]),
+            "divisibility_report gl2@5": lambda: divisibility_report(gl2_5, (1, 2, 3, 4)),
+            "divisibility_report sl2@5": lambda: divisibility_report(sl2_5, (1, 0, 0)),
+            "quotient_compatibility_check gl2@5":
+                lambda: quotient_compatibility_check(gl2_5, center(gl2_5)),
             "is_s_lie t3@2": lambda: is_s_lie(t3_2),
             "is_s_lie t3@3": lambda: is_s_lie(t3_3),
             "is_s_lie w3": lambda: is_s_lie(w3),
