@@ -6,15 +6,18 @@ on the plane the pair spans, so the graph is a view of the algebra's plane
 table (see solv): it holds the table's rows, indexed by line number (see
 liealg), and reads degrees, edge counts and the components of the graph and
 of its complement off the rows of the vertex lines.  Nothing is kept per
-vertex.  Edges are pairs of element indices; per-vertex bitmasks are
-expanded only by edges() and the rows property, once per distinct row.
+vertex.  Edges are pairs of element indices, expanded only by edges(), the
+rows property and the exports: each distinct row once, into a sorted list
+of the elements on its vertex lines, which every vertex with that row
+shares.  A row is shared by at least the p - 1 vertices of one line, so the
+lists hold at most (2E + |V|)/(p - 1) entries for E edges and |V| vertices.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections import Counter
-from itertools import filterfalse
 from pathlib import Path
 
 from .liealg import LieAlgebra
@@ -53,9 +56,7 @@ class SolvGraph:
     @property
     def vertices(self) -> tuple[int, ...]:
         """Ascending element indices of L minus sol(L), built on each access."""
-        L = self.algebra
-        sol = {m for l in bits(sol_lines(self.nbr)) for m in L.line_members(l)}
-        return tuple(filterfalse(sol.__contains__, range(1, L.size)))
+        return tuple(elements(self.algebra, self.vertex_lines))
 
     def line_degree(self, l: int) -> int:
         """Degree of each vertex on the vertex line l."""
@@ -69,26 +70,29 @@ class SolvGraph:
             raise KeyError(m)
         return self.line_degree(l)
 
-    def _vertex_masks(self) -> list[tuple[int, int]]:
-        """(m, bitmask of m and its neighbors over element indices) per vertex,
-        ascending by m.  Each distinct row is expanded once, from per-line
-        member masks; lifted tables share a row per quotient line."""
+    def _neighbor_lists(self) -> list[tuple[int, list[int]]]:
+        """(m, sorted element indices on the vertex lines of m's row) per
+        vertex m, ascending by m: m itself and its neighbors.  Each distinct
+        row is expanded once, and its list is shared by every vertex with
+        that row; lifted tables share a row per quotient line."""
         members = {l: self.algebra.line_members(l) for l in self.lines}
-        line_masks = {l: sum(1 << m for m in ms) for l, ms in members.items()}
-        row_masks = {row: sum(line_masks[k] for k in bits(row & self.vertex_lines))
-                     for row in {self.nbr[l] for l in self.lines}}
-        return sorted((m, row_masks[self.nbr[l]]) for l, ms in members.items() for m in ms)
+        lists = {row: sorted(m for k in bits(row & self.vertex_lines) for m in members[k])
+                 for row in {self.nbr[l] for l in self.lines}}
+        return sorted((m, lists[self.nbr[l]]) for l, ms in members.items() for m in ms)
 
     @property
     def rows(self) -> list[int]:
         """Neighbor bitmask of each vertex over element indices: bit m' of
         rows[i] is set iff vertices[i] ~ m'."""
-        return [mask ^ (1 << m) for m, mask in self._vertex_masks()]
+        pairs = self._neighbor_lists()
+        distinct = {id(ns): ns for _, ns in pairs}
+        masks = {key: sum(1 << n for n in ns) for key, ns in distinct.items()}
+        return [masks[id(ns)] ^ (1 << m) for m, ns in pairs]
 
     def edges(self):
         """Yield element-index pairs (m, m'), m < m', in lexicographic order."""
-        for m, mask in self._vertex_masks():
-            for n in bits(mask >> (m + 1) << (m + 1)):
+        for m, ns in self._neighbor_lists():
+            for n in ns[bisect_right(ns, m):]:
                 yield m, n
 
 
@@ -151,36 +155,52 @@ def complement_components(G: SolvGraph) -> list[list[int]]:
 # Exports.  All outputs are deterministic: vertices ascend by element index
 # and edges are emitted in lexicographic element-index order.
 
+def _edge_chunks(pairs, head, tail):
+    """One string per vertex m with a neighbor above it, in ascending order:
+    head(m) + tail[n] for each such neighbor n, ascending, concatenated.
+    pairs are G._neighbor_lists(); the neighbors above m are the end of m's
+    list after bisect_right."""
+    for m, ns in pairs:
+        above = ns[bisect_right(ns, m):]
+        if above:
+            h = head(m)
+            yield h + h.join(map(tail.__getitem__, above))
+
+
 def export_dot(G: SolvGraph, path):
     """Graphviz DOT file; nodes are labeled by coordinate tuples.
 
-    Lines are written as they are produced; the edge list is never held.
+    Edges are written one vertex at a time from the shared per-row lists
+    (see SolvGraph._neighbor_lists); the edge list is never held.
     """
-    labels = {m: "(" + ",".join(str(c) for c in G.algebra.vector(m)) + ")"
-              for m in G.vertices}
+    pairs = G._neighbor_lists()
+    labels = {m: "(" + ",".join(map(str, G.algebra.vector(m))) + ")" for m, _ in pairs}
     name = G.algebra.name.replace("\\", "\\\\").replace('"', '\\"')
     with open(path, "w") as fh:
         fh.write(f'graph "{name}" {{\n')
         fh.writelines(f'  "{label}";\n' for label in labels.values())
-        fh.writelines(f'  "{labels[m]}" -- "{labels[n]}";\n' for m, n in G.edges())
+        fh.writelines(_edge_chunks(pairs, lambda m: f'  "{labels[m]}" -- "',
+                                   {m: f'{label}";\n' for m, label in labels.items()}))
         fh.write("}\n")
 
 
 def export_json(G: SolvGraph, path):
     """JSON with algebra metadata, vertex coordinates and the edge list.
 
-    Edges are written pair by pair, in the bytes json.dumps would give.
+    Edges are written one vertex at a time from the shared per-row lists
+    (see SolvGraph._neighbor_lists), in the bytes json.dumps would give.
     """
+    pairs = G._neighbor_lists()
     head = json.dumps({
         "algebra": G.algebra.name,
         "p": G.algebra.field.p,
         "dim": G.algebra.dim,
-        "vertices": [[m, list(G.algebra.vector(m))] for m in G.vertices],
+        "vertices": [[m, list(G.algebra.vector(m))] for m, _ in pairs],
     }, separators=(",", ":"))
+    chunks = _edge_chunks(pairs, lambda m: f",[{m},", {m: f"{m}]" for m, _ in pairs})
     with open(path, "w") as fh:
-        fh.write(head[:-1] + ',"edges":[')
-        fh.writelines(f"{',' if k else ''}[{m},{n}]"
-                      for k, (m, n) in enumerate(G.edges()))
+        fh.write(head[:-1] + ',"edges":[' + next(chunks, ",")[1:])
+        fh.writelines(chunks)
         fh.write("]}\n")
 
 

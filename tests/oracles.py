@@ -7,9 +7,11 @@ subspace lattice is enumerated outright for radicals, and graphs are
 assembled from the raw quadratic pair loop.
 """
 
+import json
+
 from solvgraph.ffalg import rref
 from solvgraph.liealg import LieAlgebra, centralizer, derived_series, is_ideal, quotient
-from solvgraph.solv import sol_of_algebra, solvabilizer
+from solvgraph.solv import bits, sol_lines, sol_of_algebra, solvabilizer
 
 
 def subalgebra_closure_rounds(L, generators):
@@ -295,3 +297,61 @@ def quotient_compatibility_by_elements(L, N):
                 or len(sol_x) != N.size * len(sol_q)):
             return False
     return s_lie_by_elements(L) == s_lie_by_elements(Q)
+
+
+# The graph's element expansion and exports as they were before the per-row
+# lists: per-vertex bitmasks summed from line masks, one generator step per
+# edge, and one formatted line per edge.  SolvGraph.edges, rows, vertices
+# and the two writers are checked against these.
+
+def vertices_by_scan(G):
+    """Ascending element indices of L minus sol(L), by a scan over all of L."""
+    L = G.algebra
+    sol = {m for l in bits(sol_lines(G.nbr)) for m in L.line_members(l)}
+    return tuple(m for m in range(1, L.size) if m not in sol)
+
+
+def vertex_masks(G):
+    """(m, bitmask of m and its neighbors over element indices) per vertex,
+    ascending by m, from per-line member masks."""
+    members = {l: G.algebra.line_members(l) for l in G.lines}
+    line_masks = {l: sum(1 << m for m in ms) for l, ms in members.items()}
+    row_masks = {row: sum(line_masks[k] for k in bits(row & G.vertex_lines))
+                 for row in {G.nbr[l] for l in G.lines}}
+    return sorted((m, row_masks[G.nbr[l]]) for l, ms in members.items() for m in ms)
+
+
+def rows_by_masks(G):
+    return [mask ^ (1 << m) for m, mask in vertex_masks(G)]
+
+
+def edges_by_masks(G):
+    """Element-index pairs (m, m'), m < m', in lexicographic order."""
+    return [(m, n) for m, mask in vertex_masks(G) for n in bits(mask >> (m + 1) << (m + 1))]
+
+
+def export_dot_per_edge(G, path):
+    """DOT file written one formatted line per node and per edge."""
+    labels = {m: "(" + ",".join(str(c) for c in G.algebra.vector(m)) + ")"
+              for m in vertices_by_scan(G)}
+    name = G.algebra.name.replace("\\", "\\\\").replace('"', '\\"')
+    with open(path, "w") as fh:
+        fh.write(f'graph "{name}" {{\n')
+        fh.writelines(f'  "{label}";\n' for label in labels.values())
+        fh.writelines(f'  "{labels[m]}" -- "{labels[n]}";\n' for m, n in edges_by_masks(G))
+        fh.write("}\n")
+
+
+def export_json_per_edge(G, path):
+    """JSON file with the edge list written one formatted pair per edge."""
+    head = json.dumps({
+        "algebra": G.algebra.name,
+        "p": G.algebra.field.p,
+        "dim": G.algebra.dim,
+        "vertices": [[m, list(G.algebra.vector(m))] for m in vertices_by_scan(G)],
+    }, separators=(",", ":"))
+    with open(path, "w") as fh:
+        fh.write(head[:-1] + ',"edges":[')
+        fh.writelines(f"{',' if k else ''}[{m},{n}]"
+                      for k, (m, n) in enumerate(edges_by_masks(G)))
+        fh.write("]}\n")

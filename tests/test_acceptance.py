@@ -391,6 +391,21 @@ def test_graph_exports_stream(tmp_path):
     _ok(f"graph sl2@13 --json --dot in a child with peak RSS {peak_mb:.1f} MB")
 
 
+def test_graph_exports_sl2_f17_time(tmp_path):
+    # edges are written one vertex at a time, each as one str.join over the
+    # neighbors in its row's sorted list; one generator step and one
+    # formatted line per edge took ~0.95 s
+    t0 = time.perf_counter()
+    code, out, peak_mb = _child_peak("graph", "sl2@17", "--json", str(tmp_path / "g.json"),
+                                     "--dot", str(tmp_path / "g.dot"))
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert out == "vertices=4912 edges=741864 components=137\n"
+    assert elapsed < 0.5
+    assert peak_mb < 30
+    _ok(f"graph sl2@17 --json --dot in a child in {elapsed:.2f}s with peak RSS {peak_mb:.1f} MB")
+
+
 def test_complement_gl2_f31_peak_memory():
     # the complement's components are counted as line bitsets; expanded to
     # element lists they took ~64 MB

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import build_bruteforce, closed_subalgebra, components_bruteforce
+from oracles import (
+    build_bruteforce,
+    closed_subalgebra,
+    components_bruteforce,
+    edges_by_masks,
+    export_dot_per_edge,
+    export_json_per_edge,
+    rows_by_masks,
+    vertices_by_scan,
+)
 from solvgraph.cli import main
 from solvgraph.graph import (
     SolvGraph,
@@ -17,7 +26,7 @@ from solvgraph.graph import (
     export_dot,
     export_json,
 )
-from solvgraph.liealg import CapExceeded, from_file, make_gl
+from solvgraph.liealg import CapExceeded, from_file, make_gl, make_sl, make_so
 from solvgraph.solv import bits, plane_table, sol_of_algebra, solvabilizer
 
 
@@ -46,11 +55,31 @@ def _generated_subalgebras(draw):
     return S
 
 
+def _assert_matches_per_edge_writers(G, out_dir):
+    # the per-row lists give the same vertices, edges and rows as per-vertex
+    # masks, and the exports the same bytes as one formatted line per edge
+    assert G.vertices == vertices_by_scan(G)
+    assert list(G.edges()) == edges_by_masks(G)
+    assert G.rows == rows_by_masks(G)
+    for kind, write, oracle in (("dot", export_dot, export_dot_per_edge),
+                                ("json", export_json, export_json_per_edge)):
+        write(G, out_dir / f"new.{kind}")
+        oracle(G, out_dir / f"old.{kind}")
+        assert (out_dir / f"new.{kind}").read_bytes() == (out_dir / f"old.{kind}").read_bytes()
+    text = (out_dir / "new.json").read_text()
+    assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+
+
 class TestRandomSubalgebras:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(_generated_subalgebras())
     def test_build_matches_bruteforce(self, S):
         _assert_matches_bruteforce(S)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_generated_subalgebras())
+    def test_exports_match_per_edge_writers(self, tmp_path_factory, S):
+        _assert_matches_per_edge_writers(build(S), tmp_path_factory.mktemp("exports"))
 
 
 class TestBuild:
@@ -284,6 +313,17 @@ class TestComplement:
 
 
 class TestExports:
+    def test_match_per_edge_writers(self, sl2_2, w3, gl2_3, tmp_path):
+        # sl2@2 has no vertices; w3 and so3@2 have p = 2, one element per
+        # line; gl2@3's table is lifted, so lines share rows; sl3@2 is
+        # classified directly; the file algebra's name needs escaping
+        table = tmp_path / 'a"b\\c.txt'
+        table.write_text("p 2\ndim 3\n0 1 1 1\n0 2 2 1\n1 2 0 1\n")
+        named = from_file(table)
+        assert '"' in named.name and "\\" in named.name
+        for L in (sl2_2, w3, make_so(3, 2), gl2_3, make_sl(3, 2), named):
+            _assert_matches_per_edge_writers(build(L), tmp_path)
+
     def test_dot_line_counts(self, sl2_3, tmp_path):
         path = tmp_path / "g.dot"
         export_dot(build(sl2_3), path)
