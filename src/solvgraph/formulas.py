@@ -132,17 +132,10 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "q": self.q,
-            "passed": self.passed,
-            "expected": [[d, m] for d, m in self.expected.items()],
-            "computed": [[d, m] for d, m in self.computed.items()],
-            "class_counts": self.class_counts,
-            "expected_class_counts": self.expected_class_counts,
-            "first_mismatch": self.first_mismatch,
-        }
-        return json.dumps(payload, separators=(",", ":"))
+        return json.dumps({**self._asdict(),
+                           "expected": [[d, m] for d, m in self.expected.items()],
+                           "computed": [[d, m] for d, m in self.computed.items()]},
+                          separators=(",", ":"))
 
 
 def _gl2_traceless_part(x, q: int) -> tuple[int, int, int]:
@@ -190,11 +183,10 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
 
     observed_counts = {cls: 0 for cls in SpectralClass}
     if mismatch is None:
-        for l in G.lines:
+        for l, deg in zip(G.lines, G.degrees):
             m = L.line_rep(l)
             cls = classify(L.vector(m))
             observed_counts[cls] += q - 1
-            deg = G.line_degree(l)
             if mismatch is None and deg != table[cls][0]:
                 mismatch = (f"vertex {m} of class {cls.value} has degree {deg}, "
                             f"expected {table[cls][0]}")

@@ -4,10 +4,11 @@ Vertices are the elements outside the global solvabilizer; two vertices are
 adjacent when they generate a solvable subalgebra.  Adjacency only depends
 on the plane the pair spans, so the graph is a view of the algebra's plane
 table (see solv): it holds the table's rows, indexed by line number (see
-liealg), and reads degrees, edge counts and the components of the graph and
-of its complement off the rows of the vertex lines.  Nothing is kept per
-vertex.  Edges are pairs of element indices, expanded only by edges(), the
-rows property and the exports: each distinct row once, into a sorted list
+liealg), counts each vertex line's degree once, and reads edge counts and
+the components of the graph and of its complement off the rows of the
+vertex lines.  Nothing is kept per vertex.  Edges are pairs of element
+indices, expanded only by edges(), the rows property and the exports, which
+share one expansion per graph: each distinct row once, into a sorted list
 of the elements on its vertex lines, which every vertex with that row
 shares.  A row is shared by at least the p - 1 vertices of one line, so the
 lists hold at most (2E + |V|)/(p - 1) entries for E edges and |V| vertices.
@@ -27,24 +28,25 @@ from .solv import bits, elements, plane_table, sol_lines
 class SolvGraph:
     """Solvable graph held as the plane table's rows.
 
-    nbr:           the plane table of the algebra (see solv.plane_table),
-                   shared, not copied.  A vertex on line l is adjacent to
-                   every vertex on the vertex lines in nbr[l] but itself.
-    lines:         ascending numbers of the vertex lines, whose rows are
-                   not full (full rows are sol(L)); vertex_lines as a bitmask.
-    _line_degrees: {degree: number of vertex lines of that degree}, counted
-                   once here for edge_count and degree_sequence.
+    nbr:     the plane table of the algebra (see solv.plane_table), shared,
+             not copied.  A vertex on line l is adjacent to every vertex on
+             the vertex lines in nbr[l] but itself.
+    lines:   ascending numbers of the vertex lines, whose rows are not
+             full (full rows are sol(L)); vertex_lines as a bitmask.
+    degrees: line_degree of each of lines, counted once here.
+    _lists:  the one expansion of the rows (see _neighbor_lists), or None.
     """
 
-    __slots__ = ("algebra", "nbr", "lines", "vertex_lines", "edge_count", "_line_degrees")
+    __slots__ = ("algebra", "nbr", "lines", "vertex_lines", "degrees", "edge_count", "_lists")
 
     def __init__(self, algebra, nbr):
         self.algebra = algebra
         self.nbr = nbr
         self.vertex_lines = ((1 << len(nbr)) - 1) ^ sol_lines(nbr)
         self.lines = tuple(bits(self.vertex_lines))
-        self._line_degrees = Counter(map(self.line_degree, self.lines))
-        total_degree = (algebra.field.p - 1) * sum(d * n for d, n in self._line_degrees.items())
+        self.degrees = tuple(map(self.line_degree, self.lines))
+        self._lists = None
+        total_degree = (algebra.field.p - 1) * sum(self.degrees)
         if total_degree % 2:
             raise AssertionError("line rows are not symmetric")
         self.edge_count = total_degree // 2
@@ -74,11 +76,14 @@ class SolvGraph:
         """(m, sorted element indices on the vertex lines of m's row) per
         vertex m, ascending by m: m itself and its neighbors.  Each distinct
         row is expanded once, and its list is shared by every vertex with
-        that row; lifted tables share a row per quotient line."""
-        members = {l: self.algebra.line_members(l) for l in self.lines}
-        lists = {row: sorted(m for k in bits(row & self.vertex_lines) for m in members[k])
-                 for row in {self.nbr[l] for l in self.lines}}
-        return sorted((m, lists[self.nbr[l]]) for l, ms in members.items() for m in ms)
+        that row; lifted tables share a row per quotient line.  Built on
+        first use and kept, so the exports, rows and edges() share it."""
+        if self._lists is None:
+            members = {l: self.algebra.line_members(l) for l in self.lines}
+            lists = {row: sorted(m for k in bits(row & self.vertex_lines) for m in members[k])
+                     for row in {self.nbr[l] for l in self.lines}}
+            self._lists = sorted((m, lists[self.nbr[l]]) for l, ms in members.items() for m in ms)
+        return self._lists
 
     @property
     def rows(self) -> list[int]:
@@ -104,7 +109,7 @@ def build(L: LieAlgebra, force: bool = False) -> SolvGraph:
 def degree_sequence(G: SolvGraph) -> dict[int, int]:
     """Multiset of vertex degrees as {degree: multiplicity}, largest first."""
     per_line = G.algebra.field.p - 1
-    return {d: per_line * n for d, n in sorted(G._line_degrees.items(), reverse=True)}
+    return {d: per_line * n for d, n in sorted(Counter(G.degrees).items(), reverse=True)}
 
 
 def _line_walk(G: SolvGraph, flip: int) -> list[int]:

@@ -190,13 +190,13 @@ class TestDegrees:
 
     def test_one_line_degree_pass_per_graph(self, capsys, monkeypatch):
         # build counts each vertex line's degree once, and degree_sequence
-        # reads those counts; verify's per-line class check is the one other
-        # pass (gl2@q has (q^4 - 1)/(q - 1) - 1 vertex lines)
+        # and verify's per-line class check read those counts (gl2@q has
+        # (q^4 - 1)/(q - 1) - 1 vertex lines)
         calls = []
         line_degree = SolvGraph.line_degree
         monkeypatch.setattr(SolvGraph, "line_degree",
                             lambda G, l: calls.append(l) or line_degree(G, l))
-        for argv, count in ((["verify", "gl2@31"], 2 * 30_783), (["verify", "gl2@5"], 2 * 155),
+        for argv, count in ((["verify", "gl2@31"], 30_783), (["verify", "gl2@5"], 155),
                             (["degrees", "gl2@5"], 155)):
             calls.clear()
             assert main(argv) == 0
