@@ -15,10 +15,11 @@ of its coordinates below k.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from pathlib import Path
 from typing import NamedTuple
 
-from .ffalg import PrimeField, Subspace, _rref_raw, full_space, kernel, rref, zero_space
+from .ffalg import PrimeField, Subspace, _rref_raw, full_space, kernel, rref
 
 DEFAULT_ELEMENT_CAP = 1 << 24
 MAX_DIM = 64  # checked before a builtin or a file allocates its dim**3 table
@@ -474,17 +475,37 @@ def _bracket_closure(L: LieAlgebra, vectors, partners=None) -> Subspace:
     its own members (partners None) or with every partner.
 
     By bilinearity it is enough to bracket each vector that enlarges the
-    span once: with the basis it joins, or with the partners.
+    span once: with the basis it joins, or with the partners.  Such a
+    vector, reduced against the basis, is scaled to a leading 1, cleared
+    from the pivot column of every other row and inserted in pivot order,
+    so the basis stays in canonical RREF without being reduced again.  A
+    span of dimension dim L is all of L, so the closure stops there.
     """
-    space = zero_space(L.dim, L.field)
+    n, p = L.dim, L.field.p
+    rows, pivots = [], []
     stack = list(vectors)
-    while stack:
-        v = space.reduce(stack.pop())
-        if any(v):
-            others = space.basis if partners is None else partners
-            stack.extend(L.bracket(u, v) for u in others)
-            space = rref(space.basis + (v,), L.field, ambient=L.dim)
-    return space
+    while stack and len(rows) < n:
+        v = stack.pop()
+        if len(v) != n:
+            raise ValueError(f"expected a vector of length {n}, got {len(v)}")
+        v = [x % p for x in v]
+        for row, col in zip(rows, pivots):
+            if f := v[col]:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        stack.extend(L.bracket(u, v) for u in (rows if partners is None else partners))
+        if v[c] != 1:
+            k = pow(v[c], -1, p)
+            v = [k * x % p for x in v]
+        for i, row in enumerate(rows):
+            if f := row[c]:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, v)]
+        at = bisect_left(pivots, c)
+        rows.insert(at, v)
+        pivots.insert(at, c)
+    return Subspace(L.field, n, tuple(map(tuple, rows)), tuple(pivots))
 
 
 def subalgebra_closure(L: LieAlgebra, generators) -> Subspace:

@@ -15,8 +15,12 @@ pi x, pi y do in Q.  So plane_table() classifies the planes of Q, not of L:
 it takes N = liealg.solvable_ideal(L), which is L when L is solvable and
 the center otherwise, and lifts Q's table to L's lines.  Only an algebra
 with zero center that is not solvable has its own planes enumerated, each
-once, directly in reduced row-echelon form, and classified with
-pair_solvable.
+once, directly in reduced row-echelon form, and classified by their
+closures with the verdict of pair_solvable.  A closure that reaches dim L
+is not solvable and one of dimension at most 2 is, neither with a derived
+series; a solvable closure marks all of its lines pairwise adjacent, and a
+later plane whose two RREF rows' lines are already adjacent lies inside it
+and runs no closure.
 """
 
 from __future__ import annotations
@@ -87,18 +91,43 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
 
 
 def _classified_rows(L: LieAlgebra) -> list[int]:
-    """Neighbor bitsets of L's lines, classifying every plane of L once."""
-    p = L.field.p
+    """Neighbor bitsets of L's lines, from the closures of L's planes.
+
+    plane_table calls this only when solvable_ideal(L) is 0, so L is not
+    solvable (or L = 0, which has no planes).  A plane is solvable iff its
+    closure S is, and S needs no derived series at either end: S = L is
+    not solvable, and a closure of dimension at most 2 is.  The closure
+    stops as soon as it reaches dim L.
+
+    When S is solvable, so is every subalgebra of S, and with it the plane
+    of every pair of S's lines: all of S's lines are marked pairwise
+    adjacent.  Two lines span one plane, so a plane whose RREF rows' lines
+    are already adjacent lies in an S found earlier: it is solvable and its
+    lines are marked, and it is skipped without a closure.
+    """
     nbr = [1 << l for l in range(L.line_count)]
-    for r1, r2 in _rref_planes(L.dim, p):
-        if pair_solvable(L, r1, r2):
-            ids = [L.line(r2)] + [
-                L.line(tuple((a + t * b) % p for a, b in zip(r1, r2)))
-                for t in range(p)]
-            mask = sum(1 << l for l in ids)
-            for l in ids:
+    for r1, r2 in _rref_planes(L.dim, L.field.p):
+        if nbr[L.line(r1)] >> L.line(r2) & 1:
+            continue
+        S = subalgebra_closure(L, (r1, r2))
+        if S.dim < L.dim and (S.dim <= 2 or is_solvable(L, S)):
+            mask = _span_lines(L, S.basis)
+            for l in bits(mask):
                 nbr[l] |= mask
     return nbr
+
+
+def _span_lines(L: LieAlgebra, basis) -> int:
+    """Bitset of the lines of span(basis), one vector per line: b_k plus a
+    combination of the b_i before it (coefficients whose last nonzero entry
+    is 1), so the span's own elements are never listed."""
+    p, below, reps = L.field.p, [L.zero()], []
+    for k, b in enumerate(basis):
+        if k:
+            prev = basis[k - 1]
+            below = [[(x + t * y) % p for x, y in zip(u, prev)] for u in below for t in range(p)]
+        reps += [[x + y for x, y in zip(u, b)] for u in below]
+    return _lines_through(L, reps)
 
 
 def _lifted_rows(L: LieAlgebra, N: Subspace) -> list[int]:

@@ -416,6 +416,20 @@ def test_complement_gl2_f31_peak_memory():
     _ok(f"complement gl2@31 in a child with peak RSS {peak_mb:.1f} MB")
 
 
+def test_conjecture_sl3_f2_time():
+    # sl3@2 has zero center and is not solvable, so all 10,795 of its planes
+    # are classified; re-reducing the closure's basis per new vector, a
+    # derived series per plane and no skip of planes inside a solvable
+    # closure already found took ~4.4 s
+    t0 = time.perf_counter()
+    code, out, _ = _child_peak("conjecture", "sl3@2")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert out == "sum=33280 order=256 divisible=yes quotient=130\n"
+    assert elapsed < 3
+    _ok(f"conjecture sl3@2 in a child in {elapsed:.2f}s")
+
+
 def test_spectral_correspondence():
     degree_of = {
         SpectralClass.NO_EIGENVALUE: lambda q: q - 2,

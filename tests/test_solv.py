@@ -134,6 +134,30 @@ def gaussian_binomial_2(n, p):
     return (p**n - 1) * (p**(n - 1) - 1) // ((p * p - 1) * (p - 1))
 
 
+def _count_table_closures(monkeypatch):
+    """Patch solv so that every closure run inside _classified_rows is
+    appended, as its generators, to the returned list."""
+    from solvgraph import solv
+    closures, inside = [], []
+    real_rows, real_closure = solv._classified_rows, solv.subalgebra_closure
+
+    def rows(L):
+        inside.append(L)
+        try:
+            return real_rows(L)
+        finally:
+            inside.pop()
+
+    def closure(L, generators):
+        if inside:
+            closures.append(generators)
+        return real_closure(L, generators)
+
+    monkeypatch.setattr(solv, "_classified_rows", rows)
+    monkeypatch.setattr(solv, "subalgebra_closure", closure)
+    return closures
+
+
 class TestPlaneTable:
     def test_plane_count_is_gaussian_binomial(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
         # each yielded pair is an RREF basis of a distinct plane, and there
@@ -147,26 +171,22 @@ class TestPlaneTable:
 
     @staticmethod
     def _classifications(monkeypatch, capsys, argv):
-        """Run the CLI once; return its stdout and the pair_solvable call count."""
-        from solvgraph import cli, solv
-        calls = []
-        real = solv.pair_solvable
-
-        def counting(L, x, y):
-            calls.append((x, y))
-            return real(L, x, y)
-
-        monkeypatch.setattr(solv, "pair_solvable", counting)
+        """Run the CLI once; return its stdout and the number of closures the table ran."""
+        from solvgraph import cli
+        closures = _count_table_closures(monkeypatch)
         assert cli.main(argv) == 0
-        return capsys.readouterr().out, len(calls)
+        return capsys.readouterr().out, len(closures)
 
     def test_each_plane_classified_once_per_conjecture_run(self, monkeypatch, capsys):
+        # each solvable closure of sl2 is a Borel, a single plane, so no
+        # later plane lies in it and every plane runs one closure
         out, calls = self._classifications(monkeypatch, capsys, ["conjecture", "sl2@5"])
         assert out == "sum=3625 order=125 divisible=yes quotient=29\n"
         assert calls == gaussian_binomial_2(3, 5)
 
     def test_only_planes_of_the_quotient_classified(self, monkeypatch, capsys):
-        # gl2 has center the scalars, and gl2/center has [3 2]_5 planes
+        # gl2 has center the scalars, and gl2/center (pgl2, whose Borels
+        # are single planes too) has [3 2]_5 planes
         out, calls = self._classifications(monkeypatch, capsys, ["conjecture", "gl2@5"])
         assert out == "sum=90625 order=625 divisible=yes quotient=145\n"
         assert calls == gaussian_binomial_2(3, 5)
@@ -559,8 +579,12 @@ class TestQuotientPath:
             _assert_table_matches_oracle(L)
 
     @pytest.mark.slow
-    def test_table_matches_oracle_gl3_f2(self):
+    def test_table_matches_oracle_gl3_f2(self, monkeypatch):
+        # the table is classified on gl3/center, whose solvable closures of
+        # dimension 3 and more hold planes met later, which skip the closure
+        closures = _count_table_closures(monkeypatch)
         _assert_table_matches_oracle(make_gl(3, 2))
+        assert 0 < len(closures) < gaussian_binomial_2(8, 2)
 
     def test_fixed_pairs_take_the_lift(self):
         for x, y in _LIFTED_PAIRS:
