@@ -5,12 +5,22 @@ its basis in reduced row-echelon form; that RREF matrix is the canonical
 representation, so subspace equality and hashing are bit-exact comparisons
 of the basis rows.  Every arithmetic step reduces mod p immediately.
 
+There is one elimination, :func:`_echelon`: it inserts vectors one at a
+time into a canonical RREF basis, optionally queueing more vectors each
+time one enlarges the span (the bracket closures of ``liealg`` use this).
+Every other answer is read from a block of such an echelon form:
+:func:`rref` is the routine itself, :func:`kernel` the zero-left rows of
+[M^T | I], :meth:`Subspace.intersect` the zero-left rows of [u | u] and
+[w | 0], and ``liealg`` reads inverses from [g | I] and coordinates from
+[rows | I].
+
 All objects are immutable after construction and all operations are pure
 functions.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import product
 from math import isqrt
 
@@ -55,35 +65,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"PrimeField({self.p})"
-
-
-def _rref_raw(rows: list[list[int]], field: PrimeField):
-    """In-place Gauss-Jordan elimination; returns (rref rows, pivot columns)."""
-    p = field.p
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        head = rows[r][c]
-        if head != 1:
-            k = field.inv(head)
-            rows[r] = [(k * x) % p for x in rows[r]]
-        lead = rows[r]
-        for i in range(len(rows)):
-            f = rows[i][c]
-            if i != r and f:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
 
 
 class Subspace:
@@ -142,27 +123,14 @@ class Subspace:
         return rref(self.basis + other.basis, self.field, ambient=self.ambient)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection, via the kernel of the stacked bases.
-
-        A combination sum(u_i a_i) = -sum(w_j b_j) lies in both row spaces,
-        and every intersection vector arises this way.
+        """Intersection, by Zassenhaus: the echelon of [u | u] for u in self
+        and [w | 0] for w in other spans {[u + w | u]}, whose members with a
+        zero left block have u = -w in both spaces.
         """
         self._check_compatible(other)
-        if self.is_zero() or other.is_zero():
-            return zero_space(self.ambient, self.field)
-        stacked = self.basis + other.basis
-        transposed = [tuple(row[c] for row in stacked) for c in range(self.ambient)]
-        ker = kernel(transposed, self.field, ncols=len(stacked))
-        p = self.field.p
-        r1 = len(self.basis)
-        vecs = []
-        for z in ker.basis:
-            v = [0] * self.ambient
-            for cf, row in zip(z[:r1], self.basis):
-                if cf:
-                    v = [(x + cf * y) % p for x, y in zip(v, row)]
-            vecs.append(tuple(v))
-        return rref(vecs, self.field, ambient=self.ambient)
+        zero = (0,) * self.ambient
+        stacked = [u + u for u in self.basis] + [w + zero for w in other.basis]
+        return _tail(_echelon(self.field, 2 * self.ambient, stacked), self.ambient)
 
     def elements(self):
         """Yield all p**dim member vectors (coefficient order, deterministic)."""
@@ -185,13 +153,67 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, p={self.field.p})"
 
 
+def _echelon(field: PrimeField, ambient: int, vectors, grow=None) -> Subspace:
+    """Canonical RREF subspace spanned by the vectors: the one elimination.
+
+    Each vector, reduced against the basis so far, is dropped if nothing is
+    left; otherwise it is scaled to a leading 1, cleared from the pivot
+    column of every other row and inserted in pivot order, so the basis is
+    canonical RREF after every insertion and is never reduced again.  When
+    ``grow`` is given, ``grow(v, rows)`` is called with each such vector
+    before it joins the rows, and the vectors it returns are queued too.  A
+    span of dimension ``ambient`` is everything, so the routine stops there.
+    """
+    p = field.p
+    rows, pivots = [], []
+    stack = list(vectors)
+    while stack and len(rows) < ambient:
+        v = stack.pop()
+        if len(v) != ambient:
+            raise ValueError(f"expected a vector of length {ambient}, got {len(v)}")
+        v = [x % p for x in v]
+        for row, col in zip(rows, pivots):
+            if f := v[col]:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+        c = next((c for c, x in enumerate(v) if x), None)
+        if c is None:
+            continue
+        if grow is not None:
+            stack.extend(grow(v, rows))
+        if v[c] != 1:
+            k = pow(v[c], -1, p)
+            v = [k * x % p for x in v]
+        for i, row in enumerate(rows):
+            if f := row[c]:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, v)]
+        at = bisect_left(pivots, c)
+        rows.insert(at, v)
+        pivots.insert(at, c)
+    return Subspace(field, ambient, tuple(map(tuple, rows)), tuple(pivots))
+
+
+def _tail(space: Subspace, start: int) -> Subspace:
+    """The rows of an echelon form that are zero before column ``start``,
+    cut to the columns from there on: again a canonical RREF basis."""
+    k = bisect_left(space.pivots, start)
+    return Subspace(space.field, space.ambient - start,
+                    tuple(row[start:] for row in space.basis[k:]),
+                    tuple(c - start for c in space.pivots[k:]))
+
+
+def _beside_identity(rows, width: int, field: PrimeField) -> Subspace:
+    """Echelon form of [rows | I] for rows of the given width."""
+    eye = full_space(len(rows), field).basis
+    return _echelon(field, width + len(rows), [tuple(r) + e for r, e in zip(rows, eye)])
+
+
 def rref(rows, field: PrimeField, ambient: int | None = None) -> Subspace:
     """Canonical RREF subspace spanned by the given rows.
 
     ``ambient`` is only needed when ``rows`` is empty; otherwise it is
     inferred and cross-checked against every row.
     """
-    rows = [list(int(x) % field.p for x in row) for row in rows]
+    rows = list(rows)
     if rows:
         n = len(rows[0])
         if any(len(r) != n for r in rows):
@@ -201,13 +223,16 @@ def rref(rows, field: PrimeField, ambient: int | None = None) -> Subspace:
         ambient = n
     elif ambient is None:
         raise ValueError("ambient dimension required for an empty row list")
-    basis, pivots = _rref_raw(rows, field)
-    return Subspace(field, ambient, tuple(tuple(r) for r in basis), tuple(pivots))
+    return _echelon(field, ambient, rows)
 
 
 def kernel(matrix, field: PrimeField, ncols: int | None = None) -> Subspace:
-    """Null space {v : M v = 0} of an a-by-b matrix, as a Subspace of F_p^b."""
-    rows = [list(int(x) % field.p for x in row) for row in matrix]
+    """Null space {v : M v = 0} of an a-by-b matrix, as a Subspace of F_p^b.
+
+    The echelon of [M^T | I] spans {[v M^T | v]}; its rows with a zero left
+    block are [0 | v] for v in the kernel.
+    """
+    rows = list(matrix)
     if rows:
         width = len(rows[0])
         if any(len(r) != width for r in rows):
@@ -218,19 +243,8 @@ def kernel(matrix, field: PrimeField, ncols: int | None = None) -> Subspace:
         raise ValueError("ncols required for an empty matrix")
     else:
         width = ncols
-    basis, pivots = _rref_raw(rows, field)
-    pivot_set = set(pivots)
-    p = field.p
-    vecs = []
-    for free in range(width):
-        if free in pivot_set:
-            continue
-        v = [0] * width
-        v[free] = 1
-        for row, pc in zip(basis, pivots):
-            v[pc] = (-row[free]) % p
-        vecs.append(tuple(v))
-    return rref(vecs, field, ambient=width)
+    columns = [tuple(row[j] for row in rows) for j in range(width)]
+    return _tail(_beside_identity(columns, len(rows), field), len(rows))
 
 
 def zero_space(n: int, field: PrimeField) -> Subspace:

@@ -15,11 +15,10 @@ of its coordinates below k.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from pathlib import Path
 from typing import NamedTuple
 
-from .ffalg import PrimeField, Subspace, _rref_raw, full_space, kernel, rref
+from .ffalg import PrimeField, Subspace, _beside_identity, _echelon, full_space, kernel, rref
 
 DEFAULT_ELEMENT_CAP = 1 << 24
 MAX_DIM = 64  # checked before a builtin or a file allocates its dim**3 table
@@ -241,50 +240,46 @@ def _flatten(m):
 
 
 def _mat_inv(g, field: PrimeField):
-    """Inverse of a square matrix over F_p; raises ValueError when singular."""
-    n = len(g)
-    p = field.p
-    aug = [[int(x) % p for x in row] + [1 if c == r else 0 for c in range(n)]
-           for r, row in enumerate(g)]
-    basis, pivots = _rref_raw(aug, field)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is not invertible")
-    return tuple(tuple(row[n:]) for row in basis)
+    """Inverse of a square matrix over F_p; raises ValueError when singular.
 
-
-def _solve_combination(rows, target, field: PrimeField):
-    """Coefficients x with sum(x_i * rows_i) = target, or None if unsolvable.
-
-    The rows are assumed linearly independent; the kernel of the transposed
-    augmented matrix [rows | target] is then at most one-dimensional, and
-    its generator has a nonzero last entry exactly when target is in the span.
+    The echelon of [g | I] is [I | g^(-1)] exactly when g is invertible.
     """
-    width = len(target)
-    aug = list(rows) + [tuple(target)]
-    transposed = [tuple(r[c] for r in aug) for c in range(width)]
-    ker = kernel(transposed, field, ncols=len(aug))
-    p = field.p
-    for z in ker.basis:
-        if z[-1]:
-            f = field.neg(field.inv(z[-1]))
-            return tuple(f * x % p for x in z[:-1])
-    return None
+    n = len(g)
+    aug = _beside_identity(g, n, field)
+    if aug.pivots != tuple(range(n)):
+        raise ValueError("matrix is not invertible")
+    return tuple(row[n:] for row in aug.basis)
+
+
+def _solve_combination(rows, targets, field: PrimeField):
+    """For each target t, the coefficients x with sum(x_i * rows_i) = t, or
+    None if t is outside the span of the rows.
+
+    The rows are assumed linearly independent.  The echelon of [rows | I]
+    spans {[sum(x_i rows_i) | x]}, so reducing [t | 0] against it leaves
+    [0 | -x] when t is in the span and a nonzero left block otherwise.
+    """
+    if not targets:
+        return []
+    p, w = field.p, len(targets[0])
+    aug = _beside_identity(rows, w, field)
+    out = []
+    for t in targets:
+        z = aug.reduce(tuple(t) + (0,) * len(rows))
+        out.append(None if any(z[:w]) else tuple(-x % p for x in z[w:]))
+    return out
 
 
 def _from_matrix_basis(mats, labels, field, name, matrix_size):
     flats = [_flatten(m) for m in mats]
     n = len(mats)
-    constants = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            br = _mat_bracket(mats[i], mats[j], field.p)
-            coeffs = _solve_combination(flats, _flatten(br), field)
-            if coeffs is None:
-                raise ValidationError(
-                    f"bracket [{labels[i]}, {labels[j]}] falls outside the basis span")
-            plane.append(coeffs)
-        constants.append(plane)
+    brackets = [_flatten(_mat_bracket(a, b, field.p)) for a in mats for b in mats]
+    coeffs = _solve_combination(flats, brackets, field)
+    if None in coeffs:
+        i, j = divmod(coeffs.index(None), n)
+        raise ValidationError(
+            f"bracket [{labels[i]}, {labels[j]}] falls outside the basis span")
+    constants = [coeffs[i * n:(i + 1) * n] for i in range(n)]
     return LieAlgebra(field, constants, labels=labels, name=name,
                       basis_matrices=tuple(mats), matrix_size=matrix_size)
 
@@ -475,37 +470,14 @@ def _bracket_closure(L: LieAlgebra, vectors, partners=None) -> Subspace:
     its own members (partners None) or with every partner.
 
     By bilinearity it is enough to bracket each vector that enlarges the
-    span once: with the basis it joins, or with the partners.  Such a
-    vector, reduced against the basis, is scaled to a leading 1, cleared
-    from the pivot column of every other row and inserted in pivot order,
-    so the basis stays in canonical RREF without being reduced again.  A
-    span of dimension dim L is all of L, so the closure stops there.
+    span once: with the basis it joins, or with the partners.  That is
+    ``ffalg._echelon``'s grow rule, so the basis stays canonical RREF
+    without being reduced again, and a closure that reaches dim L (all of
+    L) stops there.
     """
-    n, p = L.dim, L.field.p
-    rows, pivots = [], []
-    stack = list(vectors)
-    while stack and len(rows) < n:
-        v = stack.pop()
-        if len(v) != n:
-            raise ValueError(f"expected a vector of length {n}, got {len(v)}")
-        v = [x % p for x in v]
-        for row, col in zip(rows, pivots):
-            if f := v[col]:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
-        c = next((c for c, x in enumerate(v) if x), None)
-        if c is None:
-            continue
-        stack.extend(L.bracket(u, v) for u in (rows if partners is None else partners))
-        if v[c] != 1:
-            k = pow(v[c], -1, p)
-            v = [k * x % p for x in v]
-        for i, row in enumerate(rows):
-            if f := row[c]:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, v)]
-        at = bisect_left(pivots, c)
-        rows.insert(at, v)
-        pivots.insert(at, c)
-    return Subspace(L.field, n, tuple(map(tuple, rows)), tuple(pivots))
+    def grow(v, rows):
+        return [L.bracket(u, v) for u in (rows if partners is None else partners)]
+    return _echelon(L.field, L.dim, vectors, grow)
 
 
 def subalgebra_closure(L: LieAlgebra, generators) -> Subspace:
@@ -642,6 +614,8 @@ class LinearMap:
         self.matrix = tuple(tuple(int(x) % field.p for x in row) for row in matrix)
 
     def apply(self, v) -> tuple[int, ...]:
+        if len(v) != len(self.matrix):
+            raise ValueError(f"expected a vector of length {len(self.matrix)}, got {len(v)}")
         p = self.field.p
         n = len(self.matrix[0]) if self.matrix else 0
         out = [0] * n
@@ -685,13 +659,10 @@ def conjugation_automorphism(L: LieAlgebra, g) -> LinearMap:
         raise ValueError(f"g must be a {L.matrix_size}x{L.matrix_size} matrix")
     ginv = _mat_inv(g, L.field)
     flats = [_flatten(m) for m in L.basis_matrices]
-    rows = []
-    for m in L.basis_matrices:
-        conj = _mat_mul(_mat_mul(g, m, p), ginv, p)
-        coeffs = _solve_combination(flats, _flatten(conj), L.field)
-        if coeffs is None:
-            raise ValueError("conjugation does not preserve the basis span")
-        rows.append(coeffs)
+    conjs = [_flatten(_mat_mul(_mat_mul(g, m, p), ginv, p)) for m in L.basis_matrices]
+    rows = _solve_combination(flats, conjs, L.field)
+    if None in rows:
+        raise ValueError("conjugation does not preserve the basis span")
     phi = LinearMap(L.field, rows)
     if not is_lie_automorphism(L, phi):
         raise ValueError("conjugation map fails the bracket-preservation check")

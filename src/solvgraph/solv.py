@@ -354,7 +354,7 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
         raise ValueError("N is not an ideal")
     if not is_solvable(L, N):
         raise ValueError("N is not solvable")
-    if _lines_through(L, N.elements()) & ~sol_lines(plane_table(L, force)):
+    if _span_lines(L, N.basis) & ~sol_lines(plane_table(L, force)):
         raise ValueError("N is not contained in sol(L)")
 
     Q, project, _ = quotient(L, N)

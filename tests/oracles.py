@@ -355,3 +355,78 @@ def export_json_per_edge(G, path):
         fh.writelines(f"{',' if k else ''}[{m},{n}]"
                       for k, (m, n) in enumerate(edges_by_masks(G)))
         fh.write("]}\n")
+
+
+# Batch linear algebra over F_p, column by column, returning plain
+# (basis, pivots) tuples: the references for ffalg's one incremental echelon.
+
+def rref_reference(rows, p):
+    """Batch Gauss-Jordan elimination: pick each column's pivot among the
+    rows still unused, then clear that column from every other row."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        k = pow(rows[r][c], -1, p)
+        lead = rows[r] = [k * x % p for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+    return tuple(map(tuple, rows[:r])), tuple(pivots)
+
+
+def kernel_reference(matrix, p, ncols):
+    """Null space of M from its RREF: one vector per free column, that
+    column set to 1 and each pivot column to minus the row's free entry."""
+    basis, pivots = rref_reference(matrix, p)
+    vecs = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[free] = 1
+        for row, pc in zip(basis, pivots):
+            v[pc] = -row[free] % p
+        vecs.append(v)
+    return rref_reference(vecs, p)
+
+
+def intersect_reference(a, b, ambient, p):
+    """span(a) ∩ span(b) for independent rows a and b: a combination
+    sum(x_i a_i) = -sum(y_j b_j) is a kernel vector of the transposed stack."""
+    if not a or not b:
+        return (), ()
+    stacked = list(a) + list(b)
+    transposed = [[row[c] for row in stacked] for c in range(ambient)]
+    vecs = []
+    for z in kernel_reference(transposed, p, len(stacked))[0]:
+        v = [0] * ambient
+        for cf, row in zip(z, a):
+            v = [(x + cf * y) % p for x, y in zip(v, row)]
+        vecs.append(v)
+    return rref_reference(vecs, p)
+
+
+def solve_combination_reference(rows, target, p):
+    """x with sum(x_i rows_i) = target, or None: for independent rows the
+    kernel of the transposed [rows | target] is at most a line, and its
+    generator ends in a nonzero entry exactly when target is in the span."""
+    aug = list(rows) + [target]
+    transposed = [[row[c] for row in aug] for c in range(len(target))]
+    for z in kernel_reference(transposed, p, len(aug))[0]:
+        if z[-1]:
+            f = -pow(z[-1], -1, p)
+            return tuple(f * x % p for x in z[:-1])
+    return None
+
+
+def mat_inv_reference(g, p):
+    """Right block of the batch RREF of [g | I], or None when g is singular."""
+    n = len(g)
+    basis, pivots = rref_reference(
+        [list(row) + [int(c == r) for c in range(n)] for r, row in enumerate(g)], p)
+    return tuple(row[n:] for row in basis) if pivots == tuple(range(n)) else None

@@ -1,17 +1,15 @@
 """End-to-end acceptance checks.
 
 Each test prints one PASS line on success so a verbose run doubles as a
-checklist; exact integer equality everywhere, no tolerances.  The two
-largest sweeps carry the ``slow`` marker but still finish well inside
-their budgets (five minutes for sl2@11, one minute for gl2@7).
+checklist; exact integer equality everywhere, no tolerances.  The
+largest sweeps, sl2@11 and gl2@7, take milliseconds against budgets of
+five minutes and one minute, so none of them carries the ``slow`` marker.
 """
 
 import random
 import subprocess
 import sys
 import time
-
-import pytest
 
 from solvgraph.ffalg import rref
 from solvgraph.formulas import (
@@ -76,7 +74,6 @@ def test_sl2_degree_sequences_small_q():
     _ok("sl2 degree sequences, q in {3, 5, 7}")
 
 
-@pytest.mark.slow
 def test_sl2_degree_sequence_q11():
     t0 = time.perf_counter()
     G = build(make_sl(2, 11))
@@ -93,7 +90,6 @@ def test_gl2_degree_sequences_small_q():
     _ok("gl2 degree sequences, q in {3, 5}")
 
 
-@pytest.mark.slow
 def test_gl2_degree_sequence_q7():
     t0 = time.perf_counter()
     G = build(make_gl(2, 7))

@@ -283,6 +283,18 @@ class TestSlieCommand:
             "witness_b=(2,0,1)",
         ]
 
+    @pytest.mark.parametrize("spec,witness", [
+        ("gl2@5", ("(1,0,0,0)", "(0,1,0,0)", "(0,0,1,0)")),
+        ("gl2@7", ("(1,0,0,0)", "(0,1,0,0)", "(0,0,1,0)")),
+        ("sl3@2", ("(1,0,0,0,0,0,0,0)", "(0,1,0,0,0,0,0,0)", "(0,1,1,1,1,0,0,0)")),
+    ])
+    def test_first_witness_is_pinned(self, spec, witness, capsys):
+        # a faster witness search must still return this first witness
+        code, out, _ = run_cli(capsys, "slie", spec)
+        assert code == 0
+        assert out.splitlines() == ["s_lie=false"] + [
+            f"witness_{k}={v}" for k, v in zip("xab", witness)]
+
     def test_json_witness(self, capsys):
         code, out, _ = run_cli(capsys, "slie", "sl2@3", "--format", "json")
         assert code == 0

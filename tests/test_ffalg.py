@@ -1,8 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    intersect_reference,
+    kernel_reference,
+    mat_inv_reference,
+    rref_reference,
+    solve_combination_reference,
+)
 from solvgraph.ffalg import PrimeField, full_space, kernel, rref, zero_space
+from solvgraph.liealg import _mat_inv, _solve_combination
 
 
 F2 = PrimeField(2)
@@ -218,3 +228,93 @@ class TestSubspaceElements:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
+
+
+@st.composite
+def _matrices(draw, width=None):
+    """(p, width, rows) over p in {2, 3, 5, 7}: unreduced and negative
+    entries, zero rows, combinations of earlier rows, and sometimes the
+    identity rows too, so the rows span everything; 0 rows or 0 columns
+    included."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    if width is None:
+        width = draw(st.integers(0, 5))
+    entry = st.integers(-2 * p, 3 * p)
+    rows = draw(st.lists(st.tuples(*[entry] * width), max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows and draw(st.booleans()):
+            u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            rows.append(tuple(s * x + t * y for x, y in zip(u, v)))
+        else:
+            rows.append((0,) * width)
+    if draw(st.booleans()):
+        rows += full_space(width, PrimeField(p)).basis
+    return p, width, draw(st.permutations(rows))
+
+
+def _independent(rows, p):
+    """The rows that raise the rank of those kept before them."""
+    kept = []
+    for row in rows:
+        if len(rref_reference(kept + [row], p)[0]) > len(kept):
+            kept.append(row)
+    return kept
+
+
+class TestEchelonAgainstBatchReferences:
+    """Every answer read from ffalg's one echelon routine equals the batch
+    column-by-column elimination it replaced."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_matrices())
+    def test_rref_and_kernel(self, case):
+        p, width, rows = case
+        s = rref(rows, PrimeField(p), ambient=width)
+        assert (s.basis, s.pivots) == rref_reference(rows, p)
+        k = kernel(rows, PrimeField(p), ncols=width)
+        assert (k.basis, k.pivots) == kernel_reference(rows, p, width)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 5).flatmap(
+        lambda n: st.tuples(_matrices(width=n), st.lists(st.tuples(*[st.integers(-9, 9)] * n),
+                                                         max_size=4))))
+    def test_intersect(self, case):
+        (p, width, rows), others = case
+        fld = PrimeField(p)
+        a, b = rref(rows, fld, ambient=width), rref(others, fld, ambient=width)
+        got = a.intersect(b)
+        assert (got.basis, got.pivots) == intersect_reference(a.basis, b.basis, width, p)
+        assert b.intersect(a) == got
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_matrices(), st.data())
+    def test_solve_combination(self, case, data):
+        p, width, rows = case
+        targets = data.draw(st.lists(st.tuples(*[st.integers(-9, 9)] * width), max_size=3))
+        targets += [tuple(3 * x - y for x, y in zip(rows[0], rows[-1]))] if rows else []
+        fld = PrimeField(p)
+        indep = _independent(rows, p)
+        assert _solve_combination(indep, targets, fld) == [
+            solve_combination_reference(indep, t, p) for t in targets]
+        # dependent rows: any solution will do, and one exists iff t is in the span
+        for t, x in zip(targets, _solve_combination(rows, targets, fld)):
+            if x is None:
+                assert solve_combination_reference(indep, t, p) is None
+            else:
+                assert all((sum(c * row[j] for c, row in zip(x, rows)) - t[j]) % p == 0
+                           for j in range(width))
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: _matrices(width=n)), st.data())
+    def test_mat_inv(self, case, data):
+        p, n, rows = case
+        if len(rows) < n:
+            return
+        g = data.draw(st.permutations(rows))[:n]
+        want = mat_inv_reference(g, p)
+        if want is None:
+            with pytest.raises(ValueError, match="invertible"):
+                _mat_inv(g, PrimeField(p))
+        else:
+            assert _mat_inv(g, PrimeField(p)) == want

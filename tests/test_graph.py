@@ -257,7 +257,6 @@ class TestComponents:
         for L, q in ((sl2_3, 3), (sl2_5, 5), (gl2_3, 3)):
             assert len(components(build(L))) == q * (q - 1) // 2 + 1
 
-    @pytest.mark.slow
     def test_gl2_f11_structure(self):
         from solvgraph.formulas import gl2_expected
         from solvgraph.liealg import make_gl

@@ -20,6 +20,7 @@ from solvgraph.ffalg import PrimeField, rref
 from solvgraph.liealg import (
     CapExceeded,
     LieAlgebra,
+    LinearMap,
     ValidationError,
     center,
     centralizer,
@@ -93,6 +94,12 @@ class TestConstructors:
         # gl8 has dimension 64, the limit itself, so it gets to the matrices
         with pytest.raises(AssertionError, match="basis matrix"):
             make_gl(8, 5)
+
+    def test_matrix_basis_must_be_closed(self):
+        # [e, f] = h lies outside span(e, f); it is the first bad bracket
+        e, f = ((0, 1), (0, 0)), ((0, 0), (1, 0))
+        with pytest.raises(ValidationError, match=r"\[e, f\] falls outside"):
+            liealg._from_matrix_basis([e, f], ["e", "f"], PrimeField(3), "ef", 2)
 
     def test_validation_catches_bad_table(self):
         fld = PrimeField(3)
@@ -562,6 +569,13 @@ class TestConjugation:
         # upper triangular g stays inside the family
         phi = conjugation_automorphism(L, ((1, 1), (0, 1)))
         assert is_lie_automorphism(L, phi)
+
+    def test_linear_map_rejects_wrong_length(self):
+        eye = LinearMap(PrimeField(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert eye.apply((1, 2, 5)) == (1, 2, 2)
+        for v in ((1, 2), (1, 2, 0, 0)):
+            with pytest.raises(ValueError, match=f"length 3, got {len(v)}"):
+                eye.apply(v)
 
     def test_file_algebra_has_no_matrix_basis(self, tmp_path):
         path = tmp_path / "ab.txt"
