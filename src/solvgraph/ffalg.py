@@ -21,7 +21,6 @@ functions.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
 from math import isqrt
 
 
@@ -47,15 +46,6 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse; ZeroDivisionError for a multiple of p."""
-        if a % self.p == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return pow(a, -1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -94,9 +84,6 @@ class Subspace:
         """Number of member vectors, p**dim."""
         return self.field.p ** len(self.basis)
 
-    def is_zero(self) -> bool:
-        return not self.basis
-
     def _check_compatible(self, other: "Subspace"):
         if self.field != other.field or self.ambient != other.ambient:
             raise ValueError("subspaces live in different ambient spaces")
@@ -117,11 +104,6 @@ class Subspace:
         """True iff v lies in the row span."""
         return not any(self.reduce(v))
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        """Smallest subspace containing both operands."""
-        self._check_compatible(other)
-        return rref(self.basis + other.basis, self.field, ambient=self.ambient)
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection, by Zassenhaus: the echelon of [u | u] for u in self
         and [w | 0] for w in other spans {[u + w | u]}, whose members with a
@@ -131,16 +113,6 @@ class Subspace:
         zero = (0,) * self.ambient
         stacked = [u + u for u in self.basis] + [w + zero for w in other.basis]
         return _tail(_echelon(self.field, 2 * self.ambient, stacked), self.ambient)
-
-    def elements(self):
-        """Yield all p**dim member vectors (coefficient order, deterministic)."""
-        p = self.field.p
-        for coeffs in product(range(p), repeat=len(self.basis)):
-            v = [0] * self.ambient
-            for cf, row in zip(coeffs, self.basis):
-                if cf:
-                    v = [(x + cf * y) % p for x, y in zip(v, row)]
-            yield tuple(v)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field

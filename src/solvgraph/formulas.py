@@ -1,10 +1,11 @@
 """Closed-form degree sequences for the 2x2 matrix families over F_q.
 
-For the traceless family, the degree of a vertex is decided by how many
-eigenvalues its matrix has over F_q, i.e. by the number of roots of
-lambda^2 - (a^2 + bc) for the matrix [[a, b], [c, -a]]: none, one, or two.
-The full matrix family reduces to the traceless one by splitting off the
-scalar part, which is only possible for odd q.
+The degree of a vertex is decided by how many eigenvalues its matrix has
+over F_q: none, one, or two.  For q odd that is read off the discriminant
+(m00 - m11)^2 + 4 m01 m10 of the characteristic polynomial: zero, a nonzero
+square, or a non-square.  A scalar shift leaves it unchanged, so a full
+matrix has the class of its traceless part [[a, b], [c, -a]], whose
+discriminant is 4(a^2 + bc).
 """
 
 from __future__ import annotations
@@ -74,8 +75,10 @@ def is_quadratic_residue(t: int, q: int) -> bool:
     return pow(t, (q - 1) // 2, q) == 1
 
 
-def _discriminant_class(a: int, b: int, c: int, q: int) -> SpectralClass:
-    disc = (a * a + b * c) % q
+def _discriminant_class(m, q: int) -> SpectralClass:
+    """Eigenvalue count over F_q, q odd, of the 2x2 matrix m = ((m00, m01), (m10, m11))."""
+    (m00, m01), (m10, m11) = m
+    disc = ((m00 - m11) ** 2 + 4 * m01 * m10) % q
     if disc == 0:
         return SpectralClass.ONE_EIGENVALUE
     if is_quadratic_residue(disc, q):
@@ -83,11 +86,20 @@ def _discriminant_class(a: int, b: int, c: int, q: int) -> SpectralClass:
     return SpectralClass.NO_EIGENVALUE
 
 
+def _matrix(family: str, x):
+    """The 2x2 matrix with coordinates x in the constructor basis: (e, f, h)
+    for sl2, (E00, E01, E10, E11) for gl2."""
+    if family == "sl2":
+        e, f, h = x
+        return (h, e), (f, -h)
+    return x[:2], x[2:]
+
+
 def spectral_class_sl2(L: LieAlgebra, x) -> SpectralClass:
     """Eigenvalue count of the traceless 2x2 matrix with coordinates x.
 
     Coordinates follow the constructor basis (e, f, h), so the matrix is
-    [[a, b], [c, -a]] with b = x[0], c = x[1], a = x[2].
+    [[h, e], [f, -h]].
     """
     q = L.field.p
     _require_odd_prime(q)
@@ -96,7 +108,7 @@ def spectral_class_sl2(L: LieAlgebra, x) -> SpectralClass:
     x = L.element(x)
     if not any(x):
         raise ValueError("the zero element has no spectral class")
-    return _discriminant_class(x[2], x[0], x[1], q)
+    return _discriminant_class(_matrix("sl2", x), q)
 
 
 def spectral_counts(q: int) -> tuple[int, int, int]:
@@ -138,17 +150,6 @@ class VerificationReport(NamedTuple):
                           separators=(",", ":"))
 
 
-def _gl2_traceless_part(x, q: int) -> tuple[int, int, int]:
-    """Split off the scalar part: coordinates (a, b, c) of x - (tr x / 2) I.
-
-    gl2 coordinates follow the basis (E00, E01, E10, E11); division by 2
-    needs q odd.
-    """
-    half = pow(2, -1, q)
-    shift = (x[0] + x[3]) * half % q
-    return ((x[0] - shift) % q, x[1] % q, x[2] % q)
-
-
 def verify(family: str, q: int, force: bool = False) -> VerificationReport:
     """Build the graph for sl2 or gl2 over F_q and compare with the closed forms.
 
@@ -162,17 +163,7 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
     failing vertex, as a per-vertex scan would find it.
     """
     table = _class_table(family, q)
-    if family == "sl2":
-        L = make_sl(2, q)
-
-        def classify(x):
-            return _discriminant_class(x[2], x[0], x[1], q)
-    else:
-        L = make_gl(2, q)
-
-        def classify(x):
-            a, b, c = _gl2_traceless_part(x, q)
-            return _discriminant_class(a, b, c, q)
+    L = make_sl(2, q) if family == "sl2" else make_gl(2, q)
     expected = dict(table.values())
 
     G = build(L, force=force)
@@ -185,7 +176,7 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
     if mismatch is None:
         for l, deg in zip(G.lines, G.degrees):
             m = L.line_rep(l)
-            cls = classify(L.vector(m))
+            cls = _discriminant_class(_matrix(family, L.vector(m)), q)
             observed_counts[cls] += q - 1
             if mismatch is None and deg != table[cls][0]:
                 mismatch = (f"vertex {m} of class {cls.value} has degree {deg}, "

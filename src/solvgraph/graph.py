@@ -7,11 +7,11 @@ table (see solv): it holds the table's rows, indexed by line number (see
 liealg), counts each vertex line's degree once, and reads edge counts and
 the components of the graph and of its complement off the rows of the
 vertex lines.  Nothing is kept per vertex.  Edges are pairs of element
-indices, expanded only by edges(), the rows property and the exports, which
-share one expansion per graph: each distinct row once, into a sorted list
-of the elements on its vertex lines, which every vertex with that row
-shares.  A row is shared by at least the p - 1 vertices of one line, so the
-lists hold at most (2E + |V|)/(p - 1) entries for E edges and |V| vertices.
+indices, expanded only by the exports and the rows property, which share
+one expansion per graph: each distinct row once, into a sorted list of the
+elements on its vertex lines, which every vertex with that row shares.  A
+row is shared by at least the p - 1 vertices of one line, so the lists hold
+at most (2E + |V|)/(p - 1) entries for E edges and |V| vertices.
 """
 
 from __future__ import annotations
@@ -55,29 +55,17 @@ class SolvGraph:
     def vertex_count(self) -> int:
         return (self.algebra.field.p - 1) * len(self.lines)
 
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        """Ascending element indices of L minus sol(L), built on each access."""
-        return tuple(elements(self.algebra, self.vertex_lines))
-
     def line_degree(self, l: int) -> int:
         """Degree of each vertex on the vertex line l."""
         return ((self.algebra.field.p - 1)
                 * (self.nbr[l] & self.vertex_lines).bit_count() - 1)
-
-    def degree(self, element_index: int) -> int:
-        """Degree of a vertex; KeyError for 0, members of sol(L) and non-elements."""
-        m, L = element_index, self.algebra
-        if not (0 < m < L.size and self.vertex_lines >> (l := L.line(L.vector(m))) & 1):
-            raise KeyError(m)
-        return self.line_degree(l)
 
     def _neighbor_lists(self) -> list[tuple[int, list[int]]]:
         """(m, sorted element indices on the vertex lines of m's row) per
         vertex m, ascending by m: m itself and its neighbors.  Each distinct
         row is expanded once, and its list is shared by every vertex with
         that row; lifted tables share a row per quotient line.  Built on
-        first use and kept, so the exports, rows and edges() share it."""
+        first use and kept, so the exports and rows share it."""
         if self._lists is None:
             members = {l: self.algebra.line_members(l) for l in self.lines}
             lists = {row: sorted(m for k in bits(row & self.vertex_lines) for m in members[k])
@@ -87,18 +75,13 @@ class SolvGraph:
 
     @property
     def rows(self) -> list[int]:
-        """Neighbor bitmask of each vertex over element indices: bit m' of
-        rows[i] is set iff vertices[i] ~ m'."""
+        """Neighbor bitmask of each vertex over element indices, vertices
+        in ascending index order: bit m' of rows[i] is set iff the i-th
+        vertex is adjacent to m'."""
         pairs = self._neighbor_lists()
         distinct = {id(ns): ns for _, ns in pairs}
         masks = {key: sum(1 << n for n in ns) for key, ns in distinct.items()}
         return [masks[id(ns)] ^ (1 << m) for m, ns in pairs]
-
-    def edges(self):
-        """Yield element-index pairs (m, m'), m < m', in lexicographic order."""
-        for m, ns in self._neighbor_lists():
-            for n in ns[bisect_right(ns, m):]:
-                yield m, n
 
 
 def build(L: LieAlgebra, force: bool = False) -> SolvGraph:

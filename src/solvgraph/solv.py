@@ -247,19 +247,37 @@ def is_s_lie(L: LieAlgebra, force: bool = False):
     """Test whether every per-element solvabilizer is a subalgebra.
 
     Returns (True, None), or (False, (x, a, b)) where a and b both lie in
-    the solvabilizer of x but a + b or [a, b] does not.  The witness search
-    runs only here, on the elements of the row of _failing_line: x is that
-    line's smallest member, and (a, b) the first failing pair in
-    element-index order.
+    the solvabilizer of x but a + b or [a, b] does not: x is the smallest
+    member of _failing_line, and (a, b) the first failing pair in
+    element-index order.  The witness is read off that line's row: v lies
+    in x's solvabilizer iff v = 0 or the row holds L.line(v).
+
+    The row is closed under nonzero scaling, so whether a member a fails
+    with some member depends only on a's line, and a is the smallest
+    member of the lowest failing line of the row.  A member s r, with r
+    its line's smallest member, fails with a iff [a, r] or a + s r lies
+    outside; s r ascends in index with s, so each line offers s r at its
+    smallest failing s, and b is the one of these with the smallest index.
     """
     l = _failing_line(L, force)
     if l is None:
         return True, None
-    members = {0, *elements(L, plane_table(L, force)[l])}
-    vecs = [L.vector(m) for m in sorted(members)]
-    for a, b in product(vecs, repeat=2):
-        if not {L.index([u + v for u, v in zip(a, b)]), L.index(L.bracket(a, b))} <= members:
-            return False, (L.vector(L.line_rep(l)), a, b)
+    p, row = L.field.p, plane_table(L, force)[l]
+
+    def outside(v):
+        return any(v) and not row >> L.line(v) & 1
+
+    def first_failing(a, r):
+        if outside(L.bracket(a, r)):
+            return 1
+        return next((s for s in range(1, p)
+                     if outside(L.element([x + s * y for x, y in zip(a, r)]))), None)
+
+    reps = _reps(L, row)
+    for a in reps:
+        failing = [L.element([s * y for y in r]) for r in reps if (s := first_failing(a, r))]
+        if failing:
+            return False, (L.vector(L.line_rep(l)), a, min(failing, key=L.index))
     raise AssertionError("subspace test failed but no witness pair found")
 
 

@@ -4,14 +4,31 @@ Everything here deliberately avoids the production shortcuts: no caching,
 no projective-line collapsing, no bitmask expansion.  Solvability of a pair
 is recomputed every time from a round-based closure of its own, the
 subspace lattice is enumerated outright for radicals, and graphs are
-assembled from the raw quadratic pair loop.
+assembled from the raw quadratic pair loop.  It also holds the per-element
+views that no command needs: a subspace's elements, a graph's vertices,
+degrees and edges, and the S-witness by the element-pair loop.
 """
 
 import json
+from bisect import bisect_right
+from itertools import product
 
 from solvgraph.ffalg import rref
 from solvgraph.liealg import LieAlgebra, centralizer, derived_series, is_ideal, quotient
-from solvgraph.solv import bits, sol_lines, sol_of_algebra, solvabilizer
+from solvgraph.solv import (
+    _failing_line, bits, elements, plane_table, sol_lines, sol_of_algebra, solvabilizer,
+)
+
+
+def subspace_elements(space):
+    """Yield all p**dim member vectors of a Subspace, in coefficient order."""
+    p = space.field.p
+    for coeffs in product(range(p), repeat=len(space.basis)):
+        v = [0] * space.ambient
+        for cf, row in zip(coeffs, space.basis):
+            if cf:
+                v = [(x + cf * y) % p for x, y in zip(v, row)]
+        yield tuple(v)
 
 
 def subalgebra_closure_rounds(L, generators):
@@ -257,6 +274,29 @@ def s_lie_by_elements(L):
                for s in sols)
 
 
+def first_failing_pair(L, l):
+    """The first pair (a, b) of the solvabilizer of line l's members, in
+    element-index order, whose sum or bracket leaves it, or None."""
+    members = {0, *elements(L, plane_table(L)[l])}
+    vecs = [L.vector(m) for m in sorted(members)]
+    for a, b in product(vecs, repeat=2):
+        if not {L.index([u + v for u, v in zip(a, b)]), L.index(L.bracket(a, b))} <= members:
+            return a, b
+    return None
+
+
+def s_lie_witness_by_pairs(L):
+    """is_s_lie's answer by the element-pair loop: x is the smallest member
+    of the first failing line, and (a, b) its first failing pair."""
+    l = _failing_line(L)
+    if l is None:
+        return True, None
+    pair = first_failing_pair(L, l)
+    if pair is None:
+        raise AssertionError("subspace test failed but no witness pair found")
+    return False, (L.vector(L.line_rep(l)), *pair)
+
+
 def divisibility_by_elements(L, xs):
     """The fields of divisibility_report for each x in xs, in order: sizes
     are list lengths, the subspace test spans every member of sol(L), and
@@ -299,9 +339,33 @@ def quotient_compatibility_by_elements(L, N):
     return s_lie_by_elements(L) == s_lie_by_elements(Q)
 
 
+# Per-element views of a SolvGraph that no command needs: the vertices
+# expanded from the vertex lines, one vertex's degree, and the edges read
+# from the per-row lists the exports share.
+
+def vertices_by_lines(G):
+    """Ascending element indices of L minus sol(L), from the vertex lines."""
+    return tuple(elements(G.algebra, G.vertex_lines))
+
+
+def vertex_degree(G, element_index):
+    """Degree of a vertex; KeyError for 0, members of sol(L) and non-elements."""
+    m, L = element_index, G.algebra
+    if not (0 < m < L.size and G.vertex_lines >> (l := L.line(L.vector(m))) & 1):
+        raise KeyError(m)
+    return G.line_degree(l)
+
+
+def edges_by_lists(G):
+    """Yield element-index pairs (m, m'), m < m', in lexicographic order."""
+    for m, ns in G._neighbor_lists():
+        for n in ns[bisect_right(ns, m):]:
+            yield m, n
+
+
 # The graph's element expansion and exports as they were before the per-row
 # lists: per-vertex bitmasks summed from line masks, one generator step per
-# edge, and one formatted line per edge.  SolvGraph.edges, rows, vertices
+# edge, and one formatted line per edge.  The views above, SolvGraph.rows
 # and the two writers are checked against these.
 
 def vertices_by_scan(G):

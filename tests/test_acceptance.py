@@ -44,7 +44,7 @@ from solvgraph.solv import (
     solvabilizer_set,
 )
 
-from oracles import direct_pair_solvable
+from oracles import direct_pair_solvable, subspace_elements, vertex_degree, vertices_by_lines
 
 
 def _ok(label):
@@ -106,11 +106,11 @@ def test_sl2_f3_graph_structure():
     assert G.edge_count == 109
     parts = components(G)
     assert [len(c) for c in parts] == [20, 2, 2, 2]
-    assert G.degree(L.index((0, 0, 1))) == 13   # h
-    assert G.degree(L.index((0, 1, 0))) == 7    # f
+    assert vertex_degree(G, L.index((0, 0, 1))) == 13   # h
+    assert vertex_degree(G, L.index((0, 1, 0))) == 7    # f
     s = L.index((1, 1, 1))                      # e + f + h
-    assert G.degree(s) == 1
-    row = G.rows[G.vertices.index(s)]
+    assert vertex_degree(G, s) == 1
+    row = G.rows[vertices_by_lines(G).index(s)]
     only = row & -row
     assert row == only
     assert only.bit_length() - 1 == L.index((2, 2, 2))  # 2(e + f + h)
@@ -210,12 +210,12 @@ def test_divisibility_and_coset_properties():
 def test_centralizer_and_radical_containments():
     for L in (make_sl(2, 2), make_w3(2), make_sl(2, 3), make_gl(2, 3), make_t(2, 3)):
         sol = set(sol_of_algebra(L))
-        for v in radical(L).elements():
+        for v in subspace_elements(radical(L)):
             assert L.index(v) in sol
         for line in L.lines():
             x = L.vector(line[0])
             members = set(solvabilizer(L, x))
-            for cvec in centralizer(L, x).elements():
+            for cvec in subspace_elements(centralizer(L, x)):
                 assert L.index(cvec) in members
     # randomized spot checks at q = 5
     L = make_sl(2, 5)
@@ -223,7 +223,7 @@ def test_centralizer_and_radical_containments():
     for _ in range(10):
         x = tuple(rng.randrange(5) for _ in range(3))
         members = set(solvabilizer(L, x))
-        for cvec in centralizer(L, x).elements():
+        for cvec in subspace_elements(centralizer(L, x)):
             assert L.index(cvec) in members
     _ok("C_L(x) inside sol_L(x) and R(L) inside sol(L)")
 
@@ -232,8 +232,8 @@ def test_degree_identity_everywhere():
     for L in (make_sl(2, 3), make_gl(2, 3), make_w3(2)):
         G = build(L)
         base = len(sol_of_algebra(L))
-        for m in G.vertices:
-            assert G.degree(m) == len(solvabilizer(L, L.vector(m))) - base - 1
+        for m in vertices_by_lines(G):
+            assert vertex_degree(G, m) == len(solvabilizer(L, L.vector(m))) - base - 1
     _ok("deg(x) = |sol_L(x)| - |sol(L)| - 1 on every vertex")
 
 
@@ -426,6 +426,20 @@ def test_conjecture_sl3_f2_time():
     _ok(f"conjecture sl3@2 in a child in {elapsed:.2f}s")
 
 
+def test_slie_gl2_f31_time():
+    # the witness is read off the failing row's line bits, one bracket and
+    # p - 1 sums per line of the row; expanding the row to elements and
+    # looping over its element pairs took ~8.8 s
+    t0 = time.perf_counter()
+    code, out, _ = _child_peak("slie", "gl2@31")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert out.splitlines() == ["s_lie=false", "witness_x=(1,0,0,0)",
+                                "witness_a=(0,1,0,0)", "witness_b=(0,0,1,0)"]
+    assert elapsed < 3
+    _ok(f"slie gl2@31 in a child in {elapsed:.2f}s")
+
+
 def test_spectral_correspondence():
     degree_of = {
         SpectralClass.NO_EIGENVALUE: lambda q: q - 2,
@@ -436,7 +450,7 @@ def test_spectral_correspondence():
         L = make_sl(2, q)
         G = build(L)
         tally = {cls: 0 for cls in SpectralClass}
-        for m, row in zip(G.vertices, G.rows):
+        for m, row in zip(vertices_by_lines(G), G.rows):
             cls = spectral_class_sl2(L, L.vector(m))
             tally[cls] += 1
             assert row.bit_count() == degree_of[cls](q)

@@ -10,6 +10,7 @@ from oracles import (
     mat_inv_reference,
     rref_reference,
     solve_combination_reference,
+    subspace_elements,
 )
 from solvgraph.ffalg import PrimeField, full_space, kernel, rref, zero_space
 from solvgraph.liealg import _mat_inv, _solve_combination
@@ -32,21 +33,6 @@ class TestPrimeField:
 
     def test_accepts_large_prime(self):
         PrimeField(2**31 - 1)  # Mersenne prime
-
-    def test_inverse_exhaustive(self):
-        for p in (2, 3, 5, 7, 11, 13):
-            fld = PrimeField(p)
-            for a in range(1, p):
-                assert a * fld.inv(a) % fld.p == 1
-            for a in range(-2 * p, 0):
-                if a % p:
-                    assert a * fld.inv(a) % fld.p == 1
-            for a in (0, p, 2 * p, -p):
-                with pytest.raises(ZeroDivisionError):
-                    fld.inv(a)
-
-    def test_arithmetic_reduces(self):
-        assert F3.neg(1) == 2
 
 
 class TestRref:
@@ -121,11 +107,6 @@ class TestKernel:
 
 
 class TestSumIntersect:
-    def test_sum_of_axes(self):
-        a = rref([(1, 0, 0)], F3)
-        b = rref([(0, 1, 0)], F3)
-        assert a.sum(b).dim == 2
-
     def test_intersect_idempotent(self):
         s = rref([(1, 2, 0), (0, 0, 1)], F3)
         assert s.intersect(s) == s
@@ -138,9 +119,9 @@ class TestSumIntersect:
 
     def test_mismatched_ambient_rejected(self):
         with pytest.raises(ValueError):
-            rref([(1, 0)], F3).sum(rref([(1, 0, 0)], F3))
+            rref([(1, 0)], F3).intersect(rref([(1, 0, 0)], F3))
         with pytest.raises(ValueError):
-            rref([(1, 0)], F3).sum(rref([(1, 0)], F5))
+            rref([(1, 0)], F3).intersect(rref([(1, 0)], F5))
 
 
 def _random_matrix(rng, p, rows, cols):
@@ -185,7 +166,8 @@ class TestRandomizedProperties:
                 for _ in range(20):
                     a = rref(_random_matrix(rng, fld.p, rng.randrange(1, 5), n), fld)
                     b = rref(_random_matrix(rng, fld.p, rng.randrange(1, 5), n), fld)
-                    assert a.dim + b.dim == a.sum(b).dim + a.intersect(b).dim
+                    total = rref(a.basis + b.basis, fld, ambient=n)
+                    assert a.dim + b.dim == total.dim + a.intersect(b).dim
 
     def test_kernel_vectors_map_to_zero(self):
         rng = random.Random(4)
@@ -209,7 +191,7 @@ class TestRandomizedProperties:
                 n = rng.randrange(2, 6)
                 a = rref(_random_matrix(rng, p, 2, n), fld)
                 b = rref(_random_matrix(rng, p, 2, n), fld)
-                total = a.sum(b)
+                total = rref(a.basis + b.basis, fld, ambient=n)
                 for v in list(a.basis) + list(b.basis):
                     assert total.contains(v)
 
@@ -217,7 +199,7 @@ class TestRandomizedProperties:
 class TestSubspaceElements:
     def test_element_count(self):
         s = rref([(1, 0, 0), (0, 1, 0)], F3)
-        elems = list(s.elements())
+        elems = list(subspace_elements(s))
         assert len(elems) == 9 == s.size
         assert len(set(elems)) == 9
         assert all(s.contains(v) for v in elems)

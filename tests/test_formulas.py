@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import eigenvalue_count
+from oracles import eigenvalue_count, vertex_degree, vertices_by_lines
 from solvgraph import formulas
 from solvgraph.formulas import (
     SpectralClass,
@@ -162,7 +162,7 @@ class TestVerify:
             cls = _root_class(family, L.vector(rep), q)
             for m in members[l]:
                 assert _root_class(family, L.vector(m), q) is cls
-                assert G.degree(m) == G.degree(rep) == G.line_degree(l)
+                assert vertex_degree(G, m) == vertex_degree(G, rep) == G.line_degree(l)
                 tally[cls.value] += 1
         assert sum(tally.values()) == G.vertex_count
         assert verify(family, q).class_counts == tally
@@ -173,15 +173,15 @@ class TestVerify:
         for family, q in (("sl2", 5), ("gl2", 3)):
             L = make_sl(2, q) if family == "sl2" else make_gl(2, q)
             G = build(L)
-            first = next(m for m in G.vertices if _root_class(family, L.vector(m), q)
-                         is not SpectralClass.TWO_EIGENVALUES)
+            first = next(m for m in vertices_by_lines(G)
+                         if _root_class(family, L.vector(m), q) is not SpectralClass.TWO_EIGENVALUES)
             with monkeypatch.context() as patch:
                 patch.setattr(formulas, "_discriminant_class",
                               lambda *args: SpectralClass.TWO_EIGENVALUES)
                 report = verify(family, q)
             assert not report.passed
             assert report.first_mismatch == (
-                f"vertex {first} of class two has degree {G.degree(first)}, "
+                f"vertex {first} of class two has degree {vertex_degree(G, first)}, "
                 f"expected {max(report.expected)}")
             assert report.class_counts == {"none": 0, "one": 0, "two": G.vertex_count}
             assert report.text().endswith("mismatch=" + report.first_mismatch

@@ -9,10 +9,14 @@ from oracles import (
     build_bruteforce,
     closed_subalgebra,
     components_bruteforce,
+    edges_by_lists,
     edges_by_masks,
     export_dot_per_edge,
     export_json_per_edge,
     rows_by_masks,
+    s_lie_witness_by_pairs,
+    vertex_degree,
+    vertices_by_lines,
     vertices_by_scan,
 )
 from solvgraph.cli import main
@@ -27,18 +31,18 @@ from solvgraph.graph import (
     export_json,
 )
 from solvgraph.liealg import CapExceeded, from_file, make_gl, make_sl, make_so
-from solvgraph.solv import bits, plane_table, sol_of_algebra, solvabilizer
+from solvgraph.solv import bits, is_s_lie, plane_table, sol_of_algebra, solvabilizer
 
 
 def _assert_matches_bruteforce(L):
     G = build(L)
     vertices, edges, degrees = build_bruteforce(L)
-    assert G.vertices == vertices
-    got_edges = list(G.edges())
+    assert vertices_by_lines(G) == vertices
+    got_edges = list(edges_by_lists(G))
     assert got_edges == sorted(got_edges) and all(m < n for m, n in got_edges)
     assert set(map(frozenset, got_edges)) == edges
     assert G.edge_count == len(edges)
-    assert [G.degree(m) for m in vertices] == [degrees[m] for m in vertices]
+    assert [vertex_degree(G, m) for m in vertices] == [degrees[m] for m in vertices]
     assert (components(G), complement_components(G)) == \
         components_bruteforce(vertices, edges)
 
@@ -58,8 +62,8 @@ def _generated_subalgebras(draw):
 def _assert_matches_per_edge_writers(G, out_dir):
     # the per-row lists give the same vertices, edges and rows as per-vertex
     # masks, and the exports the same bytes as one formatted line per edge
-    assert G.vertices == vertices_by_scan(G)
-    assert list(G.edges()) == edges_by_masks(G)
+    assert vertices_by_lines(G) == vertices_by_scan(G)
+    assert list(edges_by_lists(G)) == edges_by_masks(G)
     assert G.rows == rows_by_masks(G)
     for kind, write, oracle in (("dot", export_dot, export_dot_per_edge),
                                 ("json", export_json, export_json_per_edge)):
@@ -81,6 +85,12 @@ class TestRandomSubalgebras:
     def test_exports_match_per_edge_writers(self, tmp_path_factory, S):
         _assert_matches_per_edge_writers(build(S), tmp_path_factory.mktemp("exports"))
 
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_generated_subalgebras())
+    def test_s_lie_witness_matches_pair_loop(self, S):
+        # the line-bit witness search against the element-pair loop
+        assert is_s_lie(S) == s_lie_witness_by_pairs(S)
+
 
 class TestBuild:
     def test_sl2_f2_empty(self, sl2_2):
@@ -94,7 +104,7 @@ class TestBuild:
             G = build(L)
             assert G.nbr is plane_table(L) and len(G.nbr) == L.line_count
             assert all(isinstance(row, int) for row in G.nbr)
-            assert G.vertex_count == len(G.vertices)
+            assert G.vertex_count == len(vertices_by_lines(G))
 
     def test_sl2_f3_counts(self, sl2_3):
         G = build(sl2_3)
@@ -109,12 +119,12 @@ class TestBuild:
         for L in (sl2_3, gl2_3, w3):
             G = build(L)
             sol = set(sol_of_algebra(L))
-            assert sol.isdisjoint(G.vertices)
-            assert len(G.vertices) == L.size - len(sol)
+            assert sol.isdisjoint(vertices_by_lines(G))
+            assert len(vertices_by_lines(G)) == L.size - len(sol)
 
     def test_no_self_loops_and_symmetry(self, sl2_3):
         G = build(sl2_3)
-        rows = dict(zip(G.vertices, G.rows))
+        rows = dict(zip(vertices_by_lines(G), G.rows))
         for m, row in rows.items():
             assert not row >> m & 1
             assert set(bits(row)) <= rows.keys()
@@ -166,9 +176,9 @@ class TestDegrees:
         for L in (sl2_3, w3, gl2_3):
             G = build(L)
             sol_size = len(sol_of_algebra(L))
-            for m in G.vertices:
+            for m in vertices_by_lines(G):
                 expected = len(solvabilizer(L, L.vector(m))) - sol_size - 1
-                assert G.degree(m) == expected
+                assert vertex_degree(G, m) == expected
 
     def test_non_vertices_raise(self, sl2_3, gl2_3):
         # 0 and members of sol(L) are not vertices: 0 lies on no line and
@@ -178,12 +188,12 @@ class TestDegrees:
             G = build(L)
             for m in missing + (-1, L.size):
                 with pytest.raises(KeyError):
-                    G.degree(m)
+                    vertex_degree(G, m)
 
     def test_degree_sum_is_twice_edges(self, sl2_3, gl2_3):
         for L in (sl2_3, gl2_3):
             G = build(L)
-            assert sum(G.degree(m) for m in G.vertices) == 2 * G.edge_count
+            assert sum(vertex_degree(G, m) for m in vertices_by_lines(G)) == 2 * G.edge_count
 
     def test_empty_graph_sequence(self, sl2_2):
         assert degree_sequence(build(sl2_2)) == {}
@@ -216,7 +226,7 @@ class TestComponents:
             G = build(L)
             parts = components(G)
             flat = sorted(m for part in parts for m in part)
-            assert flat == sorted(G.vertices)
+            assert flat == sorted(vertices_by_lines(G))
 
     def test_no_edges_between_parts(self, sl2_3):
         G = build(sl2_3)
@@ -224,7 +234,7 @@ class TestComponents:
         for k, part in enumerate(components(G)):
             for m in part:
                 part_of[m] = k
-        for m, n in G.edges():
+        for m, n in edges_by_lists(G):
             assert part_of[m] == part_of[n]
 
     def test_sl2_f5_no_eigenvalue_components(self, sl2_5):
@@ -237,7 +247,7 @@ class TestComponents:
         for k, part in enumerate(parts):
             for m in part:
                 part_of[m] = k
-        for m in G.vertices:
+        for m in vertices_by_lines(G):
             x = sl2_5.vector(m)
             if spectral_class_sl2(sl2_5, x) is SpectralClass.NO_EIGENVALUE:
                 part = parts[part_of[m]]
@@ -294,7 +304,7 @@ class TestComplement:
         for L in (sl2_3, w3):
             G = build(L)
             n = G.vertex_count
-            rows = G.rows
+            rows, vertices = G.rows, vertices_by_lines(G)
             parent = list(range(n))
 
             def find(i):
@@ -305,7 +315,7 @@ class TestComplement:
 
             for i in range(n):
                 for j in range(i + 1, n):
-                    if not rows[i] >> G.vertices[j] & 1:
+                    if not rows[i] >> vertices[j] & 1:
                         parent[find(i)] = find(j)
             expected = len({find(i) for i in range(n)})
             assert len(complement_components(G)) == expected

@@ -14,6 +14,7 @@ from oracles import (
     radical_bruteforce,
     radical_by_lines,
     subalgebra_closure_rounds,
+    subspace_elements,
 )
 from solvgraph import liealg
 from solvgraph.ffalg import PrimeField, rref
@@ -319,7 +320,7 @@ class TestClosureAgainstReferences:
         # subalgebras and ideals are closed under intersection, so the
         # least-dimensional one holding the generators is the closure
         for L in (sl2_3, w3, t2_3, gl2_3):
-            lattice = [(s, {L.index(v) for v in s.elements()}) for s in all_subspaces(L)]
+            lattice = [(s, {L.index(v) for v in subspace_elements(s)}) for s in all_subspaces(L)]
             subalgebras = [(s, m) for s, m in lattice if is_subalgebra(L, s)]
             ideals = [(s, m) for s, m in lattice if is_ideal(L, s)]
             reps = [L.vector(line[0]) for line in L.lines()]
@@ -393,7 +394,7 @@ class TestCentralizer:
         for L in (sl2_3, w3):
             for line in L.lines():
                 x = L.vector(line[0])
-                for c in centralizer(L, x).elements():
+                for c in subspace_elements(centralizer(L, x)):
                     space = subalgebra_closure(L, [x, c])
                     for i, u in enumerate(space.basis):
                         for v in space.basis[i + 1:]:

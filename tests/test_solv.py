@@ -20,8 +20,12 @@ from oracles import (
     is_additively_closed_indices,
     lines_by_scan,
     quotient_compatibility_by_elements,
+    first_failing_pair,
     radical_by_lines,
+    s_lie_witness_by_pairs,
+    subspace_elements,
 )
+from solvgraph import solv
 from solvgraph.cli import main
 from solvgraph.ffalg import rref
 from solvgraph.graph import build
@@ -37,6 +41,7 @@ from solvgraph.liealg import (
     is_solvable,
     make_gl,
     make_sl,
+    make_so,
     make_t,
     quotient,
     radical,
@@ -507,13 +512,13 @@ class TestDivisibilityReport:
             for line in L.lines():
                 x = L.vector(line[0])
                 members = set(solvabilizer(L, x))
-                for c in centralizer(L, x).elements():
+                for c in subspace_elements(centralizer(L, x)):
                     assert L.index(c) in members
 
     def test_radical_inside_sol(self, sl2_3, w3, gl2_3, t2_3):
         for L in (sl2_3, w3, gl2_3, t2_3):
             members = set(sol_of_algebra(L))
-            for v in radical(L).elements():
+            for v in subspace_elements(radical(L)):
                 assert L.index(v) in members
 
 
@@ -700,10 +705,77 @@ class TestRowQueriesMatchElementLoops:
             assert quotient_compatibility_check(L, N) == quotient_compatibility_by_elements(L, N)
 
 
+# generators of a subalgebra of gl3@2 (dim 4) whose first failing pair has
+# its sum inside x's solvabilizer and its bracket outside
+BRACKET_ONLY_GENERATORS = ((0, 0, 1, 1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 1, 1, 1))
+
+
+def _witness_escapes(L):
+    """is_s_lie's witness of L, and whether its sum and its bracket leave
+    x's solvabilizer, checked on the element list."""
+    _, (x, a, b) = is_s_lie(L)
+    members = set(solvabilizer(L, x))
+    assert L.index(a) in members and L.index(b) in members
+    return (x, a, b), (L.index([u + v for u, v in zip(a, b)]) not in members,
+                       L.index(L.bracket(a, b)) not in members)
+
+
+class TestSLieWitness:
+    """The witness read off the failing row's line bits against the
+    element-pair loop over the row's members (tests/oracles.py)."""
+
+    def test_matches_pair_loop(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
+        for L in (sl2_2, sl2_3, w3, t2_3, make_t(3, 2), gl2_3, make_gl(2, 5),
+                  make_gl(2, 7), make_so(3, 3), make_so(4, 3), make_sl(3, 2)):
+            assert is_s_lie(L) == s_lie_witness_by_pairs(L), L.name
+
+    def test_matches_pair_loop_on_every_failing_line(self, sl2_3, sl2_5, gl2_3, monkeypatch):
+        # the rule holds for the row of any line whose solvabilizer fails,
+        # not only for the first such line's
+        for L in (sl2_3, sl2_5, gl2_3, make_so(3, 5)):
+            count = 0
+            for l in range(L.line_count):
+                pair = first_failing_pair(L, l)
+                if pair:
+                    count += 1
+                    monkeypatch.setattr(solv, "_failing_line", lambda L, force=False: l)
+                    assert is_s_lie(L) == (False, (L.vector(L.line_rep(l)), *pair)), (L.name, l)
+            assert count > 0, L.name
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 2)] * _GL2_SL2.dim), min_size=2, max_size=2))
+    @example(list(_LIFTED_PAIRS[0]))
+    @example(list(_LIFTED_PAIRS[1]))
+    def test_matches_pair_loop_on_random_subalgebras(self, generators):
+        S = closed_subalgebra(_GL2_SL2, generators)
+        assume(S.dim <= 5)
+        assert is_s_lie(S) == s_lie_witness_by_pairs(S)
+
+    def test_first_pair_fails_by_the_sum(self, gl2_3):
+        # E01 and E10 both pair solvably with E00, and so does their bracket
+        # E00 - E11, but not their sum
+        assert _witness_escapes(gl2_3) == (
+            ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), (True, False))
+
+    def test_first_pair_fails_by_the_bracket(self):
+        S = closed_subalgebra(make_gl(3, 2), BRACKET_ONLY_GENERATORS)
+        assert _witness_escapes(S) == (
+            ((1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 1)), (False, True))
+        assert s_lie_witness_by_pairs(S) == is_s_lie(S)
+
+    def test_no_witness_is_an_error(self, w3, monkeypatch):
+        # a failing line whose row is a subalgebra yields no pair: the
+        # search says so instead of returning a witness
+        monkeypatch.setattr(solv, "_failing_line", lambda L, force=False: 0)
+        with pytest.raises(AssertionError, match="no witness pair found"):
+            is_s_lie(w3)
+
+
 class TestExpansionBoundary:
     def test_row_queries_expand_no_line(self, sl2_5, w3, capsys, monkeypatch):
         # only queries that return element lists expand rows to elements;
-        # verdicts and counts, also the ones commands print, read lines
+        # verdicts, counts and the S-witness, also the ones commands print,
+        # read lines
         t3_2, t3_3, gl2_5 = make_t(3, 2), make_t(3, 3), make_gl(2, 5)
         swap = conjugation_automorphism(sl2_5, ((0, 1), (1, 0)))
         queries = {
@@ -718,6 +790,8 @@ class TestExpansionBoundary:
             "is_s_lie t3@2": lambda: is_s_lie(t3_2),
             "is_s_lie t3@3": lambda: is_s_lie(t3_3),
             "is_s_lie w3": lambda: is_s_lie(w3),
+            "is_s_lie sl2@5": lambda: is_s_lie(sl2_5),
+            "slie gl2@5": lambda: main(["slie", "gl2@5"]),
             "divisibility_report w3": lambda: divisibility_report(w3, (0, 1, 0)),
             "divisibility_report t3@3": lambda: divisibility_report(t3_3, (1, 0, 0, 0, 0, 0)),
             "conjecture_sum sl2@5": lambda: conjecture_sum(sl2_5),
