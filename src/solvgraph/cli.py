@@ -9,7 +9,6 @@ query a command makes reads the loaded algebra's plane table (see solv).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from typing import NamedTuple
@@ -65,11 +64,17 @@ def _coords(vec) -> str:
     return "(" + ",".join(str(c) for c in vec) + ")"
 
 
+def _print_json(obj):
+    """Print obj as compact JSON, the one --format json writer."""
+    import json  # here, so text output never loads json
+    print(json.dumps(obj, separators=(",", ":")))
+
+
 def _print_fields(fields: dict, fmt: str):
     """Print a command's fields as compact JSON, or as key=value lines with
     true/false, n/a for None, tuples as coordinates and lists space-separated."""
     if fmt == "json":
-        print(json.dumps(fields, separators=(",", ":")))
+        _print_json(fields)
         return
     for k, v in fields.items():
         if v is None:
@@ -115,8 +120,7 @@ def cmd_degrees(args) -> int:
     G = graph.build(L, force=args.force)
     seq = graph.degree_sequence(G)
     if args.format == "json":
-        print(json.dumps({"degrees": [[d, m] for d, m in seq.items()]},
-                         separators=(",", ":")))
+        _print_json({"degrees": [[d, m] for d, m in seq.items()]})
     else:
         for d, m in seq.items():
             print(f"{d},{m}")
@@ -127,10 +131,10 @@ def cmd_conjecture(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
     res = solv.conjecture_sum(L, force=args.force)
     if args.format == "json":
-        print(json.dumps({
+        _print_json({
             "sum": res.total, "order": res.order,
             "divisible": res.divisible, "quotient": str(res.quotient),
-        }, separators=(",", ":")))
+        })
     else:
         yn = "yes" if res.divisible else "no"
         print(f"sum={res.total} order={res.order} divisible={yn} quotient={res.quotient}")

@@ -11,7 +11,6 @@ discriminant is 4(a^2 + bc).
 from __future__ import annotations
 
 import enum
-import json
 from typing import NamedTuple
 
 from .ffalg import PrimeField
@@ -144,6 +143,7 @@ class VerificationReport(NamedTuple):
         return "\n".join(lines)
 
     def to_json(self) -> str:
+        import json  # here, so text output never loads json
         return json.dumps({**self._asdict(),
                            "expected": [[d, m] for d, m in self.expected.items()],
                            "computed": [[d, m] for d, m in self.computed.items()]},

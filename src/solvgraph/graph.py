@@ -16,7 +16,6 @@ at most (2E + |V|)/(p - 1) entries for E edges and |V| vertices.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
@@ -178,6 +177,7 @@ def export_json(G: SolvGraph, path):
     Edges are written one vertex at a time from the shared per-row lists
     (see SolvGraph._neighbor_lists), in the bytes json.dumps would give.
     """
+    import json  # here, so commands without a JSON export never load json
     pairs = G._neighbor_lists()
     head = json.dumps({
         "algebra": G.algebra.name,

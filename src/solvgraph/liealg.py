@@ -58,9 +58,10 @@ class LieAlgebra:
     validation and all operations on them are pure.
     """
 
-    # _plane_table is filled on first use by solv.plane_table.
+    # Filled on first use: _ideal and _quotient by solvable_ideal and
+    # _ideal_quotient, _plane_table by solv.plane_table.
     __slots__ = ("field", "dim", "constants", "labels", "name",
-                 "basis_matrices", "matrix_size", "_plane_table")
+                 "basis_matrices", "matrix_size", "_ideal", "_quotient", "_plane_table")
 
     def __init__(self, field: PrimeField, constants, labels=None, name="L",
                  basis_matrices=None, matrix_size=None):
@@ -78,7 +79,7 @@ class LieAlgebra:
         self.name = name
         self.basis_matrices = basis_matrices
         self.matrix_size = matrix_size
-        self._plane_table = None
+        self._ideal = self._quotient = self._plane_table = None
         self._validate()
 
     def _validate(self):
@@ -387,36 +388,40 @@ def from_file(path) -> LieAlgebra:
     dim = None
     labels = None
     entries: dict[tuple[int, int, int], tuple[int, int]] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            where = f"{path.name}:{lineno}"
-            if parts[0] == "p":
-                if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
-                    raise ValueError(f"{where}: expected 'p <prime>'")
-                try:
-                    field = PrimeField(int(parts[1]))
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-            elif parts[0] == "dim":
-                if len(parts) != 2 or not parts[1].isdecimal():
-                    raise ValueError(f"{where}: expected 'dim <n>'")
-                dim = int(parts[1])
-                if dim > MAX_DIM:
-                    raise ValueError(f"{where}: dim {dim} exceeds the limit {MAX_DIM}")
-            elif parts[0] == "labels":
-                labels = parts[1:]
-            else:
-                if len(parts) != 4:
-                    raise ValueError(f"{where}: expected 'i j k v', got {line!r}")
-                try:
-                    i, j, k, v = (int(x) for x in parts)
-                except ValueError:
-                    raise ValueError(f"{where}: expected four integers, got {line!r}") from None
-                entries[(i, j, k)] = (v, lineno)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    for lineno, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        where = f"{path.name}:{lineno}"
+        if parts[0] == "p":
+            if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
+                raise ValueError(f"{where}: expected 'p <prime>'")
+            try:
+                field = PrimeField(int(parts[1]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        elif parts[0] == "dim":
+            if len(parts) != 2 or not parts[1].isdecimal():
+                raise ValueError(f"{where}: expected 'dim <n>'")
+            dim = int(parts[1])
+            if dim > MAX_DIM:
+                raise ValueError(f"{where}: dim {dim} exceeds the limit {MAX_DIM}")
+        elif parts[0] == "labels":
+            labels = parts[1:]
+        else:
+            if len(parts) != 4:
+                raise ValueError(f"{where}: expected 'i j k v', got {line!r}")
+            try:
+                i, j, k, v = (int(x) for x in parts)
+            except ValueError:
+                raise ValueError(f"{where}: expected four integers, got {line!r}") from None
+            entries[(i, j, k)] = (v, lineno)
     if field is None:
         raise ValueError(f"{path.name}: missing 'p' line")
     if dim is None:
@@ -503,9 +508,11 @@ def derived_series(L: LieAlgebra, space: Subspace) -> SeriesReport:
 
 
 def is_solvable(L: LieAlgebra, space: Subspace | None = None) -> bool:
-    """True iff the derived series of the subspace (default: all of L) reaches 0."""
+    """True iff the derived series of the subspace reaches 0.  For all of L
+    (space None) that is read off solvable_ideal(L), which is L exactly
+    when L is solvable, so L's own series runs once per algebra."""
     if space is None:
-        space = L.full_space()
+        return solvable_ideal(L).dim == L.dim
     return derived_series(L, space).terminated
 
 
@@ -527,8 +534,20 @@ def center(L: LieAlgebra) -> Subspace:
 
 def solvable_ideal(L: LieAlgebra) -> Subspace:
     """The solvable ideal N that plane tables and the radical factor out:
-    L when L is solvable, else the center."""
-    return L.full_space() if is_solvable(L) else center(L)
+    L when L is solvable, else the center.  Found on first use, with one
+    derived series of L, and kept on L; _ideal_quotient keeps L/N beside it."""
+    if L._ideal is None:
+        full = L.full_space()
+        L._ideal = full if derived_series(L, full).terminated else center(L)
+    return L._ideal
+
+
+def _ideal_quotient(L: LieAlgebra):
+    """quotient(L, solvable_ideal(L)), built on first use and kept on L, so
+    the plane table and the radical share one L/N."""
+    if L._quotient is None:
+        L._quotient = quotient(L, solvable_ideal(L))
+    return L._quotient
 
 
 def ideal_closure(L: LieAlgebra, x) -> Subspace:
@@ -547,19 +566,24 @@ def radical(L: LieAlgebra, force: bool = False) -> Subspace:
 
     The sum of two solvable ideals is a solvable ideal, so the radical
     holds every solvable ideal N and is the preimage of the radical of L/N.
-    N = solvable_ideal(L); a solvable L has L/N = 0, whose radical is 0.
-    Only with N = 0 is L searched, for the elements whose ideal closure is
-    solvable, one per line.
+    N = solvable_ideal(L) and L/N = _ideal_quotient(L), both kept on L.  A
+    solvable L is N itself and is returned without building L/N.  Only with
+    N = 0, so L not solvable, is L searched, for the elements whose ideal
+    closure is solvable, one per line; a closure of dimension dim L is L,
+    known not to be solvable, and runs no derived series.
     """
     require_enumerable(L, force)
-    if (N := solvable_ideal(L)).dim:
-        Q, _, section = quotient(L, N)
+    N = solvable_ideal(L)
+    if N.dim == L.dim:
+        return N
+    if N.dim:
+        Q, _, section = _ideal_quotient(L)
         R = radical(Q, force=True)
         space = rref(N.basis + tuple(map(section, R.basis)), L.field, ambient=L.dim)
         size = N.size * R.size
     else:
         good_reps = [rep for rep in map(L.vector, map(L.line_rep, range(L.line_count)))
-                     if is_solvable(L, ideal_closure(L, rep))]
+                     if (S := ideal_closure(L, rep)).dim < L.dim and is_solvable(L, S)]
         space = rref(good_reps, L.field, ambient=L.dim)
         size = 1 + (L.field.p - 1) * len(good_reps)
     if space.size != size:

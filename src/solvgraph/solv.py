@@ -13,7 +13,8 @@ K/(K meet N) is isomorphic to pi(K), so K is solvable iff pi(K) is.  As
 pi<x, y> = <pi x, pi y>, the pair x, y generates a solvable subalgebra iff
 pi x, pi y do in Q.  So plane_table() classifies the planes of Q, not of L:
 it takes N = liealg.solvable_ideal(L), which is L when L is solvable and
-the center otherwise, and lifts Q's table to L's lines.  Only an algebra
+the center otherwise, and lifts Q's table to L's lines; N and Q are kept on
+L, and N = L makes every row full with no Q at all.  Only an algebra
 with zero center that is not solvable has its own planes enumerated, each
 once, directly in reduced row-echelon form, and classified by their
 closures with the verdict of pair_solvable.  A closure that reaches dim L
@@ -25,14 +26,14 @@ and runs no closure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .ffalg import Subspace, rref
 from .liealg import (
     LieAlgebra,
     LinearMap,
+    _ideal_quotient,
     centralizer,
     is_ideal,
     is_lie_automorphism,
@@ -42,6 +43,9 @@ from .liealg import (
     solvable_ideal,
     subalgebra_closure,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def pair_solvable(L: LieAlgebra, x, y) -> bool:
@@ -81,12 +85,17 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
     itself, as two dependent projections generate a subalgebra of
     dimension at most 1, which is solvable.  Q's table is built the same
     way, so the recursion ends at an algebra with zero center that is not
-    solvable, whose planes are classified directly.
+    solvable, whose planes are classified directly.  N and L/N are the ones
+    kept on L (liealg.solvable_ideal), and when N = L every row is full,
+    with no L/N built and no line projected.
     """
     require_enumerable(L, force)
     if L._plane_table is None:
         N = solvable_ideal(L)
-        L._plane_table = tuple(_lifted_rows(L, N) if N.dim else _classified_rows(L))
+        if N.dim == L.dim:
+            L._plane_table = ((1 << L.line_count) - 1,) * L.line_count
+        else:
+            L._plane_table = tuple(_lifted_rows(L) if N.dim else _classified_rows(L))
     return L._plane_table
 
 
@@ -130,9 +139,9 @@ def _span_lines(L: LieAlgebra, basis) -> int:
     return _lines_through(L, reps)
 
 
-def _lifted_rows(L: LieAlgebra, N: Subspace) -> list[int]:
+def _lifted_rows(L: LieAlgebra) -> list[int]:
     """Neighbor bitsets of L's lines, lifted from the table of L/N."""
-    Q, project, _ = quotient(L, N)
+    Q, project, _ = _ideal_quotient(L)
     q_nbr = plane_table(Q, force=True)
     in_n = 0
     over = [0] * len(q_nbr)  # the L-lines over each Q-line
@@ -231,8 +240,9 @@ def _failing_line(L: LieAlgebra, force: bool = False) -> int | None:
     """The first line whose solvabilizer is not a subalgebra, or None: the
     S-verdict alone.  A solvabilizer is fixed by its line's row, so each
     distinct row is examined once, by _is_subspace and the span's closure.
+    A full row's set is L, a subalgebra, and passes with neither.
     """
-    passed = set()
+    passed = {(1 << L.line_count) - 1}
     for l, row in enumerate(plane_table(L, force)):
         if row in passed:
             continue
@@ -296,8 +306,10 @@ def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
     """
     total = L.size + (L.field.p - 1) * sum(_size(L, row) for row in plane_table(L, force))
     q, r = divmod(total, L.size)
-    return ConjectureResult(total, L.size, r == 0,
-                            q if r == 0 else Fraction(total, L.size))
+    if r == 0:
+        return ConjectureResult(total, L.size, True, q)
+    from fractions import Fraction  # here, so a divisible sum never loads fractions and decimal
+    return ConjectureResult(total, L.size, False, Fraction(total, L.size))
 
 
 class DivisibilityReport(NamedTuple):

@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from solvgraph import graph, solv
 from solvgraph.cli import main, parse_spec
-from solvgraph.liealg import LieAlgebra
+from solvgraph.liealg import LieAlgebra, make_sl
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +207,29 @@ class TestConjectureCommand:
         assert data["sum"] == 8 + 8 + 6 * 4
         assert data["quotient"] == "5"
 
+    def test_sum_not_divisible(self, capsys, monkeypatch):
+        # only gl3@3 reaches this branch among the named algebras, too slow
+        # to run here: one row of sl2@3 gains one line, which adds
+        # (p - 1)^2 = 4 to the sum 297, and 301 = 11 * 27 + 4
+        real = solv.plane_table
+
+        def one_more_line(L, force=False):
+            nbr = list(real(L, force))
+            full = (1 << len(nbr)) - 1
+            l = next(l for l, row in enumerate(nbr) if row != full)
+            missing = full & ~nbr[l]
+            nbr[l] |= missing & -missing
+            return tuple(nbr)
+        monkeypatch.setattr(solv, "plane_table", one_more_line)
+        res = solv.conjecture_sum(make_sl(2, 3))
+        assert (res.total, res.order, res.divisible) == (301, 27, False)
+        assert res.quotient == Fraction(301, 27)
+        code, out, _ = run_cli(capsys, "conjecture", "sl2@3")
+        assert code == 0
+        assert out == "sum=301 order=27 divisible=no quotient=301/27\n"
+        code, out, _ = run_cli(capsys, "conjecture", "sl2@3", "--format", "json")
+        assert code == 0
+        assert out == '{"sum":301,"order":27,"divisible":false,"quotient":"301/27"}\n'
 
 class TestVerifyCommand:
     def test_pass_exit_zero(self, capsys):
@@ -352,6 +376,13 @@ class TestFileSpecs:
         assert code == 2
         assert "itself" in err
 
+    def test_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"p 3\n\xff\xfe\n")
+        code, out, err = run_cli(capsys, "info", f"file:{path}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: binary.txt: not UTF-8 text") and "byte 4" in err
+
     def test_absurd_dim_rejected_before_allocation(self, capsys, tmp_path):
         path = tmp_path / "huge.txt"
         path.write_text("p 2\ndim 1000000\n")
@@ -436,3 +467,21 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.stdout == "[]\n"
+
+    def test_text_output_loads_no_json_or_fractions(self):
+        # imports are per process, so the commands run in a child of their own
+        code = ("import sys\n"
+                "from solvgraph import cli\n"
+                "for argv in (['info', 't3@3'], ['verify', 'sl2@5'],\n"
+                "             ['conjecture', 'gl2@5'], ['complement', 'gl2@5']):\n"
+                "    assert cli.main(argv) == 0\n"
+                "print(sorted({'json', 'fractions', 'decimal'} & set(sys.modules)))\n"
+                "assert cli.main(['info', 't3@3', '--format', 'json']) == 0\n"
+                "print('json' in sys.modules)\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        loaded, json_line, json_loaded = proc.stdout.splitlines()[-3:]
+        assert loaded == "[]"
+        assert json.loads(json_line)["s_lie"] is True
+        assert json_loaded == "True"

@@ -13,7 +13,9 @@ from oracles import (
     edges_by_masks,
     export_dot_per_edge,
     export_json_per_edge,
+    radical_by_lines,
     rows_by_masks,
+    s_lie_by_elements,
     s_lie_witness_by_pairs,
     vertex_degree,
     vertices_by_lines,
@@ -30,7 +32,7 @@ from solvgraph.graph import (
     export_dot,
     export_json,
 )
-from solvgraph.liealg import CapExceeded, from_file, make_gl, make_sl, make_so
+from solvgraph.liealg import CapExceeded, from_file, make_gl, make_sl, make_so, make_t, radical
 from solvgraph.solv import bits, is_s_lie, plane_table, sol_of_algebra, solvabilizer
 
 
@@ -79,6 +81,7 @@ class TestRandomSubalgebras:
     @given(_generated_subalgebras())
     def test_build_matches_bruteforce(self, S):
         _assert_matches_bruteforce(S)
+        assert radical(S) == radical_by_lines(S)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(_generated_subalgebras())
@@ -88,8 +91,10 @@ class TestRandomSubalgebras:
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(_generated_subalgebras())
     def test_s_lie_witness_matches_pair_loop(self, S):
-        # the line-bit witness search against the element-pair loop
+        # the line-bit witness search against the element-pair loop, and
+        # the verdict against every solvabilizer list's span
         assert is_s_lie(S) == s_lie_witness_by_pairs(S)
+        assert is_s_lie(S)[0] == s_lie_by_elements(S)
 
 
 class TestBuild:
@@ -131,10 +136,11 @@ class TestBuild:
             for n in rows:
                 assert (row >> n & 1) == (rows[n] >> m & 1)
 
-    def test_line_expansion_matches_bruteforce(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
+    def test_line_expansion_matches_bruteforce(self, sl2_2, sl2_3, w3, t2_3, gl2_3,
+                                               zero_file, abelian_file):
         # the production graph is read off the plane table's line bitsets;
         # compare against the raw quadratic loop with fresh closures
-        for L in (sl2_2, w3, sl2_3, t2_3, gl2_3):
+        for L in (sl2_2, w3, sl2_3, t2_3, make_t(3, 2), gl2_3, zero_file, abelian_file):
             _assert_matches_bruteforce(L)
             # the complement walk relies on every vertex line having a
             # complement neighbor line

@@ -468,15 +468,16 @@ class TestLineNumbers:
 
 
 class TestRadical:
-    def test_matches_subspace_lattice_bruteforce(self, sl2_3, w3, t2_3, gl2_3):
-        # solvable algebras, the 0-dimensional one included, take the
-        # quotient path through L/L = 0
+    def test_matches_subspace_lattice_bruteforce(self, sl2_3, w3, t2_3, gl2_3,
+                                                 zero_file, abelian_file):
+        # solvable algebras, the 0-dimensional ones included, are their own
+        # radical without a quotient
         zero = quotient(t2_3, t2_3.full_space())[0]
-        for L in (sl2_3, w3, t2_3, gl2_3, make_t(3, 2), zero):
+        for L in (sl2_3, w3, t2_3, gl2_3, make_t(3, 2), zero, zero_file, abelian_file):
             assert radical(L) == radical_bruteforce(L)
 
     def test_matches_line_search(self):
-        for L in (make_gl(2, 5), make_gl(3, 2), make_so(4, 3)):
+        for L in (make_gl(2, 3), make_gl(2, 5), make_t(3, 3), make_gl(3, 2), make_so(4, 3)):
             assert radical(L) == radical_by_lines(L)
 
     def test_simple_algebras_have_zero_radical(self, sl2_3, w3):

@@ -7,6 +7,9 @@ under ``perfbench/`` is imported or written.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from solvgraph.graph import build
@@ -42,3 +45,16 @@ def test_build_result_has_what_the_tracer_reads(sl2_3):
     G = build(sl2_3)
     assert len(G.lines) == 13
     assert len(G.rows) == G.vertex_count and all(isinstance(r, int) for r in G.rows)
+
+
+def test_cli_import_loads_every_module_the_tracer_patches():
+    # Tracer.install looks each target's module up in sys.modules after an
+    # in-process pass that imported solvgraph.cli alone, so a module that a
+    # command imports lazily would be missing there
+    modules = sorted({f"solvgraph.{mod_name}" for mod_name, _, _ in _targets()})
+    code = ("import sys; from solvgraph import cli; "
+            f"print([m for m in {modules!r} if m not in sys.modules])")
+    src = TRACER.parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout == "[]\n"

@@ -22,10 +22,11 @@ from oracles import (
     quotient_compatibility_by_elements,
     first_failing_pair,
     radical_by_lines,
+    s_lie_by_elements,
     s_lie_witness_by_pairs,
     subspace_elements,
 )
-from solvgraph import solv
+from solvgraph import liealg, solv
 from solvgraph.cli import main
 from solvgraph.ffalg import rref
 from solvgraph.graph import build
@@ -425,9 +426,10 @@ class TestSLie:
         assert sl2_3.index((0, 1, 0)) in sol_h
         assert sl2_3.index((1, 1, 0)) not in sol_h
 
-    def test_verdict_matches_elementwise_oracle(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
+    def test_verdict_matches_elementwise_oracle(self, sl2_2, sl2_3, w3, t2_3, gl2_3,
+                                                zero_file, abelian_file):
         # S-Lie iff every direct solvabilizer is additively and bracket closed
-        for L in (sl2_2, sl2_3, w3, t2_3, make_t(3, 2), gl2_3):
+        for L in (sl2_2, sl2_3, w3, t2_3, make_t(3, 2), gl2_3, zero_file, abelian_file):
             expected = True
             for m in range(L.size):
                 sol = direct_solvabilizer(L, L.vector(m))
@@ -438,6 +440,10 @@ class TestSLie:
                     expected = False
                     break
             assert is_s_lie(L)[0] == expected, L.name
+        # too large for the direct loop: every solvabilizer list's span
+        # against the list, with the full rows of t3 and of gl2's center
+        for L in (make_t(3, 3), make_gl(2, 5)):
+            assert is_s_lie(L)[0] == s_lie_by_elements(L), L.name
 
     def test_s_lie_example_solvabilizers_are_subalgebras(self, w3):
         # every solvabilizer of the char-2 simple algebra is a subalgebra:
@@ -470,6 +476,64 @@ class TestConjectureSum:
         res = conjecture_sum(sl2_3)
         assert isinstance(res.quotient, int)
         assert Fraction(res.total, res.order) == res.quotient
+
+
+def _count_series_and_quotients(monkeypatch):
+    """Patch liealg and solv so that every derived series and every quotient
+    is counted in the returned dict."""
+    counts = {"derived_series": 0, "quotient": 0}
+    for name in counts:
+        real = getattr(liealg, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        for module in (liealg, solv):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+class TestOneSolvableIdealPerAlgebra:
+    """solvable_ideal(L) and L/N are derived once per algebra and kept on L;
+    fresh algebras each time, as fixtures may carry them already."""
+
+    def test_radical_of_a_simple_algebra_runs_two_series(self, monkeypatch):
+        # one for solvable_ideal; every ideal closure is all of sl2, which
+        # needs none; one for the check of the 0 result
+        counts = _count_series_and_quotients(monkeypatch)
+        assert radical(make_sl(2, 11)).dim == 0
+        assert counts["derived_series"] <= 2
+
+    @pytest.mark.parametrize("spec,most", [("gl2@7", 6), ("t3@3", 5)])
+    def test_info_derives_each_ideal_once(self, spec, most, monkeypatch, capsys):
+        counts = _count_series_and_quotients(monkeypatch)
+        assert main(["info", spec]) == 0
+        capsys.readouterr()
+        assert counts["derived_series"] <= most
+
+    def test_solvable_algebra_table_builds_no_quotient(self, monkeypatch):
+        counts = _count_series_and_quotients(monkeypatch)
+        for L in (make_t(2, 3), make_t(3, 3)):
+            full = (1 << L.line_count) - 1
+            assert plane_table(L) == (full,) * L.line_count
+        assert counts["quotient"] == 0
+
+    def test_full_rows_need_no_span_or_closure(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a full row was spanned or closed")
+        monkeypatch.setattr(solv, "_is_subspace", refuse)
+        monkeypatch.setattr(solv, "subalgebra_closure", refuse)
+        assert solv._failing_line(make_t(3, 3)) is None
+
+    def test_table_radical_and_verdict_share_one_ideal(self, monkeypatch):
+        L = make_gl(2, 5)
+        counts = _count_series_and_quotients(monkeypatch)
+        plane_table(L)
+        radical(L)
+        series = counts["derived_series"]
+        assert liealg.is_solvable(L) is False
+        assert counts == {"derived_series": series, "quotient": 1}
 
 
 class TestDivisibilityReport:
@@ -579,8 +643,10 @@ _LIFTED_PAIRS = (
 
 
 class TestQuotientPath:
-    def test_table_matches_oracle(self, sl2_2, gl2_3, t2_3, w3):
-        for L in (sl2_2, w3, t2_3, make_t(3, 2), gl2_3, make_gl(2, 5)):
+    def test_table_matches_oracle(self, sl2_2, gl2_3, t2_3, w3, zero_file, abelian_file):
+        # the solvable ones (t2, t3, the file algebras) have every row full
+        for L in (sl2_2, w3, t2_3, make_t(3, 2), make_t(3, 3), gl2_3, make_gl(2, 5),
+                  zero_file, abelian_file):
             _assert_table_matches_oracle(L)
 
     @pytest.mark.slow
@@ -750,6 +816,7 @@ class TestSLieWitness:
         S = closed_subalgebra(_GL2_SL2, generators)
         assume(S.dim <= 5)
         assert is_s_lie(S) == s_lie_witness_by_pairs(S)
+        assert is_s_lie(S)[0] == s_lie_by_elements(S)
 
     def test_first_pair_fails_by_the_sum(self, gl2_3):
         # E01 and E10 both pair solvably with E00, and so does their bracket
