@@ -336,15 +336,22 @@ def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityRe
     (sol_L(x) + t x = sol_L(x) for t != 0) checks r + t x for one vector r
     per line of the row: a multiple s r gives s r + t x = s (r + (t/s) x),
     0 or on the line of a checked sum, and 0 + t x is 0 or on x's line.
+    A row of every line is L itself, a subspace closed under any coset,
+    so sol(L) = L is not spanned and a full row forms no sums.
     """
     p, x = L.field.p, L.element(x)
+    full = (1 << L.line_count) - 1
     row = _row(L, x, force)
     size = _size(L, row)
     sol = sol_lines(plane_table(L, force))
-    sol_divides = (size % _size(L, sol) == 0) if _is_subspace(L, sol)[0] else None
+    sol_closed = sol == full or _is_subspace(L, sol)[0]
+    sol_divides = (size % _size(L, sol) == 0) if sol_closed else None
     cent_size = centralizer(L, x).size
     cent_divides = (size % cent_size == 0) if _failing_line(L, force) is None else None
-    sums = [[a + t * b for a, b in zip(r, x)] for r in _reps(L, row) for t in range(1, p)]
+    coset_closed = row == full
+    if not coset_closed:
+        sums = [[a + t * b for a, b in zip(r, x)] for r in _reps(L, row) for t in range(1, p)]
+        coset_closed = _lines_through(L, sums) | row == row
     return DivisibilityReport(
         element_index=L.index(x),
         sol_size=size,
@@ -353,7 +360,7 @@ def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityRe
         sol_divides=sol_divides,
         centralizer_size=cent_size,
         centralizer_divides=cent_divides,
-        coset_closed=_lines_through(L, sums) | row == row,
+        coset_closed=coset_closed,
     )
 
 

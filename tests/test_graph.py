@@ -24,6 +24,7 @@ from oracles import (
 from solvgraph.cli import main
 from solvgraph.graph import (
     SolvGraph,
+    _edge_chunks,
     build,
     complement_components,
     components,
@@ -74,6 +75,14 @@ def _assert_matches_per_edge_writers(G, out_dir):
         assert (out_dir / f"new.{kind}").read_bytes() == (out_dir / f"old.{kind}").read_bytes()
     text = (out_dir / "new.json").read_text()
     assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n"
+    # one chunk per vertex with a neighbor above it, so none for the
+    # highest-index vertex, whose neighbors all lie below it
+    pairs = G._neighbor_lists()
+    heads = []
+    chunks = list(_edge_chunks(pairs, lambda m: heads.append(m) or f"{m}:",
+                               {m: f"{m}," for m, _ in pairs}))
+    assert heads == [m for m, ns in pairs if ns[-1] > m] and len(chunks) == len(heads)
+    assert not pairs or pairs[-1][0] not in heads
 
 
 class TestRandomSubalgebras:
@@ -327,17 +336,45 @@ class TestComplement:
             assert len(complement_components(G)) == expected
 
 
+class _CountingDict(dict):
+    """A dict that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 class TestExports:
     def test_match_per_edge_writers(self, sl2_2, w3, gl2_3, tmp_path):
-        # sl2@2 has no vertices; w3 and so3@2 have p = 2, one element per
-        # line; gl2@3's table is lifted, so lines share rows; sl3@2 is
-        # classified directly; the file algebra's name needs escaping
+        # sl2@2 has no vertices, nor has t3@3, whose rows are all full; w3
+        # and so3@2 have p = 2, one element per line; gl2@3's and gl2@5's
+        # tables are lifted, so lines share rows (q(q - 1) vertices each at
+        # gl2@5); sl3@2 is classified directly; the file algebra's name needs
+        # escaping
         table = tmp_path / 'a"b\\c.txt'
         table.write_text("p 2\ndim 3\n0 1 1 1\n0 2 2 1\n1 2 0 1\n")
         named = from_file(table)
         assert '"' in named.name and "\\" in named.name
-        for L in (sl2_2, w3, make_so(3, 2), gl2_3, make_sl(3, 2), named):
+        for L in (sl2_2, make_t(3, 3), w3, make_so(3, 2), gl2_3, make_gl(2, 5),
+                  make_sl(3, 2), named):
             _assert_matches_per_edge_writers(build(L), tmp_path)
+
+    @pytest.mark.parametrize("make, q, entries, edges", [(make_sl, 13, 32772, 195534),
+                                                         (make_gl, 5, 4220, 41890)])
+    def test_one_tail_lookup_per_list_entry(self, make, q, entries, edges):
+        # each distinct row's list is formatted once and shared by every
+        # vertex with that row; one lookup per edge read `edges` of them
+        G = build(make(2, q))
+        pairs = G._neighbor_lists()
+        distinct = {id(ns): ns for _, ns in pairs}
+        assert sum(map(len, distinct.values())) == entries
+        assert G.edge_count == edges
+        tail = _CountingDict((m, str(m)) for m, _ in pairs)
+        for _ in _edge_chunks(pairs, str, tail):
+            pass
+        assert tail.reads == entries
 
     def test_dot_line_counts(self, sl2_3, tmp_path):
         path = tmp_path / "g.dot"

@@ -571,6 +571,23 @@ class TestDivisibilityReport:
                 assert rep.sol_size % p == 0
                 assert rep.coset_closed
 
+    def test_full_rows_form_no_span_and_no_sums(self, monkeypatch):
+        # t3 is solvable, so x's row and sol(L) both hold every line: each
+        # is L, a subspace closed under every coset, so neither is spanned
+        # nor has its lines' coset sums formed
+        calls = []
+
+        def counted(name):
+            real = getattr(solv, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+        for name in ("rref", "_reps", "_lines_through"):
+            monkeypatch.setattr(solv, name, counted(name))
+        for L in (make_t(3, 3), make_t(3, 5)):
+            rep = divisibility_report(L, (1, 0, 0, 0, 0, 0))
+            assert (rep.sol_size, rep.sol_of_algebra_size) == (L.size, L.size), L.name
+            assert rep.sol_divides and rep.centralizer_divides and rep.coset_closed, L.name
+        assert calls == []
+
     def test_centralizer_inside_solvabilizer(self, sl2_3, w3, gl2_3):
         for L in (sl2_3, w3, gl2_3):
             for line in L.lines():
