@@ -88,6 +88,15 @@ def _print_fields(fields: dict, fmt: str):
         print(f"{k}={v}")
 
 
+def _print_line(fields: dict, fmt: str):
+    """Print a command's fields as compact JSON, or as one line of
+    space-separated key=value pairs."""
+    if fmt == "json":
+        _print_json(fields)
+    else:
+        print(" ".join(f"{k}={v}" for k, v in fields.items()))
+
+
 def cmd_info(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
     sol = solv.sol_lines(solv.plane_table(L, force=args.force))
@@ -110,8 +119,8 @@ def cmd_graph(args) -> int:
         graph.export_json(G, args.json)
     if args.csv:
         graph.export_degrees_csv(G, args.csv)
-    ncomp = len(graph._line_walk(G, 0))
-    print(f"vertices={G.vertex_count} edges={G.edge_count} components={ncomp}")
+    _print_line({"vertices": G.vertex_count, "edges": G.edge_count,
+                 "components": len(graph._line_walk(G, 0))}, args.format)
     return 0
 
 
@@ -153,7 +162,7 @@ def cmd_verify(args) -> int:
 def cmd_complement(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
     G = graph.build(L, force=args.force)
-    print(f"components={len(graph._line_walk(G, -1))}")
+    _print_line({"components": len(graph._line_walk(G, -1))}, args.format)
     return 0
 
 

@@ -508,12 +508,20 @@ def derived_series(L: LieAlgebra, space: Subspace) -> SeriesReport:
 
 
 def is_solvable(L: LieAlgebra, space: Subspace | None = None) -> bool:
-    """True iff the derived series of the subspace reaches 0.  For all of L
-    (space None) that is read off solvable_ideal(L), which is L exactly
-    when L is solvable, so L's own series runs once per algebra."""
-    if space is None:
+    """True iff the derived series of the subspace reaches 0: the one
+    solvability verdict, so its callers pass any closure with no dimension
+    test of their own.
+
+    Only a space of dimension strictly between 2 and dim L runs a series.
+    One of dimension at most 2, spanned by u and v, has [u, v] or nothing
+    as its derived subspace, and 0 next, closed or not.  One of dimension
+    dim L (or space None) is L, whose verdict is read off solvable_ideal(L),
+    which is L exactly when L is solvable, so L's own series runs once per
+    algebra.
+    """
+    if space is None or space.dim == L.dim:
         return solvable_ideal(L).dim == L.dim
-    return derived_series(L, space).terminated
+    return space.dim <= 2 or derived_series(L, space).terminated
 
 
 def centralizer(L: LieAlgebra, x) -> Subspace:
@@ -569,8 +577,9 @@ def radical(L: LieAlgebra, force: bool = False) -> Subspace:
     N = solvable_ideal(L) and L/N = _ideal_quotient(L), both kept on L.  A
     solvable L is N itself and is returned without building L/N.  Only with
     N = 0, so L not solvable, is L searched, for the elements whose ideal
-    closure is solvable, one per line; a closure of dimension dim L is L,
-    known not to be solvable, and runs no derived series.
+    closure is solvable, one per line.  Each closure goes to is_solvable as
+    it is: one of dimension dim L is L, known not to be solvable, and one
+    of dimension at most 2 is solvable, neither with a derived series.
     """
     require_enumerable(L, force)
     N = solvable_ideal(L)
@@ -583,7 +592,7 @@ def radical(L: LieAlgebra, force: bool = False) -> Subspace:
         size = N.size * R.size
     else:
         good_reps = [rep for rep in map(L.vector, map(L.line_rep, range(L.line_count)))
-                     if (S := ideal_closure(L, rep)).dim < L.dim and is_solvable(L, S)]
+                     if is_solvable(L, ideal_closure(L, rep))]
         space = rref(good_reps, L.field, ambient=L.dim)
         size = 1 + (L.field.p - 1) * len(good_reps)
     if space.size != size:

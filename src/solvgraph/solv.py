@@ -16,12 +16,12 @@ it takes N = liealg.solvable_ideal(L), which is L when L is solvable and
 the center otherwise, and lifts Q's table to L's lines; N and Q are kept on
 L, and N = L makes every row full with no Q at all.  Only an algebra
 with zero center that is not solvable has its own planes enumerated, each
-once, directly in reduced row-echelon form, and classified by their
-closures with the verdict of pair_solvable.  A closure that reaches dim L
-is not solvable and one of dimension at most 2 is, neither with a derived
-series; a solvable closure marks all of its lines pairwise adjacent, and a
-later plane whose two RREF rows' lines are already adjacent lies inside it
-and runs no closure.
+once, directly in reduced row-echelon form, and classified by
+liealg.is_solvable on their closures, the verdict pair_solvable reads too;
+a solvable closure marks all of its lines pairwise adjacent, and a later
+plane whose two RREF rows' lines are already adjacent lies inside it and
+runs no closure.  A row's S-verdict, whether 0 and its lines form a
+subalgebra, is one closure of its lines (see _failing_line).
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ def _classified_rows(L: LieAlgebra) -> list[int]:
 
     plane_table calls this only when solvable_ideal(L) is 0, so L is not
     solvable (or L = 0, which has no planes).  A plane is solvable iff its
-    closure S is, and S needs no derived series at either end: S = L is
-    not solvable, and a closure of dimension at most 2 is.  The closure
-    stops as soon as it reaches dim L.
+    closure S is, and S goes to is_solvable as it is: that verdict runs no
+    derived series when S is L (known not to be solvable) or of dimension
+    at most 2.  The closure stops as soon as it reaches dim L.
 
     When S is solvable, so is every subalgebra of S, and with it the plane
     of every pair of S's lines: all of S's lines are marked pairwise
@@ -119,7 +119,7 @@ def _classified_rows(L: LieAlgebra) -> list[int]:
         if nbr[L.line(r1)] >> L.line(r2) & 1:
             continue
         S = subalgebra_closure(L, (r1, r2))
-        if S.dim < L.dim and (S.dim <= 2 or is_solvable(L, S)):
+        if is_solvable(L, S):
             mask = _span_lines(L, S.basis)
             for l in bits(mask):
                 nbr[l] |= mask
@@ -194,14 +194,6 @@ def _lines_through(L: LieAlgebra, vectors) -> int:
     return sum(1 << l for l in {L.line(v) for v in vectors if L.index(v)})
 
 
-def _is_subspace(L: LieAlgebra, row: int) -> tuple[bool, Subspace]:
-    """Whether 0 and the lines of a row form a subspace, and their span.  The
-    span of one vector per line holds the set: they are equal iff
-    p^dim = 1 + (p - 1)|row|."""
-    span = rref(_reps(L, row), L.field, ambient=L.dim)
-    return span.size == _size(L, row), span
-
-
 def solvabilizer(L: LieAlgebra, x, force: bool = False) -> tuple[int, ...]:
     """Sorted indices of all y in L with <x, y> solvable: 0 and the lines of x's row."""
     return (0, *elements(L, _row(L, x, force)))
@@ -239,15 +231,16 @@ def sol_lines(nbr) -> int:
 def _failing_line(L: LieAlgebra, force: bool = False) -> int | None:
     """The first line whose solvabilizer is not a subalgebra, or None: the
     S-verdict alone.  A solvabilizer is fixed by its line's row, so each
-    distinct row is examined once, by _is_subspace and the span's closure.
-    A full row's set is L, a subalgebra, and passes with neither.
+    distinct row is examined once, by one closure of its lines: the set X,
+    0 and the row's lines, lies in the subalgebra that one vector per line
+    generates, so X is a subalgebra iff the two have the same size.  A full
+    row's set is L, a subalgebra, and passes with no closure.
     """
     passed = {(1 << L.line_count) - 1}
     for l, row in enumerate(plane_table(L, force)):
         if row in passed:
             continue
-        closed, span = _is_subspace(L, row)
-        if not (closed and subalgebra_closure(L, span.basis) == span):
+        if subalgebra_closure(L, _reps(L, row)).size != _size(L, row):
             return l
         passed.add(row)
     return None
@@ -336,15 +329,17 @@ def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityRe
     (sol_L(x) + t x = sol_L(x) for t != 0) checks r + t x for one vector r
     per line of the row: a multiple s r gives s r + t x = s (r + (t/s) x),
     0 or on the line of a checked sum, and 0 + t x is 0 or on x's line.
-    A row of every line is L itself, a subspace closed under any coset,
-    so sol(L) = L is not spanned and a full row forms no sums.
+    sol(L) is a subspace iff the span of one vector per line holds no more
+    than its 1 + (p - 1)|sol| elements.  A row of every line is L itself,
+    a subspace closed under any coset, so sol(L) = L is not spanned and a
+    full row forms no sums.
     """
     p, x = L.field.p, L.element(x)
     full = (1 << L.line_count) - 1
     row = _row(L, x, force)
     size = _size(L, row)
     sol = sol_lines(plane_table(L, force))
-    sol_closed = sol == full or _is_subspace(L, sol)[0]
+    sol_closed = sol == full or rref(_reps(L, sol), L.field, ambient=L.dim).size == _size(L, sol)
     sol_divides = (size % _size(L, sol) == 0) if sol_closed else None
     cent_size = centralizer(L, x).size
     cent_divides = (size % cent_size == 0) if _failing_line(L, force) is None else None

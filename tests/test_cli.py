@@ -65,11 +65,21 @@ GOLDEN = {
         f'{{"element":[1,0,0],"size":27,"members":[{_ALL_27.replace(" ", ",")}],'
         '"p_divides":true,"sol_size":27,"sol_divides":true,"centralizer_size":9,'
         '"centralizer_divides":true,"coset_closed":true}\n'),
+    ("graph", "sl2@3"): (
+        "vertices=26 edges=109 components=4\n",
+        '{"vertices":26,"edges":109,"components":4}\n'),
+    ("complement", "sl2@3"): ("components=1\n", '{"components":1}\n'),
+    # so4@3 classifies its own planes, with derived series on closures of
+    # dimensions 3 to 5
+    ("conjecture", "so4@3"): (
+        "sum=88209 order=729 divisible=yes quotient=121\n",
+        '{"sum":88209,"order":729,"divisible":true,"quotient":"121"}\n'),
 }
 
 
 @pytest.mark.parametrize("argv", list(GOLDEN))
 def test_info_and_solvabilizer_stdout_is_golden(capsys, argv):
+    # every command the table holds, in both formats
     text, js = GOLDEN[argv]
     assert run_cli(capsys, *argv) == (0, text, "")
     assert run_cli(capsys, *argv, "--format", "json") == (0, js, "")

@@ -44,6 +44,7 @@ from solvgraph.liealg import (
     subalgebra_closure,
     to_file,
 )
+from solvgraph.solv import _rref_planes
 
 
 class TestConstructors:
@@ -373,6 +374,29 @@ class TestDerivedSeries:
         report = derived_series(sl2_3, sl2_3.zero_space())
         assert report.terminated
         assert len(report.terms) == 1
+
+    @pytest.mark.parametrize("build", [lambda: make_sl(2, 3), lambda: make_gl(2, 3),
+                                       lambda: make_t(2, 3), lambda: make_so(3, 3),
+                                       lambda: make_w3(2)],
+                             ids=["sl2@3", "gl2@3", "t2@3", "so3@3", "w3"])
+    def test_verdict_matches_the_series(self, build):
+        # is_solvable skips the series at dimension at most 2 and at dim L;
+        # 0, every line, every plane (closed or not), every plane closure,
+        # every line's ideal closure and L itself must still get the
+        # verdict the series gives
+        L = build()
+        reps = [L.vector(line[0]) for line in lines_by_scan(L)]
+        planes = list(_rref_planes(L.dim, L.field.p))
+        spaces = [L.zero_space()] + [rref([x], L.field, ambient=L.dim) for x in reps]
+        spaces += [rref(plane, L.field, ambient=L.dim) for plane in planes]
+        spaces += [subalgebra_closure(L, plane) for plane in planes]
+        spaces += [ideal_closure(L, x) for x in reps]
+        spaces.append(L.full_space())
+        assert {S.dim for S in spaces} == set(range(L.dim + 1)), L.name
+        assert any(subalgebra_closure(L, S.basis) != S for S in spaces), L.name
+        for S in spaces:
+            assert is_solvable(L, S) == derived_series(L, S).terminated, (L.name, S.basis)
+        assert is_solvable(L) == derived_series(L, L.full_space()).terminated
 
 
 class TestCentralizer:

@@ -35,6 +35,7 @@ from solvgraph.liealg import (
     CapExceeded,
     LieAlgebra,
     LinearMap,
+    _ideal_quotient,
     center,
     centralizer,
     conjugation_automorphism,
@@ -44,8 +45,10 @@ from solvgraph.liealg import (
     make_sl,
     make_so,
     make_t,
+    make_w3,
     quotient,
     radical,
+    solvable_ideal,
     to_file,
 )
 from solvgraph.solv import (
@@ -498,12 +501,42 @@ class TestOneSolvableIdealPerAlgebra:
     """solvable_ideal(L) and L/N are derived once per algebra and kept on L;
     fresh algebras each time, as fixtures may carry them already."""
 
-    def test_radical_of_a_simple_algebra_runs_two_series(self, monkeypatch):
-        # one for solvable_ideal; every ideal closure is all of sl2, which
-        # needs none; one for the check of the 0 result
+    def test_radical_of_a_simple_algebra_runs_one_series(self, monkeypatch):
+        # one for solvable_ideal; every ideal closure is all of sl2, and the
+        # check of the 0 result has dimension 0: is_solvable needs no series
+        # for either
         counts = _count_series_and_quotients(monkeypatch)
         assert radical(make_sl(2, 11)).dim == 0
-        assert counts["derived_series"] <= 2
+        assert counts["derived_series"] <= 1
+
+    def test_pair_sweep_runs_one_series(self, monkeypatch):
+        # every closure <e, y> in sl2 has dimension at most 2 or is all of
+        # sl2; only the verdict on sl2 itself runs a series, once
+        L = make_sl(2, 5)
+        counts = _count_series_and_quotients(monkeypatch)
+        verdicts = [pair_solvable(L, (1, 0, 0), L.vector(m)) for m in range(L.size)]
+        assert verdicts.count(True) == len(solvabilizer(L, (1, 0, 0)))
+        assert counts["derived_series"] <= 1
+
+    @pytest.mark.parametrize("build", [lambda: make_sl(2, 11), lambda: make_gl(2, 7),
+                                       lambda: make_so(4, 3)],
+                             ids=["sl2@11", "gl2@7", "so4@3"])
+    def test_s_verdict_is_one_closure_per_row(self, build, monkeypatch):
+        # each distinct row that is not full is examined by one closure of
+        # its lines, with no span first
+        L = build()
+        nbr = plane_table(L)
+        closures = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row was spanned")
+        real = solv.subalgebra_closure
+        monkeypatch.setattr(solv, "rref", refuse)
+        monkeypatch.setattr(solv, "subalgebra_closure",
+                            lambda *args: closures.append(1) or real(*args))
+        l = solv._failing_line(L)
+        examined = set(nbr if l is None else nbr[:l + 1]) - {(1 << L.line_count) - 1}
+        assert len(closures) == len(examined) > 0
 
     @pytest.mark.parametrize("spec,most", [("gl2@7", 6), ("t3@3", 5)])
     def test_info_derives_each_ideal_once(self, spec, most, monkeypatch, capsys):
@@ -522,7 +555,7 @@ class TestOneSolvableIdealPerAlgebra:
     def test_full_rows_need_no_span_or_closure(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a full row was spanned or closed")
-        monkeypatch.setattr(solv, "_is_subspace", refuse)
+        monkeypatch.setattr(solv, "rref", refuse)
         monkeypatch.setattr(solv, "subalgebra_closure", refuse)
         assert solv._failing_line(make_t(3, 3)) is None
 
@@ -659,7 +692,30 @@ _LIFTED_PAIRS = (
 )
 
 
+# w3 + Heisenberg over F_2, with basis a, b, c of w3, then x, y, z with
+# [x, y] = z: N is Heisenberg's center z, and L/N = w3 + F_2^2 has a
+# 2-dimensional center, so the table and the radical recurse twice
+_HEISENBERG_2 = LieAlgebra(
+    make_w3(2).field,
+    [[(0, 0, 0), (0, 0, 1), (0, 0, 0)], [(0, 0, -1), (0, 0, 0), (0, 0, 0)], [(0, 0, 0)] * 3],
+    labels=["x", "y", "z"], name="heis@2")
+_W3_HEIS = direct_sum(make_w3(2), _HEISENBERG_2)
+
+
 class TestQuotientPath:
+    def test_two_quotient_levels(self):
+        L = _W3_HEIS
+        assert (L.dim, L.line_count) == (6, 63)
+        assert solvable_ideal(L).basis == ((0, 0, 0, 0, 0, 1),)
+        Q = _ideal_quotient(L)[0]
+        assert solvable_ideal(Q).dim == 2
+        R = _ideal_quotient(Q)[0]
+        assert R.dim == 3 and solvable_ideal(R).dim == 0 and not is_solvable(R)
+        _assert_table_matches_oracle(L)
+        assert radical(L) == radical_by_lines(L) and radical(L).dim == 3
+        assert is_s_lie(L)[0] == s_lie_by_elements(L)
+        assert conjecture_sum(L) == (2560, 64, True, 40)
+
     def test_table_matches_oracle(self, sl2_2, gl2_3, t2_3, w3, zero_file, abelian_file):
         # the solvable ones (t2, t3, the file algebras) have every row full
         for L in (sl2_2, w3, t2_3, make_t(3, 2), make_t(3, 3), gl2_3, make_gl(2, 5),
