@@ -60,41 +60,31 @@ def load_algebra(spec: AlgebraSpec) -> liealg.LieAlgebra:
     return _BUILTINS[spec.kind](spec.n, spec.p)
 
 
-def _coords(vec) -> str:
-    return "(" + ",".join(str(c) for c in vec) + ")"
-
-
 def _print_json(obj):
     """Print obj as compact JSON, the one --format json writer."""
     import json  # here, so text output never loads json
     print(json.dumps(obj, separators=(",", ":")))
 
 
-def _print_fields(fields: dict, fmt: str):
-    """Print a command's fields as compact JSON, or as key=value lines with
-    true/false, n/a for None, tuples as coordinates and lists space-separated."""
-    if fmt == "json":
-        _print_json(fields)
-        return
-    for k, v in fields.items():
-        if v is None:
-            v = "n/a"
-        elif isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, tuple):
-            v = _coords(v)
-        elif isinstance(v, list):
-            v = " ".join(map(str, v))
-        print(f"{k}={v}")
+def _text(v) -> str:
+    """A field value as text: true/false, n/a for None, a tuple as
+    coordinates, a list space-separated, anything else as str."""
+    if v is None:
+        return "n/a"
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, tuple):
+        return "(" + ",".join(map(str, v)) + ")"
+    return " ".join(map(str, v)) if isinstance(v, list) else str(v)
 
 
-def _print_line(fields: dict, fmt: str):
-    """Print a command's fields as compact JSON, or as one line of
-    space-separated key=value pairs."""
+def _print_fields(fields: dict, fmt: str, sep: str = "\n"):
+    """Print a command's fields as compact JSON, or as key=value pairs
+    joined by sep: one per line by default, one line with sep=" "."""
     if fmt == "json":
         _print_json(fields)
     else:
-        print(" ".join(f"{k}={v}" for k, v in fields.items()))
+        print(sep.join(f"{k}={_text(v)}" for k, v in fields.items()))
 
 
 def cmd_info(args) -> int:
@@ -119,8 +109,8 @@ def cmd_graph(args) -> int:
         graph.export_json(G, args.json)
     if args.csv:
         graph.export_degrees_csv(G, args.csv)
-    _print_line({"vertices": G.vertex_count, "edges": G.edge_count,
-                 "components": len(graph._line_walk(G, 0))}, args.format)
+    _print_fields({"vertices": G.vertex_count, "edges": G.edge_count,
+                   "components": len(graph._line_walk(G, 0))}, args.format, sep=" ")
     return 0
 
 
@@ -139,14 +129,9 @@ def cmd_degrees(args) -> int:
 def cmd_conjecture(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
     res = solv.conjecture_sum(L, force=args.force)
-    if args.format == "json":
-        _print_json({
-            "sum": res.total, "order": res.order,
-            "divisible": res.divisible, "quotient": str(res.quotient),
-        })
-    else:
-        yn = "yes" if res.divisible else "no"
-        print(f"sum={res.total} order={res.order} divisible={yn} quotient={res.quotient}")
+    divisible = res.divisible if args.format == "json" else "yes" if res.divisible else "no"
+    _print_fields({"sum": res.total, "order": res.order, "divisible": divisible,
+                   "quotient": str(res.quotient)}, args.format, sep=" ")
     return 0
 
 
@@ -162,7 +147,7 @@ def cmd_verify(args) -> int:
 def cmd_complement(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
     G = graph.build(L, force=args.force)
-    _print_line({"components": len(graph._line_walk(G, -1))}, args.format)
+    _print_fields({"components": len(graph._line_walk(G, -1))}, args.format, sep=" ")
     return 0
 
 
@@ -198,20 +183,11 @@ def cmd_slie(args) -> int:
     return 0
 
 
-def _thread_count(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
-
-
-def _add_common(sub, threads=False, formats=("text", "json")):
+def _add_common(sub, formats=("text", "json")):
     sub.add_argument("algebra", help="algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH")
     sub.add_argument("--force", action="store_true",
                      help="override the enumeration size cap")
     sub.add_argument("--format", choices=formats, default="text")
-    if threads:
-        sub.add_argument("--threads", type=_thread_count, default=1,
-                         help="accepted and ignored, so existing scripts still parse")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -225,7 +201,7 @@ def make_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_info)
 
     s = subs.add_parser("graph", help="build the solvable graph and export it")
-    _add_common(s, threads=True)
+    _add_common(s)
     s.add_argument("--dot", metavar="PATH", help="write a Graphviz DOT file")
     s.add_argument("--json", metavar="PATH", help="write a JSON graph file")
     s.add_argument("--csv", metavar="PATH", help="write a degree,multiplicity CSV")
@@ -233,7 +209,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("degrees", help="print the degree sequence as CSV rows")
     # text output is already CSV rows; accept the explicit spelling too
-    _add_common(s, threads=True, formats=("text", "json", "csv"))
+    _add_common(s, formats=("text", "json", "csv"))
     s.set_defaults(func=cmd_degrees)
 
     s = subs.add_parser("conjecture", help="sum of solvabilizer sizes and divisibility")
@@ -241,11 +217,11 @@ def make_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_conjecture)
 
     s = subs.add_parser("verify", help="check a built graph against the closed forms")
-    _add_common(s, threads=True)
+    _add_common(s)
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("complement", help="component count of the complement graph")
-    _add_common(s, threads=True)
+    _add_common(s)
     s.set_defaults(func=cmd_complement)
 
     s = subs.add_parser("solvabilizer", help="solvabilizer of one element")

@@ -11,8 +11,8 @@ time one enlarges the span (the bracket closures of ``liealg`` use this).
 Every other answer is read from a block of such an echelon form:
 :func:`rref` is the routine itself, :func:`kernel` the zero-left rows of
 [M^T | I], :meth:`Subspace.intersect` the zero-left rows of [u | u] and
-[w | 0], and ``liealg`` reads inverses from [g | I] and coordinates from
-[rows | I].
+[w | 0], and ``liealg`` reads coordinates, and inverses with them, from
+[rows | I].  :func:`_reduce` is the one reduction against such a form.
 
 All objects are immutable after construction and all operations are pure
 functions.
@@ -90,15 +90,7 @@ class Subspace:
 
     def reduce(self, v) -> tuple[int, ...]:
         """Canonical representative of v modulo this subspace."""
-        if len(v) != self.ambient:
-            raise ValueError(f"expected a vector of length {self.ambient}, got {len(v)}")
-        p = self.field.p
-        out = [x % p for x in v]
-        for row, c in zip(self.basis, self.pivots):
-            f = out[c]
-            if f:
-                out = [(x - f * y) % p for x, y in zip(out, row)]
-        return tuple(out)
+        return tuple(_reduce(v, self.basis, self.pivots, self.field.p, self.ambient))
 
     def contains(self, v) -> bool:
         """True iff v lies in the row span."""
@@ -125,6 +117,18 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient}, p={self.field.p})"
 
 
+def _reduce(v, rows, pivots, p: int, ambient: int) -> list[int]:
+    """v mod p, reduced against RREF rows with the given pivot columns: the
+    one reduction, shared by Subspace.reduce and _echelon."""
+    if len(v) != ambient:
+        raise ValueError(f"expected a vector of length {ambient}, got {len(v)}")
+    v = [x % p for x in v]
+    for row, col in zip(rows, pivots):
+        if f := v[col]:
+            v = [(x - f * y) % p for x, y in zip(v, row)]
+    return v
+
+
 def _echelon(field: PrimeField, ambient: int, vectors, grow=None) -> Subspace:
     """Canonical RREF subspace spanned by the vectors: the one elimination.
 
@@ -140,13 +144,7 @@ def _echelon(field: PrimeField, ambient: int, vectors, grow=None) -> Subspace:
     rows, pivots = [], []
     stack = list(vectors)
     while stack and len(rows) < ambient:
-        v = stack.pop()
-        if len(v) != ambient:
-            raise ValueError(f"expected a vector of length {ambient}, got {len(v)}")
-        v = [x % p for x in v]
-        for row, col in zip(rows, pivots):
-            if f := v[col]:
-                v = [(x - f * y) % p for x, y in zip(v, row)]
+        v = _reduce(stack.pop(), rows, pivots, p, ambient)
         c = next((c for c, x in enumerate(v) if x), None)
         if c is None:
             continue

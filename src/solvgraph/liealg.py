@@ -243,22 +243,24 @@ def _flatten(m):
 def _mat_inv(g, field: PrimeField):
     """Inverse of a square matrix over F_p; raises ValueError when singular.
 
-    The echelon of [g | I] is [I | g^(-1)] exactly when g is invertible.
+    Row i of g^(-1) is the x with x g = e_i, and some e_i has no such x
+    exactly when g is singular.
     """
-    n = len(g)
-    aug = _beside_identity(g, n, field)
-    if aug.pivots != tuple(range(n)):
+    eye = full_space(len(g), field).basis
+    rows = _solve_combination(g, eye, field)
+    if None in rows:
         raise ValueError("matrix is not invertible")
-    return tuple(row[n:] for row in aug.basis)
+    return tuple(rows)
 
 
 def _solve_combination(rows, targets, field: PrimeField):
-    """For each target t, the coefficients x with sum(x_i * rows_i) = t, or
+    """For each target t, coefficients x with sum(x_i * rows_i) = t, or
     None if t is outside the span of the rows.
 
-    The rows are assumed linearly independent.  The echelon of [rows | I]
-    spans {[sum(x_i rows_i) | x]}, so reducing [t | 0] against it leaves
-    [0 | -x] when t is in the span and a nonzero left block otherwise.
+    The echelon of [rows | I] spans {[sum(x_i rows_i) | x]}.  Its rows with
+    a pivot in the left block come first, so reducing [t | 0] against it
+    leaves [0 | -x] when t is in the span and a nonzero left block
+    otherwise.  With dependent rows x is one of several solutions.
     """
     if not targets:
         return []
@@ -656,9 +658,6 @@ class LinearMap:
             if xi:
                 out = [(a + xi * b) % p for a, b in zip(out, row)]
         return tuple(out)
-
-    def __call__(self, v):
-        return self.apply(v)
 
 
 def is_lie_automorphism(L: LieAlgebra, phi: LinearMap) -> bool:

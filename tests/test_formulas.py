@@ -186,3 +186,14 @@ class TestVerify:
             assert report.class_counts == {"none": 0, "one": 0, "two": G.vertex_count}
             assert report.text().endswith("mismatch=" + report.first_mismatch
                                           + "\nresult=FAIL")
+
+    def test_fail_on_degree_sequence_still_counts_classes(self, monkeypatch):
+        # one extra degree fails the sequence check first; the class counts
+        # are still those of the (correct) graph, not zeros
+        real = formulas.degree_sequence
+        monkeypatch.setattr(formulas, "degree_sequence", lambda G: {**real(G), 0: 1})
+        report = verify("sl2", 5)
+        assert not report.passed
+        assert report.first_mismatch.startswith("degree sequence ")
+        assert report.class_counts == report.expected_class_counts == {
+            "none": 40, "one": 24, "two": 60}

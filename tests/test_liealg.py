@@ -217,6 +217,16 @@ labels a b c
         path.write_text("p 3\ndim 2\n0 1 0\n")
         with pytest.raises(ValueError, match="bad.txt:3"):
             from_file(path)
+        path = tmp_path / "nonint.txt"
+        path.write_text("p 3\ndim 2\n0 1 x 1\n")
+        with pytest.raises(ValueError) as exc:
+            from_file(path)
+        assert str(exc.value) == "nonint.txt:3: expected four integers, got '0 1 x 1'"
+        path = tmp_path / "labels.txt"
+        path.write_text("p 3\ndim 2\nlabels a b c\n")
+        with pytest.raises(ValueError) as exc:
+            from_file(path)
+        assert str(exc.value) == "labels.txt: expected 2 labels, got 3"
 
     def test_non_decimal_digits_name_the_line(self, tmp_path):
         # superscript digits pass str.isdigit() but not int()
@@ -583,6 +593,13 @@ class TestConjugation:
                 phi = conjugation_automorphism(L, g)
                 assert is_lie_automorphism(L, phi)
             count += 1
+
+    def test_non_automorphisms_rejected(self, sl2_3, sl2_5):
+        # e -> 2e is bijective but breaks [e, f] = h
+        double_e = LinearMap(sl2_5.field, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+        assert not is_lie_automorphism(sl2_5, double_e)
+        # a 2x2 matrix does not map a 3-dimensional algebra
+        assert not is_lie_automorphism(sl2_3, LinearMap(sl2_3.field, ((1, 0), (0, 1))))
 
     def test_singular_matrix_rejected(self, sl2_3):
         with pytest.raises(ValueError, match="invertible"):

@@ -1,5 +1,9 @@
+import argparse
 import doctest
+import re
 from pathlib import Path
+
+from solvgraph.cli import make_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -8,3 +12,15 @@ def test_library_examples_in_readme_run():
     result = doctest.testfile(str(README), module_relative=False)
     assert result.attempted > 0
     assert result.failed == 0
+
+
+def test_command_line_section_names_every_parser_option():
+    # README's "Command line" section and make_parser() must name the same
+    # options, so a removed or added flag cannot leave the docs stale
+    section = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subs = next(a for a in make_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    options = {o for sub in subs.choices.values() for a in sub._actions
+               for o in a.option_strings} - {"-h", "--help"}
+    assert named == options
