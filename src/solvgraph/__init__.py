@@ -51,11 +51,14 @@ from .solv import (
     DivisibilityReport,
     conjecture_sum,
     divisibility_report,
+    elements,
     equivariance_check,
     is_s_lie,
     pair_solvable,
     plane_table,
     quotient_compatibility_check,
+    row_size,
+    s_lie_witness,
     sol_of_algebra,
     solvabilizer,
     solvabilizer_set,

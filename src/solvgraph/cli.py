@@ -38,10 +38,11 @@ def parse_spec(text: str) -> AlgebraSpec:
         raise ValueError(
             f"cannot parse algebra spec {text!r}; expected forms like "
             "sl2@3, gl2@5, t3@2, so3@5, w3, file:PATH")
-    kind, n, p = m.group(1), int(m.group(2)), int(m.group(3))
+    n = liealg.bounded_int(m.group(2), 2**31 - 1, f"dimension exceeds the limit {liealg.MAX_DIM}")
+    p = liealg.bounded_int(m.group(3), 2**31 - 1, "p must be at most 2^31 - 1")
     if n < 1:
         raise ValueError(f"matrix size must be positive in {text!r}")
-    return AlgebraSpec(kind, n, p, None)
+    return AlgebraSpec(m.group(1), n, p, None)
 
 
 _BUILTINS = {
@@ -89,12 +90,12 @@ def _print_fields(fields: dict, fmt: str, sep: str = "\n"):
 
 def cmd_info(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
-    sol = solv.sol_lines(solv.plane_table(L, force=args.force))
+    sol = solv.sol_of_algebra(L, force=args.force)
     rad = liealg.radical(L, force=args.force)
-    s_lie = solv._failing_line(L, force=args.force) is None
+    s_lie = solv.is_s_lie(L, force=args.force)
     _print_fields({
         "algebra": L.name, "p": L.field.p, "dim": L.dim, "order": L.size,
-        "solvable": liealg.is_solvable(L), "sol_size": solv._size(L, sol),
+        "solvable": liealg.is_solvable(L), "sol_size": solv.row_size(L, sol),
         "radical_dim": rad.dim, "radical_size": rad.size, "s_lie": s_lie,
     }, args.format)
     return 0
@@ -110,7 +111,7 @@ def cmd_graph(args) -> int:
     if args.csv:
         graph.export_degrees_csv(G, args.csv)
     _print_fields({"vertices": G.vertex_count, "edges": G.edge_count,
-                   "components": len(graph._line_walk(G, 0))}, args.format, sep=" ")
+                   "components": len(graph.components(G))}, args.format, sep=" ")
     return 0
 
 
@@ -147,7 +148,7 @@ def cmd_verify(args) -> int:
 def cmd_complement(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
     G = graph.build(L, force=args.force)
-    _print_fields({"components": len(graph._line_walk(G, -1))}, args.format, sep=" ")
+    _print_fields({"components": len(graph.complement_components(G))}, args.format, sep=" ")
     return 0
 
 
@@ -173,8 +174,8 @@ def cmd_solvabilizer(args) -> int:
 
 def cmd_slie(args) -> int:
     L = load_algebra(parse_spec(args.algebra))
-    verdict, witness = solv.is_s_lie(L, force=args.force)
-    fields = {"s_lie": verdict}
+    witness = solv.s_lie_witness(L, force=args.force)
+    fields = {"s_lie": witness is None}
     if witness is not None and args.format == "json":
         fields["witness"] = dict(zip("xab", map(list, witness)))
     elif witness is not None:

@@ -25,12 +25,7 @@ from math import isqrt
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for d in range(2, isqrt(p) + 1):
-        if p % d == 0:
-            return False
-    return True
+    return p >= 2 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 class PrimeField:

@@ -98,7 +98,9 @@ def spectral_class_sl2(L: LieAlgebra, x) -> SpectralClass:
     """Eigenvalue count of the traceless 2x2 matrix with coordinates x.
 
     Coordinates follow the constructor basis (e, f, h), so the matrix is
-    [[h, e], [f, -h]].
+    [[h, e], [f, -h]].  No command calls it (verify classifies one
+    discriminant per line); it is public as the paper's spectral type of
+    one matrix.
     """
     q = L.field.p
     _require_odd_prime(q)
@@ -111,7 +113,9 @@ def spectral_class_sl2(L: LieAlgebra, x) -> SpectralClass:
 
 
 def spectral_counts(q: int) -> tuple[int, int, int]:
-    """Vertex counts (no eigenvalue, one, two) for the traceless family."""
+    """Vertex counts (no eigenvalue, one, two) for the traceless family.
+    No command calls it; it is public as the paper's count of matrices of
+    each spectral type in sl2(F_q)."""
     table = _class_table("sl2", q)
     return tuple(table[cls][1] for cls in SpectralClass)
 

@@ -5,15 +5,16 @@ adjacent when they generate a solvable subalgebra.  Adjacency only depends
 on the plane the pair spans, so the graph is a view of the algebra's plane
 table (see solv): it holds the table's rows, indexed by line number (see
 liealg), counts each vertex line's degree once, and reads edge counts and
-the components of the graph and of its complement off the rows of the
-vertex lines.  Nothing is kept per vertex.  Edges are pairs of element
-indices, expanded only by the exports and the rows property, which share
-one expansion per graph: each distinct row once, into a sorted list of the
-elements on its vertex lines, which every vertex with that row shares.  A
-row is shared by at least the p - 1 vertices of one line, so the lists hold
-at most (2E + |V|)/(p - 1) entries for E edges and |V| vertices.  Each
-export formats each distinct list into its neighbor strings once, and every
-vertex with that row joins the strings past itself.
+the components of the graph and of its complement, as line bitsets, off
+the rows of the vertex lines.  Nothing is kept per vertex.  Edges are
+pairs of element indices, expanded only by the exports and the rows
+property, which share one expansion per graph: each distinct row once,
+into a sorted list of the elements on its vertex lines, which every vertex
+with that row shares.  A row is shared by at least the p - 1 vertices of
+one line, so the lists hold at most (2E + |V|)/(p - 1) entries for E edges
+and |V| vertices.  Each export formats each distinct list into its
+neighbor strings once, and every vertex with that row joins the strings
+past itself.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import product
 from pathlib import Path
 
 from .liealg import LieAlgebra
-from .solv import bits, elements, plane_table, sol_lines
+from .solv import bits, plane_table, sol_lines
 
 
 class SolvGraph:
@@ -79,7 +80,8 @@ class SolvGraph:
     def rows(self) -> list[int]:
         """Neighbor bitmask of each vertex over element indices, vertices
         in ascending index order: bit m' of rows[i] is set iff the i-th
-        vertex is adjacent to m'."""
+        vertex is adjacent to m'.  No command reads it; it is public because
+        the benchmark's tracer sums its bytes (perfbench's graph.row_bytes)."""
         pairs = self._neighbor_lists()
         distinct = {id(ns): ns for _, ns in pairs}
         masks = {key: sum(1 << n for n in ns) for key, ns in distinct.items()}
@@ -109,9 +111,9 @@ def _line_walk(G: SolvGraph, flip: int) -> list[int]:
     lie in sol(L), and a line missing from nbr[l] is itself outside sol(L),
     whose lines see every line.
 
-    Sorted largest first, ties by smallest element, as components() lists
-    are: each line holds p - 1 elements, and lines are numbered in the
-    order of their smallest members, so the lowest line c & -c holds c's.
+    Sorted largest first, ties by smallest element: each line holds p - 1
+    elements, and lines are numbered in the order of their smallest
+    members, so the lowest line c & -c holds c's smallest element.
     """
     unvisited = G.vertex_lines
     comps = []
@@ -131,14 +133,16 @@ def _line_walk(G: SolvGraph, flip: int) -> list[int]:
     return comps
 
 
-def components(G: SolvGraph) -> list[list[int]]:
-    """Connected components as element-index lists, largest first."""
-    return [elements(G.algebra, c) for c in _line_walk(G, 0)]
+def components(G: SolvGraph) -> list[int]:
+    """Connected components as line bitsets, largest first (see _line_walk);
+    solv.elements expands one to its element indices."""
+    return _line_walk(G, 0)
 
 
-def complement_components(G: SolvGraph) -> list[list[int]]:
-    """Components of the complement graph, without materializing its edges."""
-    return [elements(G.algebra, c) for c in _line_walk(G, -1)]
+def complement_components(G: SolvGraph) -> list[int]:
+    """Components of the complement graph as line bitsets, largest first,
+    without materializing its edges."""
+    return _line_walk(G, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ of its coordinates below k.
 from __future__ import annotations
 
 import os
+from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -37,9 +38,22 @@ def element_cap() -> int:
     raw = os.environ.get("SOLVGRAPH_CAP")
     if raw is None:
         return DEFAULT_ELEMENT_CAP
-    if not raw.strip().isdecimal() or int(raw) < 1:
+    digits = raw.strip().lstrip("0")
+    if not digits.isdecimal() or int(digits[:600]) < 1:
         raise ValueError(f"SOLVGRAPH_CAP must be a positive integer, got {raw!r}")
-    return int(raw)
+    # int() refuses over 4,300 digits, and every |L| = p**dim is below
+    # 2^1984 < 10^600 (p < 2^31, dim <= 64): a longer cap never binds
+    return int(digits) if len(digits) <= 600 else 10 ** 600
+
+
+def bounded_int(text: str, bound: int, message: str) -> int:
+    """int(text) for a decimal text, or ValueError(message) when its digits
+    past leading zeros outnumber bound's: int() refuses more than 4,300
+    digits, and the callers reject every value over bound anyway."""
+    digits = text.lstrip("0")
+    if len(digits) > len(str(bound)):
+        raise ValueError(message)
+    return int(digits or "0")
 
 
 def require_enumerable(L: "LieAlgebra", force: bool = False):
@@ -101,21 +115,12 @@ class LieAlgebra:
                             f"{c[i][j][k]} != -{c[j][i][k]} mod {p}")
         # Jacobi on strictly increasing triples; repeated indices cancel
         # automatically once the table is alternating and antisymmetric.
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    acc = [0] * n
-                    for a, b, cc in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = c[b][cc]
-                        for m, w in enumerate(inner):
-                            if w:
-                                row = c[a][m]
-                                for t, v in enumerate(row):
-                                    if v:
-                                        acc[t] = (acc[t] + w * v) % p
-                    if any(acc):
-                        raise ValidationError(
-                            f"Jacobi identity fails on basis triple ({i},{j},{k})")
+        # [e_a, [e_b, e_cc]] is the bracket of e_a with the table entry c[b][cc].
+        e = full_space(n, self.field).basis
+        for i, j, k in combinations(range(n), 3):
+            terms = [self.bracket(e[a], c[b][cc]) for a, b, cc in ((i, j, k), (j, k, i), (k, i, j))]
+            if any(sum(col) % p for col in zip(*terms)):
+                raise ValidationError(f"Jacobi identity fails on basis triple ({i},{j},{k})")
 
     @property
     def size(self) -> int:
@@ -198,7 +203,9 @@ class LieAlgebra:
         return tuple(sorted(self.index([t * x for x in v]) for t in range(1, self.field.p)))
 
     def lines(self) -> tuple[tuple[int, ...], ...]:
-        """Members of every line, in line-number order."""
+        """Members of every line, in line-number order.  No command calls
+        it; it is public because the benchmark's setup_s probe and tracer
+        call it."""
         return tuple(map(self.line_members, range(self.line_count)))
 
     def full_space(self) -> Subspace:
@@ -404,14 +411,16 @@ def from_file(path) -> LieAlgebra:
         if parts[0] == "p":
             if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
                 raise ValueError(f"{where}: expected 'p <prime>'")
+            if parts[1].startswith("-"):  # not prime, however long
+                raise ValueError(f"{where}: {parts[1]} is not prime")
             try:
-                field = PrimeField(int(parts[1]))
+                field = PrimeField(bounded_int(parts[1], 2**31 - 1, "p must be at most 2^31 - 1"))
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
         elif parts[0] == "dim":
             if len(parts) != 2 or not parts[1].isdecimal():
                 raise ValueError(f"{where}: expected 'dim <n>'")
-            dim = int(parts[1])
+            dim = bounded_int(parts[1], 2**31 - 1, f"{where}: dim exceeds the limit {MAX_DIM}")
             if dim > MAX_DIM:
                 raise ValueError(f"{where}: dim {dim} exceeds the limit {MAX_DIM}")
         elif parts[0] == "labels":
@@ -453,7 +462,9 @@ def from_file(path) -> LieAlgebra:
 
 
 def to_file(L: LieAlgebra, path):
-    """Write an algebra in the structure-constants format read by from_file."""
+    """Write an algebra in the structure-constants format read by from_file.
+    No command calls it; it is public as the writer of the file format
+    that file: specs name, and from_file(to_file(L)) gives L back."""
     lines = [f"p {L.field.p}", f"dim {L.dim}", "labels " + " ".join(L.labels)]
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
@@ -661,8 +672,9 @@ class LinearMap:
 
 
 def is_lie_automorphism(L: LieAlgebra, phi: LinearMap) -> bool:
-    """True iff phi is bijective and preserves brackets on all basis pairs."""
-    if len(phi.matrix) != L.dim:
+    """True iff phi is bijective and preserves brackets on all basis pairs;
+    False for a matrix that is not dim x dim."""
+    if len(phi.matrix) != L.dim or any(len(row) != L.dim for row in phi.matrix):
         return False
     if rref(phi.matrix, L.field, ambient=L.dim).dim != L.dim:
         return False

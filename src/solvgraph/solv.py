@@ -4,8 +4,9 @@ The subalgebra generated by x and y depends only on the plane span{x, y}.
 plane_table() records, per projective line, which lines share a solvable
 plane with it: the line's row.  sol_L(x) is 0 and the lines of x's row, so
 sol(L), every solvabilizer's size, the conjecture sum, the S-property and
-the solvable graph are read off rows; elements() expands a row to element
-indices only where a query returns them.
+the solvable graph are read off rows.  sol_of_algebra answers with a line
+bitset and is_s_lie with a verdict; elements() expands a row to element
+indices only for solvabilizer, the one query that returns them.
 
 Coset decomposition: let N be a solvable ideal and pi: L -> Q = L/N the
 projection.  For a subalgebra K, K meet N is solvable and
@@ -179,7 +180,7 @@ def _row(L: LieAlgebra, x, force: bool = False) -> int:
     return nbr[L.line(x)] if any(x) else (1 << len(nbr)) - 1
 
 
-def _size(L: LieAlgebra, row: int) -> int:
+def row_size(L: LieAlgebra, row: int) -> int:
     """Number of elements in 0 and the lines of a row, p - 1 per line."""
     return 1 + (L.field.p - 1) * row.bit_count()
 
@@ -202,8 +203,10 @@ def solvabilizer(L: LieAlgebra, x, force: bool = False) -> tuple[int, ...]:
 def solvabilizer_set(L: LieAlgebra, A, B) -> tuple[int, ...]:
     """Members of A that generate a solvable subalgebra with every member of B.
 
-    A and B are iterables of element indices; one outside 0 .. |L| - 1
-    raises ValueError.  An empty A gives the empty set; an empty B imposes
+    No command calls it; it is public as the paper's solvabilizer of a
+    set, whose set identities the acceptance tests check.  A and B are
+    iterables of element indices; one outside 0 .. |L| - 1 raises
+    ValueError.  An empty A gives the empty set; an empty B imposes
     no constraint and gives all of A.
     """
     nbr = plane_table(L)
@@ -216,10 +219,11 @@ def solvabilizer_set(L: LieAlgebra, A, B) -> tuple[int, ...]:
     return tuple(a for a in sorted(set(A)) if a == 0 or nbr[line(a)] & need == need)
 
 
-def sol_of_algebra(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
-    """Sorted indices of the elements generating a solvable subalgebra with
-    all of L: 0 and the lines whose row holds every line."""
-    return (0, *elements(L, sol_lines(plane_table(L, force))))
+def sol_of_algebra(L: LieAlgebra, force: bool = False) -> int:
+    """sol(L), the elements generating a solvable subalgebra with all of L,
+    as a line bitset: 0 and the lines whose row holds every line.
+    row_size gives |sol(L)|, and elements its members."""
+    return sol_lines(plane_table(L, force))
 
 
 def sol_lines(nbr) -> int:
@@ -240,20 +244,26 @@ def _failing_line(L: LieAlgebra, force: bool = False) -> int | None:
     for l, row in enumerate(plane_table(L, force)):
         if row in passed:
             continue
-        if subalgebra_closure(L, _reps(L, row)).size != _size(L, row):
+        if subalgebra_closure(L, _reps(L, row)).size != row_size(L, row):
             return l
         passed.add(row)
     return None
 
 
-def is_s_lie(L: LieAlgebra, force: bool = False):
-    """Test whether every per-element solvabilizer is a subalgebra.
+def is_s_lie(L: LieAlgebra, force: bool = False) -> bool:
+    """True iff every per-element solvabilizer is a subalgebra: the
+    S-verdict alone, with no witness search (see _failing_line)."""
+    return _failing_line(L, force) is None
 
-    Returns (True, None), or (False, (x, a, b)) where a and b both lie in
-    the solvabilizer of x but a + b or [a, b] does not: x is the smallest
-    member of _failing_line, and (a, b) the first failing pair in
-    element-index order.  The witness is read off that line's row: v lies
-    in x's solvabilizer iff v = 0 or the row holds L.line(v).
+
+def s_lie_witness(L: LieAlgebra, force: bool = False):
+    """A witness that L is not an S-Lie algebra, or None when it is.
+
+    The witness is (x, a, b), where a and b both lie in the solvabilizer of
+    x but a + b or [a, b] does not: x is the smallest member of
+    _failing_line, and (a, b) the first failing pair in element-index
+    order.  It is read off that line's row: v lies in x's solvabilizer iff
+    v = 0 or the row holds L.line(v).
 
     The row is closed under nonzero scaling, so whether a member a fails
     with some member depends only on a's line, and a is the smallest
@@ -264,7 +274,7 @@ def is_s_lie(L: LieAlgebra, force: bool = False):
     """
     l = _failing_line(L, force)
     if l is None:
-        return True, None
+        return None
     p, row = L.field.p, plane_table(L, force)[l]
 
     def outside(v):
@@ -280,7 +290,7 @@ def is_s_lie(L: LieAlgebra, force: bool = False):
     for a in reps:
         failing = [L.element([s * y for y in r]) for r in reps if (s := first_failing(a, r))]
         if failing:
-            return False, (L.vector(L.line_rep(l)), a, min(failing, key=L.index))
+            return L.vector(L.line_rep(l)), a, min(failing, key=L.index)
     raise AssertionError("subspace test failed but no witness pair found")
 
 
@@ -297,7 +307,7 @@ def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
     The summand is |L| at x = 0, and the size of line l's row at each of
     the p - 1 elements of l.
     """
-    total = L.size + (L.field.p - 1) * sum(_size(L, row) for row in plane_table(L, force))
+    total = L.size + (L.field.p - 1) * sum(row_size(L, row) for row in plane_table(L, force))
     q, r = divmod(total, L.size)
     if r == 0:
         return ConjectureResult(total, L.size, True, q)
@@ -337,12 +347,12 @@ def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityRe
     p, x = L.field.p, L.element(x)
     full = (1 << L.line_count) - 1
     row = _row(L, x, force)
-    size = _size(L, row)
-    sol = sol_lines(plane_table(L, force))
-    sol_closed = sol == full or rref(_reps(L, sol), L.field, ambient=L.dim).size == _size(L, sol)
-    sol_divides = (size % _size(L, sol) == 0) if sol_closed else None
+    size = row_size(L, row)
+    sol = sol_of_algebra(L, force)
+    sol_closed = sol == full or rref(_reps(L, sol), L.field, ambient=L.dim).size == row_size(L, sol)
+    sol_divides = (size % row_size(L, sol) == 0) if sol_closed else None
     cent_size = centralizer(L, x).size
-    cent_divides = (size % cent_size == 0) if _failing_line(L, force) is None else None
+    cent_divides = (size % cent_size == 0) if is_s_lie(L, force) else None
     coset_closed = row == full
     if not coset_closed:
         sums = [[a + t * b for a, b in zip(r, x)] for r in _reps(L, row) for t in range(1, p)]
@@ -351,7 +361,7 @@ def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityRe
         element_index=L.index(x),
         sol_size=size,
         p_divides=size % p == 0,
-        sol_of_algebra_size=_size(L, sol),
+        sol_of_algebra_size=row_size(L, sol),
         sol_divides=sol_divides,
         centralizer_size=cent_size,
         centralizer_divides=cent_divides,
@@ -395,6 +405,6 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
     for x in [L.zero()] + _reps(L, (1 << L.line_count) - 1):
         row, q_row = _row(L, x, force), _row(Q, project(x), force)
         if (_lines_through(Q, map(project, _reps(L, row))) != q_row
-                or _size(L, row) != N.size * _size(Q, q_row)):
+                or row_size(L, row) != N.size * row_size(Q, q_row)):
             return False
-    return (_failing_line(L, force) is None) == (_failing_line(Q, force) is None)
+    return is_s_lie(L, force) == is_s_lie(Q, force)

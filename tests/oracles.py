@@ -262,6 +262,17 @@ def is_additively_closed_indices(L, members):
                for u in vecs for v in vecs)
 
 
+def sol_members(L):
+    """Sorted element indices of sol(L): 0 and the elements on the lines of
+    the bitset sol_of_algebra returns."""
+    return (0, *elements(L, sol_of_algebra(L)))
+
+
+def component_lists(L, parts):
+    """Components given as line bitsets, as sorted element-index lists."""
+    return [elements(L, c) for c in parts]
+
+
 # Element loops over solvabilizer lists, for the queries that solv answers
 # from plane-table rows.  solvabilizer itself is checked against
 # direct_solvabilizer; these loops check what the queries do with it.
@@ -286,15 +297,16 @@ def first_failing_pair(L, l):
 
 
 def s_lie_witness_by_pairs(L):
-    """is_s_lie's answer by the element-pair loop: x is the smallest member
-    of the first failing line, and (a, b) its first failing pair."""
+    """s_lie_witness's answer by the element-pair loop: None, or (x, a, b)
+    with x the smallest member of the first failing line and (a, b) its
+    first failing pair."""
     l = _failing_line(L)
     if l is None:
-        return True, None
+        return None
     pair = first_failing_pair(L, l)
     if pair is None:
         raise AssertionError("subspace test failed but no witness pair found")
-    return False, (L.vector(L.line_rep(l)), *pair)
+    return L.vector(L.line_rep(l)), *pair
 
 
 def divisibility_by_elements(L, xs):
@@ -302,7 +314,7 @@ def divisibility_by_elements(L, xs):
     are list lengths, the subspace test spans every member of sol(L), and
     the coset test adds t x to every member of sol_L(x)."""
     p = L.field.p
-    sol_all = sol_of_algebra(L)
+    sol_all = sol_members(L)
     sol_closed = span_of_indices(L, sol_all).size == len(sol_all)
     s_lie = s_lie_by_elements(L)
     out = []

@@ -39,12 +39,19 @@ from solvgraph.solv import (
     is_s_lie,
     pair_solvable,
     quotient_compatibility_check,
-    sol_of_algebra,
+    s_lie_witness,
     solvabilizer,
     solvabilizer_set,
 )
 
-from oracles import direct_pair_solvable, subspace_elements, vertex_degree, vertices_by_lines
+from oracles import (
+    component_lists,
+    direct_pair_solvable,
+    sol_members,
+    subspace_elements,
+    vertex_degree,
+    vertices_by_lines,
+)
 
 
 def _ok(label):
@@ -104,7 +111,7 @@ def test_sl2_f3_graph_structure():
     G = build(L)
     assert G.vertex_count == 26
     assert G.edge_count == 109
-    parts = components(G)
+    parts = component_lists(L, components(G))
     assert [len(c) for c in parts] == [20, 2, 2, 2]
     assert vertex_degree(G, L.index((0, 0, 1))) == 13   # h
     assert vertex_degree(G, L.index((0, 1, 0))) == 7    # f
@@ -145,9 +152,9 @@ def test_char2_simple_algebra_suite():
     closure_bc = subalgebra_closure(L, [b, c])
     assert closure_bc.dim == 3
     assert not pair_solvable(L, b, c)
-    verdict, witness = is_s_lie(L)
+    verdict, witness = is_s_lie(L), s_lie_witness(L)
     assert verdict and witness is None
-    sol = sol_of_algebra(L)
+    sol = sol_members(L)
     assert L.index(a) in sol
     sol_span = rref([L.vector(m) for m in sol], L.field, ambient=3)
     assert not is_ideal(L, sol_span)
@@ -209,7 +216,7 @@ def test_divisibility_and_coset_properties():
 
 def test_centralizer_and_radical_containments():
     for L in (make_sl(2, 2), make_w3(2), make_sl(2, 3), make_gl(2, 3), make_t(2, 3)):
-        sol = set(sol_of_algebra(L))
+        sol = set(sol_members(L))
         for v in subspace_elements(radical(L)):
             assert L.index(v) in sol
         for line in L.lines():
@@ -231,7 +238,7 @@ def test_centralizer_and_radical_containments():
 def test_degree_identity_everywhere():
     for L in (make_sl(2, 3), make_gl(2, 3), make_w3(2)):
         G = build(L)
-        base = len(sol_of_algebra(L))
+        base = len(sol_members(L))
         for m in vertices_by_lines(G):
             assert vertex_degree(G, m) == len(solvabilizer(L, L.vector(m))) - base - 1
     _ok("deg(x) = |sol_L(x)| - |sol(L)| - 1 on every vertex")
@@ -264,7 +271,7 @@ def test_solvabilizer_set_identities():
         expected = set(range(L.size))
         for m in range(L.size):
             expected &= set(solvabilizer(L, L.vector(m)))
-        assert set(sol_of_algebra(L)) == expected
+        assert set(sol_members(L)) == expected
     assert not violations, f"reflexivity identity violated: {violations}"
     _ok("solvabilizer set identities (monotonicity, restriction, unions, reflexivity)")
 
@@ -272,7 +279,7 @@ def test_solvabilizer_set_identities():
 def test_sol_absorption():
     for L in (make_sl(2, 3), make_w3(2), make_gl(2, 3)):
         p = L.field.p
-        sol_l = [L.vector(m) for m in sol_of_algebra(L)]
+        sol_l = [L.vector(m) for m in sol_members(L)]
         for line in L.lines():
             x = L.vector(line[0])
             members = set(solvabilizer(L, x))

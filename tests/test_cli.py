@@ -103,6 +103,8 @@ class TestSpecParsing:
         for bad in ("sl2", "sl@3", "zz2@3", "sl2@", "w4", "file:"):
             with pytest.raises(ValueError):
                 parse_spec(bad)
+        with pytest.raises(ValueError, match="matrix size must be positive"):
+            parse_spec("sl0@3")
 
 
 class TestInfo:
@@ -252,7 +254,7 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in err
 
-    def test_huge_q_rejected_at_once(self):
+    def test_huge_q_rejected_at_once(self, capsys):
         # in a child with a timeout: trial division up to sqrt(q) would
         # not finish before the size bound is checked
         proc = subprocess.run([sys.executable, "-m", "solvgraph", "verify",
@@ -260,6 +262,10 @@ class TestVerifyCommand:
                               capture_output=True, text=True, timeout=30)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: p must be at most 2^31 - 1\n"
+        # past the 4,300 digits int() converts, too
+        for spec in ("sl2@" + "7" * 5000, "sl2@" + "0" * 5000 + "3" * 11):
+            code, out, err = run_cli(capsys, "verify", spec)
+            assert (code, out, err) == (2, "", "error: p must be at most 2^31 - 1\n")
 
 
 class TestComplementCommand:
@@ -402,13 +408,16 @@ class TestErrorsAndCap:
         assert code == 2
         assert "error:" in err
 
-    def test_absurd_builtin_dimension_rejected(self):
+    def test_absurd_builtin_dimension_rejected(self, capsys):
         # in a child with a timeout: building gl100@2 would never finish
         for spec, dim in (("gl100@2", 10000), ("sl9@2", 80), ("t12@3", 78), ("so12@5", 66)):
             proc = subprocess.run([sys.executable, "-m", "solvgraph", "info", spec],
                                   capture_output=True, text=True, timeout=30)
             assert proc.returncode == 2 and proc.stdout == ""
             assert proc.stderr == f"error: dimension {dim} exceeds the limit 64\n"
+        # an n past the 4,300 digits int() converts is not formatted
+        code, out, err = run_cli(capsys, "info", "sl" + "7" * 5000 + "@3")
+        assert (code, out, err) == (2, "", "error: dimension exceeds the limit 64\n")
 
     def test_w3_at_odd_p_rejected(self, capsys):
         code, _, err = run_cli(capsys, "info", "w3@3")
@@ -424,11 +433,18 @@ class TestErrorsAndCap:
         assert out.startswith("vertices=124 ")
 
     def test_invalid_cap_rejected(self, capsys, monkeypatch):
-        for bad in ("lots", "0", "-5", "²"):
+        for bad in ("lots", "0", "-5", "²", "0" * 5000):
             monkeypatch.setenv("SOLVGRAPH_CAP", bad)
             code, _, err = run_cli(capsys, "degrees", "sl2@3")
             assert code == 2
             assert "SOLVGRAPH_CAP" in err and repr(bad) in err
+        # a positive cap of any length is valid, also past the 4,300 digits
+        # int() converts; one of 5,000 digits exceeds every |L|
+        for good in ("7" * 5000, "0" * 5000 + "27"):
+            monkeypatch.setenv("SOLVGRAPH_CAP", good)
+            assert run_cli(capsys, "degrees", "sl2@3") == (0, "13,12\n7,8\n1,6\n", "")
+        code, _, err = run_cli(capsys, "degrees", "sl2@5")
+        assert code == 2 and "exceeds the enumeration cap 27;" in err
 
     def test_threads_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -56,6 +56,8 @@ class TestRref:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             rref([(1, 0), (1, 0, 0)], F3)
+        with pytest.raises(ValueError, match="rows have length 2, expected 3"):
+            rref([(1, 0)], F3, ambient=3)
 
     def test_empty_needs_ambient(self):
         with pytest.raises(ValueError):
@@ -104,6 +106,11 @@ class TestKernel:
         with pytest.raises(ValueError):
             kernel([], F3)
         assert kernel([], F3, ncols=2).dim == 2
+        # a nonempty matrix is checked against ncols, and for ragged rows
+        with pytest.raises(ValueError, match="rows have unequal lengths"):
+            kernel([(1, 0), (1, 0, 0)], F3)
+        with pytest.raises(ValueError, match="matrix has 2 columns, expected 3"):
+            kernel([(1, 0)], F3, ncols=3)
 
 
 class TestSumIntersect:

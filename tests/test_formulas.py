@@ -88,9 +88,11 @@ class TestSpectralClass:
         with pytest.raises(ValueError):
             spectral_class_sl2(sl2_3, (0, 0, 0))
 
-    def test_char_two_rejected(self, sl2_2):
+    def test_char_two_rejected(self, sl2_2, gl2_3):
         with pytest.raises(ValueError):
             spectral_class_sl2(sl2_2, (1, 0, 0))
+        with pytest.raises(ValueError, match="3-dimensional"):
+            spectral_class_sl2(gl2_3, (1, 0, 0, 0))
 
     def test_matches_root_scan(self, sl2_5):
         # independent check: literally count the roots of the characteristic

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     build_bruteforce,
     closed_subalgebra,
+    component_lists,
     components_bruteforce,
     edges_by_lists,
     edges_by_masks,
@@ -17,6 +18,7 @@ from oracles import (
     rows_by_masks,
     s_lie_by_elements,
     s_lie_witness_by_pairs,
+    sol_members,
     vertex_degree,
     vertices_by_lines,
     vertices_by_scan,
@@ -34,7 +36,7 @@ from solvgraph.graph import (
     export_json,
 )
 from solvgraph.liealg import CapExceeded, from_file, make_gl, make_sl, make_so, make_t, radical
-from solvgraph.solv import bits, is_s_lie, plane_table, sol_of_algebra, solvabilizer
+from solvgraph.solv import bits, is_s_lie, plane_table, s_lie_witness, solvabilizer
 
 
 def _assert_matches_bruteforce(L):
@@ -46,7 +48,7 @@ def _assert_matches_bruteforce(L):
     assert set(map(frozenset, got_edges)) == edges
     assert G.edge_count == len(edges)
     assert [vertex_degree(G, m) for m in vertices] == [degrees[m] for m in vertices]
-    assert (components(G), complement_components(G)) == \
+    assert (component_lists(L, components(G)), component_lists(L, complement_components(G))) == \
         components_bruteforce(vertices, edges)
 
 
@@ -102,8 +104,8 @@ class TestRandomSubalgebras:
     def test_s_lie_witness_matches_pair_loop(self, S):
         # the line-bit witness search against the element-pair loop, and
         # the verdict against every solvabilizer list's span
-        assert is_s_lie(S) == s_lie_witness_by_pairs(S)
-        assert is_s_lie(S)[0] == s_lie_by_elements(S)
+        assert s_lie_witness(S) == s_lie_witness_by_pairs(S)
+        assert is_s_lie(S) == s_lie_by_elements(S)
 
 
 class TestBuild:
@@ -132,7 +134,7 @@ class TestBuild:
     def test_vertices_exclude_sol(self, sl2_3, gl2_3, w3):
         for L in (sl2_3, gl2_3, w3):
             G = build(L)
-            sol = set(sol_of_algebra(L))
+            sol = set(sol_members(L))
             assert sol.isdisjoint(vertices_by_lines(G))
             assert len(vertices_by_lines(G)) == L.size - len(sol)
 
@@ -190,7 +192,7 @@ class TestDegrees:
         # deg(x) = |sol_L(x)| - |sol(L)| - 1 for every vertex
         for L in (sl2_3, w3, gl2_3):
             G = build(L)
-            sol_size = len(sol_of_algebra(L))
+            sol_size = len(sol_members(L))
             for m in vertices_by_lines(G):
                 expected = len(solvabilizer(L, L.vector(m))) - sol_size - 1
                 assert vertex_degree(G, m) == expected
@@ -230,7 +232,7 @@ class TestDegrees:
 
 class TestComponents:
     def test_sl2_f3_component_sizes(self, sl2_3):
-        parts = components(build(sl2_3))
+        parts = component_lists(sl2_3, components(build(sl2_3)))
         assert [len(c) for c in parts] == [20, 2, 2, 2]
 
     def test_empty_graph_has_no_components(self, sl2_2):
@@ -239,14 +241,14 @@ class TestComponents:
     def test_parts_partition_vertices(self, sl2_3, gl2_3, w3):
         for L in (sl2_3, gl2_3, w3):
             G = build(L)
-            parts = components(G)
+            parts = component_lists(L, components(G))
             flat = sorted(m for part in parts for m in part)
             assert flat == sorted(vertices_by_lines(G))
 
     def test_no_edges_between_parts(self, sl2_3):
         G = build(sl2_3)
         part_of = {}
-        for k, part in enumerate(components(G)):
+        for k, part in enumerate(component_lists(sl2_3, components(G))):
             for m in part:
                 part_of[m] = k
         for m, n in edges_by_lists(G):
@@ -258,7 +260,7 @@ class TestComponents:
         from solvgraph.formulas import SpectralClass, spectral_class_sl2
         G = build(sl2_5)
         part_of = {}
-        parts = components(G)
+        parts = component_lists(sl2_5, components(G))
         for k, part in enumerate(parts):
             for m in part:
                 part_of[m] = k
@@ -274,7 +276,7 @@ class TestComponents:
         G = build(w3)
         assert G.vertex_count == 6
         assert G.edge_count == 3
-        assert [len(c) for c in components(G)] == [2, 2, 2]
+        assert [len(c) for c in component_lists(w3, components(G))] == [2, 2, 2]
 
     def test_component_count_law_small_q(self, sl2_3, sl2_5, gl2_3):
         # the no-eigenvalue classes contribute q(q-1)/2 small components
@@ -308,8 +310,9 @@ class TestComplement:
         from solvgraph.liealg import LieAlgebra
         L = LieAlgebra(PrimeField(2), [[[0, 0]] * 2] * 2)
         G = SolvGraph(L, (0b111, 0b110, 0b111))
-        assert complement_components(G) == [[2]]
-        assert components(G) == [[2]]
+        assert complement_components(G) == components(G) == [0b010]
+        assert component_lists(L, complement_components(G)) == [[2]]
+        assert component_lists(L, components(G)) == [[2]]
 
     def test_w3_complement_connected(self, w3):
         assert len(complement_components(build(w3))) == 1

@@ -4,7 +4,8 @@ is imported.
 Only ffalg builds Subspace objects: a Subspace holds a canonical RREF basis,
 and ``ffalg._echelon`` is the one place that makes one; every other module
 asks ffalg for its spaces.  Only the two solvability verdicts of liealg run
-a derived series.
+a derived series.  The commands reach the other modules through public
+names only.
 """
 
 import ast
@@ -44,3 +45,23 @@ def test_only_the_verdicts_run_derived_series():
     callers = {(m.name, fn) for m in sorted(PACKAGE.glob("*.py"))
                for fn, _ in _calls(m, "derived_series")}
     assert callers == {("liealg.py", "is_solvable"), ("liealg.py", "solvable_ideal")}
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # each answer a command prints has one public home; a private helper
+    # that cli reached into would be a second, unreviewed entry point
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    modules = {"formulas", "graph", "liealg", "solv"}
+    private = [f"{node.value.id}.{node.attr}:{node.lineno}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in modules and node.attr.startswith("_")]
+    assert private == []
+
+
+def test_cli_calls_the_public_line_level_queries():
+    called = {f"{node.func.value.id}.{node.func.attr}"
+              for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)}
+    assert {"solv.sol_of_algebra", "solv.is_s_lie", "solv.s_lie_witness", "solv.row_size",
+            "graph.components", "graph.complement_components"} <= called

@@ -93,6 +93,8 @@ class TestConstructors:
         for make, n in ((make_gl, 9), (make_sl, 9), (make_t, 11), (make_so, 12)):
             with pytest.raises(ValueError, match="limit 64"):
                 make(n, 2)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            make_sl(0, 3)
         # gl8 has dimension 64, the limit itself, so it gets to the matrices
         with pytest.raises(AssertionError, match="basis matrix"):
             make_gl(8, 5)
@@ -109,6 +111,11 @@ class TestConstructors:
         bad = [[[0, 1], [0, 0]], [[0, 0], [0, 0]]]
         with pytest.raises(ValidationError):
             LieAlgebra(fld, bad)
+        # a label per basis vector, and an n x n x n table
+        with pytest.raises(ValidationError, match="expected 2 labels, got 1"):
+            LieAlgebra(fld, [[[0, 0], [0, 0]], [[0, 0], [0, 0]]], labels=["a"])
+        with pytest.raises(ValidationError, match="not 2x2x2 at plane 1"):
+            LieAlgebra(fld, [[[0, 0], [0, 0]], [[0, 0], [0]]])
 
     def test_validation_catches_antisymmetry(self):
         fld = PrimeField(3)
@@ -198,7 +205,9 @@ labels a b c
     def test_nonprime_p_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         for p, message in (("4", "4 is not prime"), ("--3", "expected 'p <prime>'"),
-                           ("4294967311", r"p must be at most 2\^31 - 1")):
+                           ("4294967311", r"p must be at most 2\^31 - 1"),
+                           ("-5", "-5 is not prime"), ("-12345678901", "-12345678901 is not prime"),
+                           ("-" + "7" * 5000, "-7{5000} is not prime$")):
             path.write_text(f"p {p}\ndim 1\n")
             with pytest.raises(ValueError, match=f"^bad.txt:1: {message}"):
                 from_file(path)
@@ -227,6 +236,15 @@ labels a b c
         with pytest.raises(ValueError) as exc:
             from_file(path)
         assert str(exc.value) == "labels.txt: expected 2 labels, got 3"
+        # past the 4,300 digits int() converts, the limits still name the line
+        huge = "7" * 5000
+        for text, message in ((f"p {huge}\ndim 2\n", "huge.txt:1: p must be at most 2^31 - 1"),
+                              (f"p 3\ndim {huge}\n", "huge.txt:2: dim exceeds the limit 64")):
+            path = tmp_path / "huge.txt"
+            path.write_text(text)
+            with pytest.raises(ValueError) as exc:
+                from_file(path)
+            assert str(exc.value) == message
 
     def test_non_decimal_digits_name_the_line(self, tmp_path):
         # superscript digits pass str.isdigit() but not int()
@@ -562,6 +580,8 @@ class TestQuotient:
         span_a = rref([w3.basis_vector(0)], w3.field, ambient=3)
         with pytest.raises(ValueError, match="not an ideal"):
             quotient(w3, span_a)
+        with pytest.raises(ValueError, match="different ambient space"):
+            quotient(w3, rref([(1, 0)], w3.field))
 
     def test_quotient_by_full_space_is_zero_algebra(self, t2_3):
         Q, project, _ = quotient(t2_3, t2_3.full_space())
@@ -598,12 +618,18 @@ class TestConjugation:
         # e -> 2e is bijective but breaks [e, f] = h
         double_e = LinearMap(sl2_5.field, ((2, 0, 0), (0, 1, 0), (0, 0, 1)))
         assert not is_lie_automorphism(sl2_5, double_e)
-        # a 2x2 matrix does not map a 3-dimensional algebra
-        assert not is_lie_automorphism(sl2_3, LinearMap(sl2_3.field, ((1, 0), (0, 1))))
+        # a 2x2 matrix does not map a 3-dimensional algebra, nor do three
+        # rows of width 2 or 4, or ragged rows
+        for rows in (((1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1)),
+                     ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), ((1, 0, 0), (0, 1), (0, 0, 1))):
+            assert not is_lie_automorphism(sl2_3, LinearMap(sl2_3.field, rows)), rows
 
     def test_singular_matrix_rejected(self, sl2_3):
         with pytest.raises(ValueError, match="invertible"):
             conjugation_automorphism(sl2_3, ((1, 1), (1, 1)))
+        for g in (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0), (0,))):
+            with pytest.raises(ValueError, match="must be a 2x2 matrix"):
+                conjugation_automorphism(sl2_3, g)
 
     def test_non_triangular_conjugation_rejected_for_t(self):
         L = make_t(2, 3)

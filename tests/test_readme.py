@@ -3,7 +3,9 @@ import doctest
 import re
 from pathlib import Path
 
-from solvgraph.cli import make_parser
+import pytest
+
+from solvgraph.cli import main, make_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -24,3 +26,22 @@ def test_command_line_section_names_every_parser_option():
     options = {o for sub in subs.choices.values() for a in sub._actions
                for o in a.option_strings} - {"-h", "--help"}
     assert named == options
+
+
+def _divisible_builtins():
+    """The specs README names in "`conjecture` prints `divisible=yes` on ...":
+    a comma-separated list whose last item follows "and"."""
+    text = " ".join(README.read_text().split())
+    names = re.search(r"`conjecture` prints `divisible=yes` on (.*?)\. ", text).group(1)
+    return re.split(r", | and ", names)
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(spec, marks=pytest.mark.slow) if spec == "sl3@3" else spec  # about 8 s
+    for spec in _divisible_builtins()])
+def test_divisibility_list_matches_conjecture(spec, capsys):
+    # each builtin README lists as divisible must print divisible=yes, so a
+    # stale list fails the suite
+    assert main(["conjecture", spec]) == 0
+    assert " divisible=yes " in capsys.readouterr().out
+

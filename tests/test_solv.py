@@ -24,12 +24,13 @@ from oracles import (
     radical_by_lines,
     s_lie_by_elements,
     s_lie_witness_by_pairs,
+    sol_members,
     subspace_elements,
 )
 from solvgraph import liealg, solv
 from solvgraph.cli import main
 from solvgraph.ffalg import rref
-from solvgraph.graph import build
+from solvgraph.graph import build, complement_components, components
 from solvgraph.formulas import spectral_class_sl2
 from solvgraph.liealg import (
     CapExceeded,
@@ -61,6 +62,7 @@ from solvgraph.solv import (
     pair_solvable,
     plane_table,
     quotient_compatibility_check,
+    s_lie_witness,
     sol_lines,
     sol_of_algebra,
     solvabilizer,
@@ -220,6 +222,7 @@ class TestPlaneTableGate:
             "solvabilizer": lambda **kw: solvabilizer(sl2_5, x, **kw),
             "sol_of_algebra": lambda **kw: sol_of_algebra(sl2_5, **kw),
             "is_s_lie": lambda **kw: is_s_lie(sl2_5, **kw),
+            "s_lie_witness": lambda **kw: s_lie_witness(sl2_5, **kw),
             "conjecture_sum": lambda **kw: conjecture_sum(sl2_5, **kw),
             "divisibility_report": lambda **kw: divisibility_report(sl2_5, x, **kw),
             "build": lambda **kw: _lines_and_edges(build(sl2_5, **kw)),
@@ -357,19 +360,20 @@ class TestSolvabilizerSet:
 
 class TestSolOfAlgebra:
     def test_sl2_f3_trivial(self, sl2_3):
-        assert sol_of_algebra(sl2_3) == (0,)
+        assert sol_of_algebra(sl2_3) == 0
+        assert sol_members(sl2_3) == (0,)
 
     def test_sl2_f2_everything(self, sl2_2):
-        assert sol_of_algebra(sl2_2) == tuple(range(8))
+        assert sol_members(sl2_2) == tuple(range(8))
 
     def test_gl2_f3_scalars(self, gl2_3):
-        got = sol_of_algebra(gl2_3)
+        got = sol_members(gl2_3)
         scalars = sorted(gl2_3.index((t, 0, 0, t)) for t in range(3))
         assert got == tuple(scalars)
 
     def test_agrees_with_elementwise_oracle(self, sl2_2, sl2_3, w3, gl2_3, t2_3):
         for L in (sl2_2, w3, sl2_3, gl2_3, t2_3):
-            assert sol_of_algebra(L) == direct_sol_of_algebra(L)
+            assert sol_members(L) == direct_sol_of_algebra(L)
 
     def test_sol_lines_are_the_full_rows(self, sl2_2, sl2_3, gl2_3):
         assert sol_lines(plane_table(sl2_2)) == (1 << sl2_2.line_count) - 1
@@ -382,13 +386,13 @@ class TestSolOfAlgebra:
             expected = set(range(L.size))
             for m in range(L.size):
                 expected &= set(solvabilizer(L, L.vector(m)))
-            assert set(sol_of_algebra(L)) == expected
+            assert set(sol_members(L)) == expected
 
     def test_absorbed_by_every_solvabilizer(self, sl2_3, w3, gl2_3):
         # sol(L) + sol_L(x) = sol_L(x), elementwise
         for L in (sl2_3, w3, gl2_3):
             p = L.field.p
-            sol_l = [L.vector(m) for m in sol_of_algebra(L)]
+            sol_l = [L.vector(m) for m in sol_members(L)]
             for line in L.lines()[:8]:
                 x = L.vector(line[0])
                 members = set(solvabilizer(L, x))
@@ -401,19 +405,19 @@ class TestSolOfAlgebra:
 
 class TestSLie:
     def test_w3_is_s_lie(self, w3):
-        assert is_s_lie(w3) == (True, None)
+        assert (is_s_lie(w3), s_lie_witness(w3)) == (True, None)
 
     def test_solvable_algebra_is_s_lie(self, t2_3):
-        verdict, witness = is_s_lie(t2_3)
+        verdict, witness = is_s_lie(t2_3), s_lie_witness(t2_3)
         assert verdict and witness is None
 
     def test_sl2_f3_fails_with_smallest_witness(self, sl2_3):
-        verdict, witness = is_s_lie(sl2_3)
+        verdict, witness = is_s_lie(sl2_3), s_lie_witness(sl2_3)
         assert not verdict
         assert witness == SL2_3_WITNESS
 
     def test_witness_is_valid(self, sl2_3):
-        _, (x, a, b) = is_s_lie(sl2_3)
+        x, a, b = s_lie_witness(sl2_3)
         members = set(solvabilizer(sl2_3, x))
         assert sl2_3.index(a) in members
         assert sl2_3.index(b) in members
@@ -442,11 +446,11 @@ class TestSLie:
                         for a in sol for b in sol)):
                     expected = False
                     break
-            assert is_s_lie(L)[0] == expected, L.name
+            assert is_s_lie(L) == expected, L.name
         # too large for the direct loop: every solvabilizer list's span
         # against the list, with the full rows of t3 and of gl2's center
         for L in (make_t(3, 3), make_gl(2, 5)):
-            assert is_s_lie(L)[0] == s_lie_by_elements(L), L.name
+            assert is_s_lie(L) == s_lie_by_elements(L), L.name
 
     def test_s_lie_example_solvabilizers_are_subalgebras(self, w3):
         # every solvabilizer of the char-2 simple algebra is a subalgebra:
@@ -631,7 +635,7 @@ class TestDivisibilityReport:
 
     def test_radical_inside_sol(self, sl2_3, w3, gl2_3, t2_3):
         for L in (sl2_3, w3, gl2_3, t2_3):
-            members = set(sol_of_algebra(L))
+            members = set(sol_members(L))
             for v in subspace_elements(radical(L)):
                 assert L.index(v) in members
 
@@ -713,7 +717,7 @@ class TestQuotientPath:
         assert R.dim == 3 and solvable_ideal(R).dim == 0 and not is_solvable(R)
         _assert_table_matches_oracle(L)
         assert radical(L) == radical_by_lines(L) and radical(L).dim == 3
-        assert is_s_lie(L)[0] == s_lie_by_elements(L)
+        assert is_s_lie(L) == s_lie_by_elements(L)
         assert conjecture_sum(L) == (2560, 64, True, 40)
 
     def test_table_matches_oracle(self, sl2_2, gl2_3, t2_3, w3, zero_file, abelian_file):
@@ -850,9 +854,9 @@ BRACKET_ONLY_GENERATORS = ((0, 0, 1, 1, 0, 0, 0, 0, 0), (1, 1, 1, 1, 1, 0, 1, 1,
 
 
 def _witness_escapes(L):
-    """is_s_lie's witness of L, and whether its sum and its bracket leave
-    x's solvabilizer, checked on the element list."""
-    _, (x, a, b) = is_s_lie(L)
+    """s_lie_witness of L, and whether its sum and its bracket leave x's
+    solvabilizer, checked on the element list."""
+    x, a, b = s_lie_witness(L)
     members = set(solvabilizer(L, x))
     assert L.index(a) in members and L.index(b) in members
     return (x, a, b), (L.index([u + v for u, v in zip(a, b)]) not in members,
@@ -866,7 +870,7 @@ class TestSLieWitness:
     def test_matches_pair_loop(self, sl2_2, sl2_3, w3, t2_3, gl2_3):
         for L in (sl2_2, sl2_3, w3, t2_3, make_t(3, 2), gl2_3, make_gl(2, 5),
                   make_gl(2, 7), make_so(3, 3), make_so(4, 3), make_sl(3, 2)):
-            assert is_s_lie(L) == s_lie_witness_by_pairs(L), L.name
+            assert s_lie_witness(L) == s_lie_witness_by_pairs(L), L.name
 
     def test_matches_pair_loop_on_every_failing_line(self, sl2_3, sl2_5, gl2_3, monkeypatch):
         # the rule holds for the row of any line whose solvabilizer fails,
@@ -878,7 +882,7 @@ class TestSLieWitness:
                 if pair:
                     count += 1
                     monkeypatch.setattr(solv, "_failing_line", lambda L, force=False: l)
-                    assert is_s_lie(L) == (False, (L.vector(L.line_rep(l)), *pair)), (L.name, l)
+                    assert s_lie_witness(L) == (L.vector(L.line_rep(l)), *pair), (L.name, l)
             assert count > 0, L.name
 
     @settings(max_examples=20, derandomize=True, deadline=None)
@@ -888,8 +892,8 @@ class TestSLieWitness:
     def test_matches_pair_loop_on_random_subalgebras(self, generators):
         S = closed_subalgebra(_GL2_SL2, generators)
         assume(S.dim <= 5)
-        assert is_s_lie(S) == s_lie_witness_by_pairs(S)
-        assert is_s_lie(S)[0] == s_lie_by_elements(S)
+        assert s_lie_witness(S) == s_lie_witness_by_pairs(S)
+        assert is_s_lie(S) == s_lie_by_elements(S)
 
     def test_first_pair_fails_by_the_sum(self, gl2_3):
         # E01 and E10 both pair solvably with E00, and so does their bracket
@@ -901,14 +905,14 @@ class TestSLieWitness:
         S = closed_subalgebra(make_gl(3, 2), BRACKET_ONLY_GENERATORS)
         assert _witness_escapes(S) == (
             ((1, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 1)), (False, True))
-        assert s_lie_witness_by_pairs(S) == is_s_lie(S)
+        assert s_lie_witness_by_pairs(S) == s_lie_witness(S)
 
     def test_no_witness_is_an_error(self, w3, monkeypatch):
         # a failing line whose row is a subalgebra yields no pair: the
         # search says so instead of returning a witness
         monkeypatch.setattr(solv, "_failing_line", lambda L, force=False: 0)
         with pytest.raises(AssertionError, match="no witness pair found"):
-            is_s_lie(w3)
+            s_lie_witness(w3)
 
 
 class TestExpansionBoundary:
@@ -931,6 +935,10 @@ class TestExpansionBoundary:
             "is_s_lie t3@3": lambda: is_s_lie(t3_3),
             "is_s_lie w3": lambda: is_s_lie(w3),
             "is_s_lie sl2@5": lambda: is_s_lie(sl2_5),
+            "s_lie_witness sl2@5": lambda: s_lie_witness(sl2_5),
+            "sol_of_algebra gl2@5": lambda: sol_of_algebra(gl2_5),
+            "components sl2@5": lambda: components(build(sl2_5)),
+            "complement_components gl2@5": lambda: complement_components(build(gl2_5)),
             "slie gl2@5": lambda: main(["slie", "gl2@5"]),
             "divisibility_report w3": lambda: divisibility_report(w3, (0, 1, 0)),
             "divisibility_report t3@3": lambda: divisibility_report(t3_3, (1, 0, 0, 0, 0, 0)),
