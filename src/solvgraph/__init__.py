@@ -42,7 +42,6 @@ from .liealg import (
     make_w3,
     quotient,
     radical,
-    solvable_ideal,
     subalgebra_closure,
     to_file,
 )

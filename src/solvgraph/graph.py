@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 from .liealg import LieAlgebra
@@ -71,8 +71,8 @@ class SolvGraph:
         first use and kept, so the exports and rows share it."""
         if self._lists is None:
             members = {l: self.algebra.line_members(l) for l in self.lines}
-            lists = {row: sorted(m for k in bits(row & self.vertex_lines) for m in members[k])
-                     for row in {self.nbr[l] for l in self.lines}}
+            lists = {row: sorted(chain.from_iterable(map(members.__getitem__, bits(
+                row & self.vertex_lines)))) for row in {self.nbr[l] for l in self.lines}}
             self._lists = sorted((m, lists[self.nbr[l]]) for l, ms in members.items() for m in ms)
         return self._lists
 

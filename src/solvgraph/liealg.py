@@ -72,10 +72,11 @@ class LieAlgebra:
     validation and all operations on them are pure.
     """
 
-    # Filled on first use: _ideal and _quotient by solvable_ideal and
-    # _ideal_quotient, _plane_table by solv.plane_table.
+    # Filled on first use: _radical, rad(L), by radical or is_solvable;
+    # _quotient, L/rad(L) with its maps, by radical or _radical_quotient;
+    # _plane_table by solv.plane_table.
     __slots__ = ("field", "dim", "constants", "labels", "name",
-                 "basis_matrices", "matrix_size", "_ideal", "_quotient", "_plane_table")
+                 "basis_matrices", "matrix_size", "_radical", "_quotient", "_plane_table")
 
     def __init__(self, field: PrimeField, constants, labels=None, name="L",
                  basis_matrices=None, matrix_size=None):
@@ -93,7 +94,7 @@ class LieAlgebra:
         self.name = name
         self.basis_matrices = basis_matrices
         self.matrix_size = matrix_size
-        self._ideal = self._quotient = self._plane_table = None
+        self._radical = self._quotient = self._plane_table = None
         self._validate()
 
     def _validate(self):
@@ -528,12 +529,21 @@ def is_solvable(L: LieAlgebra, space: Subspace | None = None) -> bool:
     Only a space of dimension strictly between 2 and dim L runs a series.
     One of dimension at most 2, spanned by u and v, has [u, v] or nothing
     as its derived subspace, and 0 next, closed or not.  One of dimension
-    dim L (or space None) is L, whose verdict is read off solvable_ideal(L),
-    which is L exactly when L is solvable, so L's own series runs once per
-    algebra.
+    dim L (or space None) is L, whose verdict is read off rad(L), kept on
+    L, which is L exactly when L is solvable.  While rad(L) is unknown,
+    the verdict is one derived series of L, and no line is enumerated.
+    That series settles rad(L) when it decides it, and rad(L) is kept: L
+    when L is solvable, and 0 when L is not and has dimension 3, as a
+    non-solvable L has a radical of codimension at least 3 (L/rad(L) is
+    not solvable, and every algebra of dimension at most 2 is).
     """
     if space is None or space.dim == L.dim:
-        return solvable_ideal(L).dim == L.dim
+        if L._radical is None:
+            solvable = derived_series(L, L.full_space()).terminated
+            if solvable or L.dim == 3:
+                L._radical = L.full_space() if solvable else L.zero_space()
+            return solvable
+        return L._radical.dim == L.dim
     return space.dim <= 2 or derived_series(L, space).terminated
 
 
@@ -553,24 +563,6 @@ def center(L: LieAlgebra) -> Subspace:
                   L.field, ncols=n)
 
 
-def solvable_ideal(L: LieAlgebra) -> Subspace:
-    """The solvable ideal N that plane tables and the radical factor out:
-    L when L is solvable, else the center.  Found on first use, with one
-    derived series of L, and kept on L; _ideal_quotient keeps L/N beside it."""
-    if L._ideal is None:
-        full = L.full_space()
-        L._ideal = full if derived_series(L, full).terminated else center(L)
-    return L._ideal
-
-
-def _ideal_quotient(L: LieAlgebra):
-    """quotient(L, solvable_ideal(L)), built on first use and kept on L, so
-    the plane table and the radical share one L/N."""
-    if L._quotient is None:
-        L._quotient = quotient(L, solvable_ideal(L))
-    return L._quotient
-
-
 def ideal_closure(L: LieAlgebra, x) -> Subspace:
     """Smallest ad-invariant subspace containing x, in RREF."""
     return _bracket_closure(L, [x], [L.basis_vector(i) for i in range(L.dim)])
@@ -583,37 +575,58 @@ def is_ideal(L: LieAlgebra, space: Subspace) -> bool:
 
 
 def radical(L: LieAlgebra, force: bool = False) -> Subspace:
-    """Maximal solvable ideal, found through L/N as solv.plane_table does.
+    """rad(L), the maximal solvable ideal, found once and kept on L, where
+    is_solvable(L) and solv.plane_table read it.
 
-    The sum of two solvable ideals is a solvable ideal, so the radical
-    holds every solvable ideal N and is the preimage of the radical of L/N.
-    N = solvable_ideal(L) and L/N = _ideal_quotient(L), both kept on L.  A
-    solvable L is N itself and is returned without building L/N.  Only with
-    N = 0, so L not solvable, is L searched, for the elements whose ideal
-    closure is solvable, one per line.  Each closure goes to is_solvable as
-    it is: one of dimension dim L is L, known not to be solvable, and one
-    of dimension at most 2 is solvable, neither with a derived series.
+    The sum of two solvable ideals is a solvable ideal, so rad(L) holds
+    every solvable ideal N and is the preimage of rad(L/N).  The route:
+    L itself when one derived series shows L solvable, and 0 when L is not
+    and has dimension 3 (both settled by is_solvable(L)); else, with a
+    nonzero center Z, the preimage of rad(L/Z), and L/Z is kept as
+    L/rad(L) when its radical is 0; else L is searched for the elements
+    whose ideal closure is solvable, one per line.  rad(L) has codimension
+    at least 3 (see is_solvable) and holds x, [x, L] and the ideal closure
+    of each of its members x.  So an x whose span with [x, L] has dimension
+    over dim L - 3 is ruled out with one bracket per basis vector and no
+    closure, and one whose closure has is ruled out with no verdict; a
+    closure of dimension at most 2 is solvable with no derived series.
     """
     require_enumerable(L, force)
-    N = solvable_ideal(L)
-    if N.dim == L.dim:
-        return N
-    if N.dim:
-        Q, _, section = _ideal_quotient(L)
-        R = radical(Q, force=True)
-        space = rref(N.basis + tuple(map(section, R.basis)), L.field, ambient=L.dim)
-        size = N.size * R.size
-    else:
-        good_reps = [rep for rep in map(L.vector, map(L.line_rep, range(L.line_count)))
-                     if is_solvable(L, ideal_closure(L, rep))]
-        space = rref(good_reps, L.field, ambient=L.dim)
-        size = 1 + (L.field.p - 1) * len(good_reps)
-    if space.size != size:
-        raise AssertionError(
-            f"radical candidate spans {space.size} elements, expected {size}")
-    if not is_ideal(L, space) or not is_solvable(L, space):
-        raise AssertionError("collected radical candidate is not a solvable ideal")
-    return space
+    if L._radical is None:
+        is_solvable(L)  # settles rad(L) when L is solvable or of dimension 3
+    if L._radical is None:
+        Z = center(L)
+        if Z.dim:
+            Q, project, section = quotient(L, Z)
+            R = radical(Q, force=True)
+            if not R.dim:  # L/Z is L/rad(L), kept for the plane table
+                L._quotient = Q, project, section
+            space = rref(Z.basis + tuple(map(section, R.basis)), L.field, ambient=L.dim)
+            size = Z.size * R.size
+        else:
+            e = L.full_space().basis
+            good_reps = [rep for rep in map(L.vector, map(L.line_rep, range(L.line_count)))
+                         if rref([rep] + [L.bracket(rep, b) for b in e], L.field).dim <= L.dim - 3
+                         and (C := ideal_closure(L, rep)).dim <= L.dim - 3 and is_solvable(L, C)]
+            space = rref(good_reps, L.field, ambient=L.dim)
+            size = 1 + (L.field.p - 1) * len(good_reps)
+        if space.size != size:
+            raise AssertionError(
+                f"radical candidate spans {space.size} elements, expected {size}")
+        if not is_ideal(L, space) or not is_solvable(L, space):
+            raise AssertionError("collected radical candidate is not a solvable ideal")
+        L._radical = space
+    return L._radical
+
+
+def _radical_quotient(L: LieAlgebra):
+    """quotient(L, rad(L)), built on first use and kept on L, unless radical
+    kept L/Z as it.  rad(L/rad(L)) is 0, and that is marked on it, so its
+    plane table classifies its planes with no search for its radical."""
+    if L._quotient is None:
+        L._quotient = quotient(L, radical(L, force=True))
+        L._quotient[0]._radical = L._quotient[0].zero_space()
+    return L._quotient
 
 
 def quotient(L: LieAlgebra, ideal: Subspace):

@@ -13,16 +13,18 @@ projection.  For a subalgebra K, K meet N is solvable and
 K/(K meet N) is isomorphic to pi(K), so K is solvable iff pi(K) is.  As
 pi<x, y> = <pi x, pi y>, the pair x, y generates a solvable subalgebra iff
 pi x, pi y do in Q.  So plane_table() classifies the planes of Q, not of L:
-it takes N = liealg.solvable_ideal(L), which is L when L is solvable and
-the center otherwise, and lifts Q's table to L's lines; N and Q are kept on
-L, and N = L makes every row full with no Q at all.  Only an algebra
-with zero center that is not solvable has its own planes enumerated, each
-once, directly in reduced row-echelon form, and classified by
-liealg.is_solvable on their closures, the verdict pair_solvable reads too;
-a solvable closure marks all of its lines pairwise adjacent, and a later
-plane whose two RREF rows' lines are already adjacent lies inside it and
-runs no closure.  A row's S-verdict, whether 0 and its lines form a
-subalgebra, is one closure of its lines (see _failing_line).
+it takes the largest solvable ideal, N = rad(L) = liealg.radical(L), and
+lifts Q's table to L's lines, once.  rad(Q) is 0, as an extension of a
+solvable algebra by a solvable one is solvable, so Q's planes are
+classified directly and nothing recurses.  N and Q are kept on L, and
+N = L makes every row full with no Q at all.  Only an algebra whose
+radical is 0 has its own planes enumerated, each once, directly in
+reduced row-echelon form, and classified by liealg.is_solvable on their
+closures, the verdict pair_solvable reads too; a solvable closure marks
+all of its lines pairwise adjacent, and a later plane whose two RREF
+rows' lines are already adjacent lies inside it and runs no closure.  A
+row's S-verdict, whether 0 and its lines form a subalgebra, is one
+closure of its lines (see _failing_line).
 """
 
 from __future__ import annotations
@@ -34,14 +36,14 @@ from .ffalg import Subspace, rref
 from .liealg import (
     LieAlgebra,
     LinearMap,
-    _ideal_quotient,
+    _radical_quotient,
     centralizer,
     is_ideal,
     is_lie_automorphism,
     is_solvable,
     quotient,
+    radical,
     require_enumerable,
-    solvable_ideal,
     subalgebra_closure,
 )
 
@@ -79,20 +81,14 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
     cap, also when the table is already built, so each query that reads the
     table is refused over the cap unless forced.
 
-    The table is lifted from the one of Q = L/N, with N =
-    liealg.solvable_ideal(L) (see the module docstring).  A line inside N
-    sees every line.  Any other line l sees the lines of N and every line
-    over a Q-line that sees pi(l); that includes the lines over pi(l)
-    itself, as two dependent projections generate a subalgebra of
-    dimension at most 1, which is solvable.  Q's table is built the same
-    way, so the recursion ends at an algebra with zero center that is not
-    solvable, whose planes are classified directly.  N and L/N are the ones
-    kept on L (liealg.solvable_ideal), and when N = L every row is full,
-    with no L/N built and no line projected.
+    The table is lifted once from the one of Q = L/rad(L), with rad(L)
+    and Q the ones kept on L (liealg.radical; see the module docstring).
+    When rad(L) = L every row is full, with no Q built and no line
+    projected; when rad(L) = 0, L's planes are classified directly.
     """
     require_enumerable(L, force)
     if L._plane_table is None:
-        N = solvable_ideal(L)
+        N = radical(L, force=True)
         if N.dim == L.dim:
             L._plane_table = ((1 << L.line_count) - 1,) * L.line_count
         else:
@@ -103,11 +99,11 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
 def _classified_rows(L: LieAlgebra) -> list[int]:
     """Neighbor bitsets of L's lines, from the closures of L's planes.
 
-    plane_table calls this only when solvable_ideal(L) is 0, so L is not
-    solvable (or L = 0, which has no planes).  A plane is solvable iff its
-    closure S is, and S goes to is_solvable as it is: that verdict runs no
-    derived series when S is L (known not to be solvable) or of dimension
-    at most 2.  The closure stops as soon as it reaches dim L.
+    plane_table calls this only when rad(L) is 0, so L is not solvable (or
+    L = 0, which has no planes), and its verdict is kept on L.  A plane is
+    solvable iff its closure S is, and S goes to is_solvable as it is: that
+    verdict runs no derived series when S is L (read off rad(L)) or of
+    dimension at most 2.  The closure stops as soon as it reaches dim L.
 
     When S is solvable, so is every subalgebra of S, and with it the plane
     of every pair of S's lines: all of S's lines are marked pairwise
@@ -141,23 +137,26 @@ def _span_lines(L: LieAlgebra, basis) -> int:
 
 
 def _lifted_rows(L: LieAlgebra) -> list[int]:
-    """Neighbor bitsets of L's lines, lifted from the table of L/N."""
-    Q, project, _ = _ideal_quotient(L)
+    """Neighbor bitsets of L's lines, lifted from the table of Q = L/N with
+    N = rad(L), whose own radical is 0, so Q's planes are classified.
+
+    A line inside N sees every line.  Any other line l sees the lines of N
+    and every line over a Q-line that sees pi(l); that includes the lines
+    over pi(l) itself, as two dependent projections generate a subalgebra
+    of dimension at most 1, which is solvable.
+    """
+    Q, project, _ = _radical_quotient(L)
     q_nbr = plane_table(Q, force=True)
-    in_n = 0
-    over = [0] * len(q_nbr)  # the L-lines over each Q-line
+    over = [0] * (len(q_nbr) + 1)  # the L-lines over each Q-line, then those in N
     q_lines = []
     for l in range(L.line_count):
         w = project(L.vector(L.line_rep(l)))
         ql = Q.line(w) if any(w) else -1  # -1: the line lies in N
         q_lines.append(ql)
-        if ql < 0:
-            in_n |= 1 << l
-        else:
-            over[ql] |= 1 << l
-    full = (1 << len(q_lines)) - 1
-    lifted = [in_n | sum(over[k] for k in bits(row)) for row in q_nbr]
-    return [full if ql < 0 else lifted[ql] for ql in q_lines]
+        over[ql] |= 1 << l
+    lifted = [over[-1] | sum(over[k] for k in bits(row)) for row in q_nbr]
+    lifted.append((1 << L.line_count) - 1)  # a line in N sees every line
+    return [lifted[ql] for ql in q_lines]
 
 
 def bits(mask: int):

@@ -12,9 +12,17 @@ degrees and edges, and the S-witness by the element-pair loop.
 import json
 from bisect import bisect_right
 from itertools import product
+from pathlib import Path
 
-from solvgraph.ffalg import rref
-from solvgraph.liealg import LieAlgebra, centralizer, derived_series, is_ideal, quotient
+from solvgraph.ffalg import PrimeField, rref
+from solvgraph.liealg import (
+    LieAlgebra,
+    _from_matrix_basis,
+    centralizer,
+    derived_series,
+    is_ideal,
+    quotient,
+)
 from solvgraph.solv import (
     _failing_line, bits, elements, plane_table, sol_lines, sol_of_algebra, solvabilizer,
 )
@@ -71,6 +79,22 @@ def direct_sum(A, B):
                    for j in range(n)] for i in range(B.dim)]
     return LieAlgebra(A.field, constants, labels=A.labels + B.labels,
                       name=f"{A.name}+{B.name}")
+
+
+# sl2_semidirect(7) as a structure-constants file, written by liealg.to_file
+SL2_MODULE_F7 = Path(__file__).resolve().parent / "data" / "sl2_module_f7.txt"
+
+
+def sl2_semidirect(p):
+    """sl2 acting on its natural module F_p^2, as the 3x3 matrices
+    [[A, v], [0, 0]] with A traceless: basis e, f, h of sl2, then u, w
+    spanning the module.  Its center is 0 and its radical the module, an
+    ideal of dimension 2."""
+    def unit(i, j):
+        return tuple(tuple(int((r, c) == (i, j)) for c in range(3)) for r in range(3))
+    h = tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(unit(0, 0), unit(1, 1)))
+    return _from_matrix_basis([unit(0, 1), unit(1, 0), h, unit(0, 2), unit(1, 2)],
+                              ["e", "f", "h", "u", "w"], PrimeField(p), f"sl2x{p}^2", 3)
 
 
 def closed_subalgebra(L, generators):

@@ -45,6 +45,7 @@ from solvgraph.solv import (
 )
 
 from oracles import (
+    SL2_MODULE_F7,
     component_lists,
     direct_pair_solvable,
     sol_members,
@@ -431,6 +432,20 @@ def test_conjecture_sl3_f2_time():
     assert out == "sum=33280 order=256 divisible=yes quotient=130\n"
     assert elapsed < 3
     _ok(f"conjecture sl3@2 in a child in {elapsed:.2f}s")
+
+
+def test_conjecture_sl2_module_f7_time():
+    # sl2 acting on F_7^2 has zero center and the module as its radical, so
+    # the table is lifted from L/rad(L) = sl2@7; factoring out the center,
+    # which is 0 here, left all 140,050 of L's own planes to enumerate and
+    # took ~8 s
+    t0 = time.perf_counter()
+    code, out, _ = _child_peak("conjecture", f"file:{SL2_MODULE_F7}")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    assert out == "sum=45294865 order=16807 divisible=yes quotient=2695\n"
+    assert elapsed < 1
+    _ok(f"conjecture on sl2 + F_7^2 in a child in {elapsed:.2f}s")
 
 
 def test_slie_gl2_f31_time():

@@ -3,8 +3,8 @@ is imported.
 
 Only ffalg builds Subspace objects: a Subspace holds a canonical RREF basis,
 and ``ffalg._echelon`` is the one place that makes one; every other module
-asks ffalg for its spaces.  Only the two solvability verdicts of liealg run
-a derived series.  The commands reach the other modules through public
+asks ffalg for its spaces.  Only liealg's solvability verdict runs a
+derived series.  The commands reach the other modules through public
 names only.
 """
 
@@ -39,12 +39,12 @@ def test_only_ffalg_constructs_subspaces():
 
 
 def test_only_the_verdicts_run_derived_series():
-    # is_solvable is the one solvability verdict, and solvable_ideal derives
-    # L's own series once per algebra; a classification loop that ran a
+    # is_solvable is the one solvability verdict, and the radical's finder
+    # reads L's own verdict from it; a classification loop that ran a
     # series itself would decide solvability by a route of its own
     callers = {(m.name, fn) for m in sorted(PACKAGE.glob("*.py"))
                for fn, _ in _calls(m, "derived_series")}
-    assert callers == {("liealg.py", "is_solvable"), ("liealg.py", "solvable_ideal")}
+    assert callers == {("liealg.py", "is_solvable")}
 
 
 def test_cli_reads_no_private_name_of_another_module():

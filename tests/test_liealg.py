@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    SL2_MODULE_F7,
     all_subspaces,
     center_by_intersection,
     ideal_closure_rounds,
@@ -13,6 +14,7 @@ from oracles import (
     lines_by_scan,
     radical_bruteforce,
     radical_by_lines,
+    sl2_semidirect,
     subalgebra_closure_rounds,
     subspace_elements,
 )
@@ -40,7 +42,6 @@ from solvgraph.liealg import (
     quotient,
     radical,
     require_enumerable,
-    solvable_ideal,
     subalgebra_closure,
     to_file,
 )
@@ -182,6 +183,12 @@ labels a b c
         path = tmp_path / "gl2.txt"
         to_file(gl2_3, path)
         assert from_file(path) == gl2_3
+
+    def test_sl2_module_fixture_is_written_by_to_file(self, tmp_path):
+        path = tmp_path / "sl2_module_f7.txt"
+        to_file(sl2_semidirect(7), path)
+        assert path.read_text() == SL2_MODULE_F7.read_text()
+        assert from_file(SL2_MODULE_F7) == sl2_semidirect(7)
 
     def test_alternating_violation_reported(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -542,10 +549,18 @@ class TestRadical:
     def test_gl2_radical_is_center(self, gl2_3):
         assert radical(gl2_3) == center(gl2_3)
 
-    def test_solvable_ideal_is_l_when_solvable_else_the_center(self, sl2_3, t2_3, gl2_3):
-        assert solvable_ideal(t2_3) == t2_3.full_space()
-        assert solvable_ideal(gl2_3) == center(gl2_3)
-        assert solvable_ideal(sl2_3).dim == 0
+    def test_radical_is_the_one_solvable_ideal(self, sl2_3, t2_3, gl2_3):
+        # one derived series settles a solvable L and a non-solvable L of
+        # dimension 3; gl2's radical is the preimage of pgl2's, which is 0;
+        # sl2 + F_3^2 has zero center and the module as its radical
+        assert radical(t2_3) == t2_3.full_space()
+        assert radical(gl2_3) == center(gl2_3)
+        assert radical(sl2_3).dim == 0
+        L = sl2_semidirect(3)
+        assert center(L).dim == 0
+        assert radical(L).basis == ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1))
+        for M in (t2_3, gl2_3, sl2_3, L):
+            assert M._radical == radical(M) and is_solvable(M) == (M._radical.dim == M.dim)
 
 
 class TestQuotient:

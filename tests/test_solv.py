@@ -24,6 +24,7 @@ from oracles import (
     radical_by_lines,
     s_lie_by_elements,
     s_lie_witness_by_pairs,
+    sl2_semidirect,
     sol_members,
     subspace_elements,
 )
@@ -36,7 +37,7 @@ from solvgraph.liealg import (
     CapExceeded,
     LieAlgebra,
     LinearMap,
-    _ideal_quotient,
+    _radical_quotient,
     center,
     centralizer,
     conjugation_automorphism,
@@ -49,7 +50,6 @@ from solvgraph.liealg import (
     make_w3,
     quotient,
     radical,
-    solvable_ideal,
     to_file,
 )
 from solvgraph.solv import (
@@ -501,17 +501,54 @@ def _count_series_and_quotients(monkeypatch):
     return counts
 
 
+def _count_calls(monkeypatch, owner, name):
+    """Patch owner.name so that its calls are counted in the returned list."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    return calls
+
+
 class TestOneSolvableIdealPerAlgebra:
-    """solvable_ideal(L) and L/N are derived once per algebra and kept on L;
-    fresh algebras each time, as fixtures may carry them already."""
+    """rad(L), the one solvable ideal, and L/rad(L) are derived once per
+    algebra and kept on L; fresh algebras each time, as fixtures may carry
+    them already."""
 
     def test_radical_of_a_simple_algebra_runs_one_series(self, monkeypatch):
-        # one for solvable_ideal; every ideal closure is all of sl2, and the
-        # check of the 0 result has dimension 0: is_solvable needs no series
-        # for either
+        # one series of sl2, which shows it is not solvable and so, at
+        # dimension 3, settles its radical as 0 with no ideal closure
         counts = _count_series_and_quotients(monkeypatch)
         assert radical(make_sl(2, 11)).dim == 0
         assert counts["derived_series"] <= 1
+
+    @pytest.mark.parametrize("build", [lambda: make_sl(2, 13), lambda: make_gl(2, 7),
+                                       lambda: make_so(3, 5)],
+                             ids=["sl2@13", "gl2@7", "so3@5"])
+    def test_no_line_search_where_a_series_decides(self, build, monkeypatch):
+        # sl2 and so3 are not solvable and of dimension 3, and gl2's radical
+        # is its center, as pgl2's is 0: the radical enumerates no line, and
+        # neither it nor the table runs an ideal closure
+        L = build()
+        closures = _count_calls(monkeypatch, liealg, "ideal_closure")
+        reps = _count_calls(monkeypatch, LieAlgebra, "line_rep")
+        radical(L)
+        assert reps == []
+        plane_table(L)
+        assert closures == []
+
+    def test_info_gl2_runs_no_ideal_closure(self, monkeypatch, capsys):
+        closures = _count_calls(monkeypatch, liealg, "ideal_closure")
+        assert main(["info", "gl2@7"]) == 0
+        assert "radical_dim=1" in capsys.readouterr().out
+        assert closures == []
+
+    def test_verdict_over_the_cap_enumerates_no_line(self, monkeypatch):
+        # so5@101 has zero center and |L| far over the cap: its verdict is
+        # one derived series, with no radical search
+        L = make_so(5, 101)
+        reps = _count_calls(monkeypatch, LieAlgebra, "line_rep")
+        assert is_solvable(L) is False
+        assert reps == [] and L._radical is None
 
     def test_pair_sweep_runs_one_series(self, monkeypatch):
         # every closure <e, y> in sl2 has dimension at most 2 or is all of
@@ -697,28 +734,54 @@ _LIFTED_PAIRS = (
 
 
 # w3 + Heisenberg over F_2, with basis a, b, c of w3, then x, y, z with
-# [x, y] = z: N is Heisenberg's center z, and L/N = w3 + F_2^2 has a
-# 2-dimensional center, so the table and the radical recurse twice
+# [x, y] = z: L's center is z, and L/center = w3 + F_2^2 has a
+# 2-dimensional center, so the radical recurses twice, to Heisenberg
 _HEISENBERG_2 = LieAlgebra(
     make_w3(2).field,
     [[(0, 0, 0), (0, 0, 1), (0, 0, 0)], [(0, 0, -1), (0, 0, 0), (0, 0, 0)], [(0, 0, 0)] * 3],
     labels=["x", "y", "z"], name="heis@2")
 _W3_HEIS = direct_sum(make_w3(2), _HEISENBERG_2)
 
+# sl2 acting on F_3^2: zero center and the module as its radical
+_SL2_F3_2 = sl2_semidirect(3)
+
 
 class TestQuotientPath:
     def test_two_quotient_levels(self):
+        # rad(L) is the Heisenberg summand, found through two centers; the
+        # table is lifted once, from L/rad(L) = w3, whose radical is 0
         L = _W3_HEIS
         assert (L.dim, L.line_count) == (6, 63)
-        assert solvable_ideal(L).basis == ((0, 0, 0, 0, 0, 1),)
-        Q = _ideal_quotient(L)[0]
-        assert solvable_ideal(Q).dim == 2
-        R = _ideal_quotient(Q)[0]
-        assert R.dim == 3 and solvable_ideal(R).dim == 0 and not is_solvable(R)
-        _assert_table_matches_oracle(L)
         assert radical(L) == radical_by_lines(L) and radical(L).dim == 3
+        assert radical(L).basis == ((0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
+        Q = _radical_quotient(L)[0]
+        assert Q == make_w3(2) and Q._radical.dim == 0 and not is_solvable(Q)
+        _assert_table_matches_oracle(L)
         assert is_s_lie(L) == s_lie_by_elements(L)
         assert conjecture_sum(L) == (2560, 64, True, 40)
+
+    def test_table_builds_one_quotient(self, monkeypatch):
+        # the radical passes through L/Z and (L/Z)/Z(L/Z); the table then
+        # builds L/rad(L) alone and classifies it with no derived series
+        expected = plane_table(_W3_HEIS)
+        L = direct_sum(make_w3(2), _HEISENBERG_2)
+        counts = _count_series_and_quotients(monkeypatch)
+        assert radical(L).dim == 3
+        assert counts["quotient"] == 2
+        series = counts["derived_series"]
+        assert plane_table(L) == expected
+        assert counts == {"derived_series": series, "quotient": 3}
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: sl2_semidirect(3), id="sl2+F_3^2"),
+        pytest.param(lambda: sl2_semidirect(5), id="sl2+F_5^2", marks=pytest.mark.slow),
+        pytest.param(lambda: make_so(4, 2), id="so4@2")])
+    def test_non_central_radical(self, build):
+        # zero center, nonzero radical: the table is lifted from L/rad(L)
+        L = build()
+        assert center(L).dim == 0 < radical(L).dim < L.dim
+        assert radical(L) == radical_by_lines(L)
+        _assert_table_matches_oracle(L)
 
     def test_table_matches_oracle(self, sl2_2, gl2_3, t2_3, w3, zero_file, abelian_file):
         # the solvable ones (t2, t3, the file algebras) have every row full
@@ -752,6 +815,18 @@ class TestQuotientPath:
             to_file(S, path)
             T = from_file(path)
         assert T == S and plane_table(T) == plane_table(S)
+
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(0, 2)] * _SL2_F3_2.dim), min_size=1, max_size=3))
+    @example([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 1, 0)])
+    @example([(0, 0, 1, 0, 0), (1, 0, 0, 0, 0), (0, 0, 0, 0, 1)])
+    def test_random_subalgebras_of_sl2_on_its_module(self, generators):
+        # over F_3 two elements generate at most 3 dimensions here, so up
+        # to three generators; the examples generate all of L (e, f, u) and
+        # the Borel subalgebra plus the module (h, e, w)
+        S = closed_subalgebra(_SL2_F3_2, generators)
+        assert radical(S) == radical_by_lines(S)
+        _assert_table_matches_oracle(S)
 
     @settings(max_examples=20, derandomize=True, deadline=None)
     @given(st.lists(st.tuples(*[st.integers(0, 2)] * _GL2_SL2.dim), min_size=2, max_size=2))
