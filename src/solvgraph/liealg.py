@@ -68,13 +68,14 @@ class LieAlgebra:
     """A Lie algebra over F_p with a dense n**3 structure-constant table.
 
     ``constants[i][j][k]`` is the coefficient of basis vector k in the
-    bracket of basis vectors i and j.  Instances are immutable after
-    validation and all operations on them are pure.
+    bracket of basis vectors i and j.  The table, field and labels are
+    fixed after validation; the three slots below are caches of answers
+    derived from them, filled on first use and never changed after.
     """
 
     # Filled on first use: _radical, rad(L), by radical or is_solvable;
-    # _quotient, L/rad(L) with its maps, by radical or _radical_quotient;
-    # _plane_table by solv.plane_table.
+    # _quotient, L/rad(L) with its projection, by radical alone, and only
+    # when 0 < dim rad(L) < dim L; _plane_table by solv.plane_table.
     __slots__ = ("field", "dim", "constants", "labels", "name",
                  "basis_matrices", "matrix_size", "_radical", "_quotient", "_plane_table")
 
@@ -391,13 +392,14 @@ def from_file(path) -> LieAlgebra:
     line, an optional ``labels`` line, then ``i j k v`` entry lines meaning
     constants[i][j][k] = v.  Omitted entries are zero; the antisymmetric
     counterpart of every entry is filled in automatically and cross-checked
-    when both orientations are present.  ``#`` starts a comment.
+    when both orientations are present.  ``#`` starts a comment.  Each
+    header line may appear once, and an entry may repeat only with the same
+    value mod p; either repeat is otherwise an error naming its line.
     """
     path = Path(path)
-    field = None
-    dim = None
-    labels = None
-    entries: dict[tuple[int, int, int], tuple[int, int]] = {}
+    field = dim = labels = None
+    seen: dict[str, int] = {}  # the line of each header keyword met
+    entries: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -409,6 +411,8 @@ def from_file(path) -> LieAlgebra:
             continue
         parts = line.split()
         where = f"{path.name}:{lineno}"
+        if parts[0] in ("p", "dim", "labels") and seen.setdefault(parts[0], lineno) < lineno:
+            raise ValueError(f"{where}: repeated '{parts[0]}' line, first at line {seen[parts[0]]}")
         if parts[0] == "p":
             if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
                 raise ValueError(f"{where}: expected 'p <prime>'")
@@ -433,7 +437,7 @@ def from_file(path) -> LieAlgebra:
                 i, j, k, v = (int(x) for x in parts)
             except ValueError:
                 raise ValueError(f"{where}: expected four integers, got {line!r}") from None
-            entries[(i, j, k)] = (v, lineno)
+            entries.setdefault((i, j, k), []).append((v, lineno))
     if field is None:
         raise ValueError(f"{path.name}: missing 'p' line")
     if dim is None:
@@ -443,20 +447,24 @@ def from_file(path) -> LieAlgebra:
         raise ValueError(f"{path.name}: expected {dim} labels, got {len(labels)}")
 
     constants = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for (i, j, k), (v, lineno) in entries.items():
+    for (i, j, k), ((v, lineno), *repeats) in entries.items():
         where = f"{path.name}:{lineno}"
         if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
             raise ValueError(f"{where}: indices ({i},{j},{k}) out of range for dim {dim}")
+        for w, other in repeats:
+            if (w - v) % p:
+                raise ValueError(f"{path.name}:{other}: entry ({i},{j},{k}) conflicts with "
+                                 f"line {lineno}: {w} vs {v} mod {p}")
         if i == j and v % p:
             raise ValidationError(
                 f"{where}: bracket of basis vector {i} with itself must be zero")
         constants[i][j][k] = v % p
         mirror = entries.get((j, i, k))
         if mirror is not None:
-            if (mirror[0] + v) % p:
+            if (mirror[0][0] + v) % p:
                 raise ValidationError(
                     f"{where}: entries ({i},{j},{k}) and ({j},{i},{k}) are not "
-                    f"antisymmetric: {v} vs {mirror[0]} mod {p}")
+                    f"antisymmetric: {v} vs {mirror[0][0]} mod {p}")
         else:
             constants[j][i][k] = -v % p
     return LieAlgebra(field, constants, labels=labels, name=path.stem)
@@ -582,14 +590,21 @@ def radical(L: LieAlgebra, force: bool = False) -> Subspace:
     every solvable ideal N and is the preimage of rad(L/N).  The route:
     L itself when one derived series shows L solvable, and 0 when L is not
     and has dimension 3 (both settled by is_solvable(L)); else, with a
-    nonzero center Z, the preimage of rad(L/Z), and L/Z is kept as
-    L/rad(L) when its radical is 0; else L is searched for the elements
-    whose ideal closure is solvable, one per line.  rad(L) has codimension
-    at least 3 (see is_solvable) and holds x, [x, L] and the ideal closure
-    of each of its members x.  So an x whose span with [x, L] has dimension
-    over dim L - 3 is ruled out with one bracket per basis vector and no
-    closure, and one whose closure has is ruled out with no verdict; a
-    closure of dimension at most 2 is solvable with no derived series.
+    nonzero center Z, the preimage of rad(L/Z); else L is searched for the
+    elements whose ideal closure is solvable, one per line.  rad(L) has
+    codimension at least 3 (see is_solvable) and holds x, [x, L] and the
+    ideal closure of each of its members x.  So an x whose span with
+    [x, L] has dimension over dim L - 3 is ruled out with one bracket per
+    basis vector and no closure, and one whose closure has is ruled out
+    with no verdict; a closure of dimension at most 2 is solvable with no
+    derived series.
+
+    When 0 < dim rad(L) < dim L, the route that finds rad(L) also keeps
+    L/rad(L) on L, as (Q, projection), with rad(Q) = 0 marked on Q, for
+    solv.plane_table to lift from: the center route keeps L/Z when rad(L/Z)
+    is 0, and else the quotient that radical kept on L/Z, reached through
+    both projections, so no level is built twice; the line search builds
+    quotient(L, rad(L)).
     """
     require_enumerable(L, force)
     if L._radical is None:
@@ -599,8 +614,11 @@ def radical(L: LieAlgebra, force: bool = False) -> Subspace:
         if Z.dim:
             Q, project, section = quotient(L, Z)
             R = radical(Q, force=True)
-            if not R.dim:  # L/Z is L/rad(L), kept for the plane table
-                L._quotient = Q, project, section
+            if R.dim:  # L/rad(L) is (L/Z)/rad(L/Z), kept on L/Z
+                top, project_top = Q._quotient
+                L._quotient = top, lambda v: project_top(project(v))
+            else:  # L/Z is L/rad(L)
+                L._quotient = Q, project
             space = rref(Z.basis + tuple(map(section, R.basis)), L.field, ambient=L.dim)
             size = Z.size * R.size
         else:
@@ -615,18 +633,12 @@ def radical(L: LieAlgebra, force: bool = False) -> Subspace:
                 f"radical candidate spans {space.size} elements, expected {size}")
         if not is_ideal(L, space) or not is_solvable(L, space):
             raise AssertionError("collected radical candidate is not a solvable ideal")
+        if space.dim and not Z.dim:  # the line search found rad(L)
+            Q, project, _ = quotient(L, space)
+            Q._radical = Q.zero_space()
+            L._quotient = Q, project
         L._radical = space
     return L._radical
-
-
-def _radical_quotient(L: LieAlgebra):
-    """quotient(L, rad(L)), built on first use and kept on L, unless radical
-    kept L/Z as it.  rad(L/rad(L)) is 0, and that is marked on it, so its
-    plane table classifies its planes with no search for its radical."""
-    if L._quotient is None:
-        L._quotient = quotient(L, radical(L, force=True))
-        L._quotient[0]._radical = L._quotient[0].zero_space()
-    return L._quotient
 
 
 def quotient(L: LieAlgebra, ideal: Subspace):

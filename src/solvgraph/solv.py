@@ -16,11 +16,11 @@ pi x, pi y do in Q.  So plane_table() classifies the planes of Q, not of L:
 it takes the largest solvable ideal, N = rad(L) = liealg.radical(L), and
 lifts Q's table to L's lines, once.  rad(Q) is 0, as an extension of a
 solvable algebra by a solvable one is solvable, so Q's planes are
-classified directly and nothing recurses.  N and Q are kept on L, and
-N = L makes every row full with no Q at all.  Only an algebra whose
-radical is 0 has its own planes enumerated, each once, directly in
-reduced row-echelon form, and classified by liealg.is_solvable on their
-closures, the verdict pair_solvable reads too; a solvable closure marks
+classified directly and nothing recurses.  radical finds N and keeps N
+and Q on L, and N = L makes every row full with no Q at all.  Only an
+algebra whose radical is 0 has its own planes enumerated, each once,
+directly in reduced row-echelon form, and classified by liealg.is_solvable
+on their closures, the verdict pair_solvable reads too; a solvable closure marks
 all of its lines pairwise adjacent, and a later plane whose two RREF
 rows' lines are already adjacent lies inside it and runs no closure.  A
 row's S-verdict, whether 0 and its lines form a subalgebra, is one
@@ -36,7 +36,6 @@ from .ffalg import Subspace, rref
 from .liealg import (
     LieAlgebra,
     LinearMap,
-    _radical_quotient,
     centralizer,
     is_ideal,
     is_lie_automorphism,
@@ -82,9 +81,9 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
     table is refused over the cap unless forced.
 
     The table is lifted once from the one of Q = L/rad(L), with rad(L)
-    and Q the ones kept on L (liealg.radical; see the module docstring).
-    When rad(L) = L every row is full, with no Q built and no line
-    projected; when rad(L) = 0, L's planes are classified directly.
+    and Q the ones liealg.radical found and kept on L (see the module
+    docstring).  When rad(L) = L every row is full, with no Q built and no
+    line projected; when rad(L) = 0, L's planes are classified directly.
     """
     require_enumerable(L, force)
     if L._plane_table is None:
@@ -138,14 +137,15 @@ def _span_lines(L: LieAlgebra, basis) -> int:
 
 def _lifted_rows(L: LieAlgebra) -> list[int]:
     """Neighbor bitsets of L's lines, lifted from the table of Q = L/N with
-    N = rad(L), whose own radical is 0, so Q's planes are classified.
+    N = rad(L).  Q and the projection are the pair liealg.radical kept on
+    L, with rad(Q) = 0 marked on Q, so Q's planes are classified.
 
     A line inside N sees every line.  Any other line l sees the lines of N
     and every line over a Q-line that sees pi(l); that includes the lines
     over pi(l) itself, as two dependent projections generate a subalgebra
     of dimension at most 1, which is solvable.
     """
-    Q, project, _ = _radical_quotient(L)
+    Q, project = L._quotient
     q_nbr = plane_table(Q, force=True)
     over = [0] * (len(q_nbr) + 1)  # the L-lines over each Q-line, then those in N
     q_lines = []
@@ -320,6 +320,8 @@ class DivisibilityReport(NamedTuple):
     sol_divides is None when sol(L) is not additively closed, and
     centralizer_divides is None when some solvabilizer of L fails to be a
     subalgebra; both divisibility statements need those hypotheses.
+    coset_closed is True for every x, by construction of the plane table
+    (see divisibility_report).
     """
     element_index: int
     sol_size: int
@@ -334,28 +336,23 @@ class DivisibilityReport(NamedTuple):
 def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityReport:
     """Compute |sol_L(x)| and check the divisibility and coset properties.
 
-    All of it is read off x's row and the row of sol(L).  The coset test
-    (sol_L(x) + t x = sol_L(x) for t != 0) checks r + t x for one vector r
-    per line of the row: a multiple s r gives s r + t x = s (r + (t/s) x),
-    0 or on the line of a checked sum, and 0 + t x is 0 or on x's line.
-    sol(L) is a subspace iff the span of one vector per line holds no more
-    than its 1 + (p - 1)|sol| elements.  A row of every line is L itself,
-    a subspace closed under any coset, so sol(L) = L is not spanned and a
-    full row forms no sums.
+    All of it is read off x's row and the row of sol(L).  The coset
+    property, sol_L(x) + t x = sol_L(x) for every t, holds by construction
+    of the table, so coset_closed is True for every x: for y off x's line,
+    span{x, y + t x} = span{x, y}, and the table stores one verdict per
+    plane, so y + t x lies in the row iff y does; for y = 0 or on x's
+    line, y + t x is 0 or on that line, which the row holds.  sol(L) is a
+    subspace iff the span of one vector per line holds no more than its
+    1 + (p - 1)|sol| elements.  A row of every line is L itself, so
+    sol(L) = L is not spanned.
     """
     p, x = L.field.p, L.element(x)
-    full = (1 << L.line_count) - 1
-    row = _row(L, x, force)
-    size = row_size(L, row)
-    sol = sol_of_algebra(L, force)
+    size = row_size(L, _row(L, x, force))
+    sol, full = sol_of_algebra(L, force), (1 << L.line_count) - 1
     sol_closed = sol == full or rref(_reps(L, sol), L.field, ambient=L.dim).size == row_size(L, sol)
     sol_divides = (size % row_size(L, sol) == 0) if sol_closed else None
     cent_size = centralizer(L, x).size
     cent_divides = (size % cent_size == 0) if is_s_lie(L, force) else None
-    coset_closed = row == full
-    if not coset_closed:
-        sums = [[a + t * b for a, b in zip(r, x)] for r in _reps(L, row) for t in range(1, p)]
-        coset_closed = _lines_through(L, sums) | row == row
     return DivisibilityReport(
         element_index=L.index(x),
         sol_size=size,
@@ -364,7 +361,7 @@ def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityRe
         sol_divides=sol_divides,
         centralizer_size=cent_size,
         centralizer_divides=cent_divides,
-        coset_closed=coset_closed,
+        coset_closed=True,
     )
 
 
@@ -389,11 +386,16 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
     rad(L) has an abelian quotient of dimension at most 1, so it is a
     solvable subalgebra holding x and r.  Verifies, for every
     element x, that the projection of sol_L(x) equals the solvabilizer of
-    the projection of x, that |sol_L(x)| = |N| * |sol_(L/N)(pi(x))|, and
-    that L and L/N agree on whether every solvabilizer is a subalgebra.
+    the projection of x, and that |sol_L(x)| = |N| * |sol_(L/N)(pi(x))|.
     As sol_L(tx) = sol_L(x) and pi(tx) = t pi(x), 0 and one element per
     line stand for all; pi(sol_L(x)) is 0 and the lines through the
     projections of one vector per line of x's row.
+
+    When every x passes, L and L/N also agree on whether every
+    solvabilizer is a subalgebra, with no verdict of either: the fibres
+    of pi have |N| elements, so equal images and that size make sol_L(x)
+    the full preimage of sol_(L/N)(pi(x)), and a preimage under the
+    surjection pi is a subalgebra iff its image is.
     """
     if not is_ideal(L, N):
         raise ValueError("N is not an ideal")
@@ -406,4 +408,4 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
         if (_lines_through(Q, map(project, _reps(L, row))) != q_row
                 or row_size(L, row) != N.size * row_size(Q, q_row)):
             return False
-    return is_s_lie(L, force) == is_s_lie(Q, force)
+    return True

@@ -5,7 +5,8 @@ Only ffalg builds Subspace objects: a Subspace holds a canonical RREF basis,
 and ``ffalg._echelon`` is the one place that makes one; every other module
 asks ffalg for its spaces.  Only liealg's solvability verdict runs a
 derived series.  The commands reach the other modules through public
-names only.
+names only, and no module imports a private name of another, except
+liealg's two from ffalg's one elimination.
 """
 
 import ast
@@ -65,3 +66,15 @@ def test_cli_calls_the_public_line_level_queries():
               and isinstance(node.func.value, ast.Name)}
     assert {"solv.sol_of_algebra", "solv.is_s_lie", "solv.s_lie_witness", "solv.row_size",
             "graph.components", "graph.complement_components"} <= called
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a private helper shared across modules is a second, unreviewed entry
+    # point; liealg builds its closures and solves on ffalg._echelon, which
+    # ffalg calls the one elimination, and its augmented form
+    allowed = {("liealg.py", "ffalg", "_echelon"), ("liealg.py", "ffalg", "_beside_identity")}
+    imported = {(m.name, node.module, alias.name) for m in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(m.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names if alias.name.startswith("_")}
+    assert imported <= allowed

@@ -243,6 +243,22 @@ labels a b c
         with pytest.raises(ValueError) as exc:
             from_file(path)
         assert str(exc.value) == "labels.txt: expected 2 labels, got 3"
+        # each header once; an entry repeated only with its own value mod p
+        for name, text, message in (
+                ("p", "p 3\ndim 2\np 5\n0 1 1 1\n", "p.txt:3: repeated 'p' line, first at line 1"),
+                ("dim", "p 3\ndim 3\ndim 2\n", "dim.txt:3: repeated 'dim' line, first at line 2"),
+                ("labels", "p 3\nlabels a b\ndim 2\nlabels x y\n",
+                 "labels.txt:4: repeated 'labels' line, first at line 2"),
+                ("entry", "p 3\ndim 2\n0 1 1 1\n0 1 1 0\n",
+                 "entry.txt:4: entry (0,1,1) conflicts with line 3: 0 vs 1 mod 3")):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            with pytest.raises(ValueError) as exc:
+                from_file(path)
+            assert str(exc.value) == message
+        path = tmp_path / "same.txt"
+        path.write_text("p 3\ndim 2\n0 1 1 1\n0 1 1 4\n1 0 1 2\n")
+        assert from_file(path).constants[0][1] == (0, 1)
         # past the 4,300 digits int() converts, the limits still name the line
         huge = "7" * 5000
         for text, message in ((f"p {huge}\ndim 2\n", "huge.txt:1: p must be at most 2^31 - 1"),

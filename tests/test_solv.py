@@ -1,6 +1,7 @@
 import random
 import tempfile
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,6 @@ from solvgraph.liealg import (
     CapExceeded,
     LieAlgebra,
     LinearMap,
-    _radical_quotient,
     center,
     centralizer,
     conjugation_automorphism,
@@ -647,8 +647,7 @@ class TestDivisibilityReport:
 
     def test_full_rows_form_no_span_and_no_sums(self, monkeypatch):
         # t3 is solvable, so x's row and sol(L) both hold every line: each
-        # is L, a subspace closed under every coset, so neither is spanned
-        # nor has its lines' coset sums formed
+        # is L, a subspace, so neither is spanned nor expanded to vectors
         calls = []
 
         def counted(name):
@@ -660,6 +659,19 @@ class TestDivisibilityReport:
             rep = divisibility_report(L, (1, 0, 0, 0, 0, 0))
             assert (rep.sol_size, rep.sol_of_algebra_size) == (L.size, L.size), L.name
             assert rep.sol_divides and rep.centralizer_divides and rep.coset_closed, L.name
+        assert calls == []
+
+    @pytest.mark.parametrize("build,x", [(lambda: make_sl(2, 5), (1, 0, 0)),
+                                         (lambda: make_gl(2, 7), (1, 2, 3, 4))],
+                             ids=["sl2@5", "gl2@7"])
+    def test_coset_property_forms_no_sums(self, build, x, monkeypatch):
+        # sol_L(x) + t x = sol_L(x) holds by construction of the table, which
+        # stores one verdict per plane: with the table built, a report on a
+        # row that is not full projects no coset sum onto a line
+        L = build()
+        assert plane_table(L)[L.line(x)] != (1 << L.line_count) - 1
+        calls = _count_calls(monkeypatch, solv, "_lines_through")
+        assert divisibility_report(L, x).coset_closed
         assert calls == []
 
     def test_centralizer_inside_solvabilizer(self, sl2_3, w3, gl2_3):
@@ -700,23 +712,27 @@ class TestEquivariance:
 
 
 def _assert_table_matches_oracle(L):
-    """The table bit of every pair of distinct line representatives equals a
-    fresh reference closure.
+    """The table bits of every pair of distinct lines, both ways, equal a
+    fresh reference closure of the plane the pair spans.
 
-    The verdict depends only on the plane the pair spans, so the reference
-    runs once per plane, on the first pair of representatives met in it.
+    The verdict depends only on the plane, so the reference runs once per
+    plane of _rref_planes, and the plane's p + 1 lines, r1 and r2 + t r1,
+    are checked pairwise.  Two lines span one plane, so the pairs checked
+    number C(lines, 2) only when no plane is missed.
     """
-    nbr = plane_table(L)
-    reps = [L.vector(line[0]) for line in lines_by_scan(L)]
-    verdicts = {}
-    for i, x in enumerate(reps):
-        assert L.line(x) == i
-        for j in range(i + 1, len(reps)):
-            y = reps[j]
-            plane = rref([x, y], L.field, ambient=L.dim)
-            if plane not in verdicts:
-                verdicts[plane] = direct_pair_solvable(L, x, y)
-            assert bool(nbr[i] >> j & 1) == verdicts[plane] == bool(nbr[j] >> i & 1)
+    nbr, p = plane_table(L), L.field.p
+    for i, line in enumerate(lines_by_scan(L)):
+        assert L.line(L.vector(line[0])) == i
+    checked = set()
+    for r1, r2 in _rref_planes(L.dim, p):
+        verdict = direct_pair_solvable(L, r1, r2)
+        lines = [L.line(r1)] + [L.line([(b + t * a) % p for a, b in zip(r1, r2)])
+                                for t in range(p)]
+        for k, i in enumerate(lines):
+            for j in lines[k + 1:]:
+                assert bool(nbr[i] >> j & 1) == verdict == bool(nbr[j] >> i & 1)
+                checked.add((min(i, j), max(i, j)))
+    assert len(checked) == comb(L.line_count, 2)
 
 
 # gl2@3 + sl2@3, with basis E00, E01, E10, E11 of gl2, then e, f, h of sl2
@@ -754,15 +770,16 @@ class TestQuotientPath:
         assert (L.dim, L.line_count) == (6, 63)
         assert radical(L) == radical_by_lines(L) and radical(L).dim == 3
         assert radical(L).basis == ((0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 0), (0, 0, 0, 0, 0, 1))
-        Q = _radical_quotient(L)[0]
+        Q = L._quotient[0]  # the L/rad(L) that radical kept
         assert Q == make_w3(2) and Q._radical.dim == 0 and not is_solvable(Q)
         _assert_table_matches_oracle(L)
         assert is_s_lie(L) == s_lie_by_elements(L)
         assert conjecture_sum(L) == (2560, 64, True, 40)
 
     def test_table_builds_one_quotient(self, monkeypatch):
-        # the radical passes through L/Z and (L/Z)/Z(L/Z); the table then
-        # builds L/rad(L) alone and classifies it with no derived series
+        # the radical passes through L/Z and (L/Z)/Z(L/Z) = w3, whose radical
+        # is 0, and keeps w3 as L/rad(L) through both projections; the table
+        # builds no quotient of its own and classifies w3 with no derived series
         expected = plane_table(_W3_HEIS)
         L = direct_sum(make_w3(2), _HEISENBERG_2)
         counts = _count_series_and_quotients(monkeypatch)
@@ -770,17 +787,20 @@ class TestQuotientPath:
         assert counts["quotient"] == 2
         series = counts["derived_series"]
         assert plane_table(L) == expected
-        assert counts == {"derived_series": series, "quotient": 3}
+        assert counts == {"derived_series": series, "quotient": 2}
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: sl2_semidirect(3), id="sl2+F_3^2"),
         pytest.param(lambda: sl2_semidirect(5), id="sl2+F_5^2", marks=pytest.mark.slow),
         pytest.param(lambda: make_so(4, 2), id="so4@2")])
     def test_non_central_radical(self, build):
-        # zero center, nonzero radical: the table is lifted from L/rad(L)
+        # zero center, nonzero radical: the line search keeps L/rad(L), with
+        # its radical marked 0, and the table is lifted from it
         L = build()
         assert center(L).dim == 0 < radical(L).dim < L.dim
         assert radical(L) == radical_by_lines(L)
+        Q = L._quotient[0]
+        assert Q.dim == L.dim - radical(L).dim and Q._radical.dim == 0
         _assert_table_matches_oracle(L)
 
     def test_table_matches_oracle(self, sl2_2, gl2_3, t2_3, w3, zero_file, abelian_file):
