@@ -133,7 +133,9 @@ def _echelon(field: PrimeField, ambient: int, vectors, grow=None) -> Subspace:
     canonical RREF after every insertion and is never reduced again.  When
     ``grow`` is given, ``grow(v, rows)`` is called with each such vector
     before it joins the rows, and the vectors it returns are queued too.  A
-    span of dimension ``ambient`` is everything, so the routine stops there.
+    span of dimension ``ambient`` is everything, so the routine stops there,
+    and the vector that completes it is not passed to ``grow``: nothing
+    queued after it would be read.
     """
     p = field.p
     rows, pivots = [], []
@@ -143,7 +145,7 @@ def _echelon(field: PrimeField, ambient: int, vectors, grow=None) -> Subspace:
         c = next((c for c, x in enumerate(v) if x), None)
         if c is None:
             continue
-        if grow is not None:
+        if grow is not None and len(rows) + 1 < ambient:
             stack.extend(grow(v, rows))
         if v[c] != 1:
             k = pow(v[c], -1, p)

@@ -202,23 +202,22 @@ def export_dot(G: SolvGraph, path):
 
 
 def export_json(G: SolvGraph, path):
-    """JSON with algebra metadata, vertex coordinates and the edge list.
+    """JSON with algebra metadata, vertex coordinates and the edge list,
+    in the bytes json.dumps with separators (",", ":") would give.
 
-    Edges are written one vertex at a time from the shared per-row lists
-    (see SolvGraph._neighbor_lists), in the bytes json.dumps would give.
+    The header is formatted from the digit strings of _coordinates, as
+    DOT's labels are; json.dumps quotes the algebra name alone.  Edges are
+    written one vertex at a time from the shared per-row lists (see
+    SolvGraph._neighbor_lists).
     """
     import json  # here, so commands without a JSON export never load json
-    pairs = G._neighbor_lists()
-    coords = _coordinates(G, range(G.algebra.field.p))
-    head = json.dumps({
-        "algebra": G.algebra.name,
-        "p": G.algebra.field.p,
-        "dim": G.algebra.dim,
-        "vertices": [[m, list(coords[m])] for m, _ in pairs],
-    }, separators=(",", ":"))
+    L, pairs = G.algebra, G._neighbor_lists()
+    coords = _coordinates(G, [str(c) for c in range(L.field.p)])
+    vertices = ",".join(f"[{m},[" + ",".join(coords[m]) + "]]" for m, _ in pairs)
+    head = f'{{"algebra":{json.dumps(L.name)},"p":{L.field.p},"dim":{L.dim},"vertices":[{vertices}]'
     chunks = _edge_chunks(pairs, lambda m: f",[{m},", {m: f"{m}]" for m, _ in pairs})
     with open(path, "w", buffering=_WRITE_BUFFER) as fh:
-        fh.write(head[:-1] + ',"edges":[' + next(chunks, ",")[1:])
+        fh.write(head + ',"edges":[' + next(chunks, ",")[1:])
         fh.writelines(chunks)
         fh.write("]}\n")
 

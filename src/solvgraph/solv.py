@@ -19,10 +19,12 @@ solvable algebra by a solvable one is solvable, so Q's planes are
 classified directly and nothing recurses.  radical finds N and keeps N
 and Q on L, and N = L makes every row full with no Q at all.  Only an
 algebra whose radical is 0 has its own planes enumerated, each once,
-directly in reduced row-echelon form, and classified by liealg.is_solvable
-on their closures, the verdict pair_solvable reads too; a solvable closure marks
-all of its lines pairwise adjacent, and a later plane whose two RREF
-rows' lines are already adjacent lies inside it and runs no closure.  A
+directly in reduced row-echelon form.  In dimension 3 a plane is solvable
+iff it is closed under its one bracket; in higher dimension it is
+classified by liealg.is_solvable on its closure, the verdict
+pair_solvable reads too, a solvable closure marks all of its lines
+pairwise adjacent, and a later plane whose two RREF rows' lines are
+already adjacent lies inside it and runs no closure.  A
 row's S-verdict, whether 0 and its lines form a subalgebra, is one
 closure of its lines (see _failing_line).
 """
@@ -96,29 +98,48 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
 
 
 def _classified_rows(L: LieAlgebra) -> list[int]:
-    """Neighbor bitsets of L's lines, from the closures of L's planes.
+    """Neighbor bitsets of L's lines, from the verdicts on L's planes.
 
     plane_table calls this only when rad(L) is 0, so L is not solvable (or
-    L = 0, which has no planes), and its verdict is kept on L.  A plane is
-    solvable iff its closure S is, and S goes to is_solvable as it is: that
-    verdict runs no derived series when S is L (read off rad(L)) or of
-    dimension at most 2.  The closure stops as soon as it reaches dim L.
+    L = 0, which has no planes), and its verdict is kept on L.
 
-    When S is solvable, so is every subalgebra of S, and with it the plane
-    of every pair of S's lines: all of S's lines are marked pairwise
-    adjacent.  Two lines span one plane, so a plane whose RREF rows' lines
-    are already adjacent lies in an S found earlier: it is solvable and its
-    lines are marked, and it is skipped without a closure.
+    When dim L = 3, a plane (r1, r2) is classified by one bracket: if
+    [r1, r2] reduces to 0 against the two rows, the plane is a subalgebra,
+    its own closure, and solvable, as every algebra of dimension 2 is;
+    otherwise r1, r2 and [r1, r2] span L, so the closure is L, which is
+    not solvable, as rad(L) = 0.  No closure, verdict or line lookup runs.
+
+    In higher dimension a plane is solvable iff its closure S is, and S
+    goes to is_solvable as it is: that verdict runs no derived series when
+    S is L (read off rad(L)) or of dimension at most 2.  The closure stops
+    as soon as it reaches dim L.  When S is solvable, so is every
+    subalgebra of S, and with it the plane of every pair of S's lines: all
+    of S's lines are marked pairwise adjacent.  Two lines span one plane,
+    so a plane whose RREF rows' lines are already adjacent lies in an S
+    found earlier: it is solvable and its lines are marked, and it is
+    skipped without a closure.
     """
     nbr = [1 << l for l in range(L.line_count)]
-    for r1, r2 in _rref_planes(L.dim, L.field.p):
-        if nbr[L.line(r1)] >> L.line(r2) & 1:
-            continue
-        S = subalgebra_closure(L, (r1, r2))
-        if is_solvable(L, S):
-            mask = _span_lines(L, S.basis)
-            for l in bits(mask):
-                nbr[l] |= mask
+
+    def mark(basis):
+        mask = _span_lines(L, basis)
+        for l in bits(mask):
+            nbr[l] |= mask
+
+    p = L.field.p
+    for r1, r2 in _rref_planes(L.dim, p):
+        if L.dim == 3:
+            # r1 is 0 at r2's pivot and r2 at r1's, so [r1, r2] lies in the
+            # plane iff it is its entry at r1's pivot times r1 plus its
+            # entry at r2's pivot times r2
+            b = L.bracket(r1, r2)
+            f1, f2 = b[r1.index(1)], b[r2.index(1)]
+            if all((f1 * x + f2 * y) % p == z for x, y, z in zip(r1, r2, b)):
+                mark((r1, r2))
+        elif not nbr[L.line(r1)] >> L.line(r2) & 1:
+            S = subalgebra_closure(L, (r1, r2))
+            if is_solvable(L, S):
+                mark(S.basis)
     return nbr
 
 
@@ -389,7 +410,8 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
     the projection of x, and that |sol_L(x)| = |N| * |sol_(L/N)(pi(x))|.
     As sol_L(tx) = sol_L(x) and pi(tx) = t pi(x), 0 and one element per
     line stand for all; pi(sol_L(x)) is 0 and the lines through the
-    projections of one vector per line of x's row.
+    projections of one vector per line of x's row, found once per
+    distinct row.
 
     When every x passes, L and L/N also agree on whether every
     solvabilizer is a subalgebra, with no verdict of either: the fibres
@@ -403,9 +425,11 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
         raise ValueError("N is not solvable")
 
     Q, project, _ = quotient(L, N)
+    images = {}  # row -> its image's line bitset: each distinct row is projected once
     for x in [L.zero()] + _reps(L, (1 << L.line_count) - 1):
         row, q_row = _row(L, x, force), _row(Q, project(x), force)
-        if (_lines_through(Q, map(project, _reps(L, row))) != q_row
-                or row_size(L, row) != N.size * row_size(Q, q_row)):
+        if row not in images:
+            images[row] = _lines_through(Q, map(project, _reps(L, row)))
+        if images[row] != q_row or row_size(L, row) != N.size * row_size(Q, q_row):
             return False
     return True

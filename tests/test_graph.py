@@ -355,11 +355,11 @@ class TestExports:
         # and so3@2 have p = 2, one element per line; gl2@3's and gl2@5's
         # tables are lifted, so lines share rows (q(q - 1) vertices each at
         # gl2@5); sl3@2 is classified directly; the file algebra's name needs
-        # escaping
-        table = tmp_path / 'a"b\\c.txt'
+        # escaping, and JSON writes its non-ASCII letter as \u00e9
+        table = tmp_path / 'a"b\\c\u00e9.txt'
         table.write_text("p 2\ndim 3\n0 1 1 1\n0 2 2 1\n1 2 0 1\n")
         named = from_file(table)
-        assert '"' in named.name and "\\" in named.name
+        assert '"' in named.name and "\\" in named.name and "\u00e9" in named.name
         for L in (sl2_2, make_t(3, 3), w3, make_so(3, 2), gl2_3, make_gl(2, 5),
                   make_sl(3, 2), named):
             _assert_matches_per_edge_writers(build(L), tmp_path)

@@ -328,6 +328,16 @@ class TestClosure:
         s = (1, 1, 0)
         assert subalgebra_closure(sl2_3, [h, s]).dim == 3
 
+    def test_vector_completing_the_span_is_not_bracketed(self, sl2_5, monkeypatch):
+        # e and f span no subalgebra: the closure brackets e with f, and
+        # [e, f] = h completes sl2, so its brackets with e and f, which
+        # would be queued and never read, are not formed
+        calls, real = [], LieAlgebra.bracket
+        monkeypatch.setattr(LieAlgebra, "bracket",
+                            lambda *args: calls.append(args[1:]) or real(*args))
+        assert subalgebra_closure(sl2_5, [(1, 0, 0), (0, 1, 0)]).dim == 3
+        assert len(calls) == 1
+
     def test_zero_generators(self, sl2_3):
         assert subalgebra_closure(sl2_3, [(0, 0, 0)]).dim == 0
         assert subalgebra_closure(sl2_3, []).dim == 0

@@ -145,12 +145,14 @@ def gaussian_binomial_2(n, p):
     return (p**n - 1) * (p**(n - 1) - 1) // ((p * p - 1) * (p - 1))
 
 
-def _count_table_closures(monkeypatch):
-    """Patch solv so that every closure run inside _classified_rows is
-    appended, as its generators, to the returned list."""
+def _count_table_work(monkeypatch):
+    """Patch solv and LieAlgebra so that every closure and every bracket run
+    inside _classified_rows are appended, as the closure's generators and
+    the bracket's operands, to the two returned lists."""
     from solvgraph import solv
-    closures, inside = [], []
+    closures, brackets, inside = [], [], []
     real_rows, real_closure = solv._classified_rows, solv.subalgebra_closure
+    real_bracket = LieAlgebra.bracket
 
     def rows(L):
         inside.append(L)
@@ -164,9 +166,15 @@ def _count_table_closures(monkeypatch):
             closures.append(generators)
         return real_closure(L, generators)
 
+    def bracket(L, x, y):
+        if inside:
+            brackets.append((x, y))
+        return real_bracket(L, x, y)
+
     monkeypatch.setattr(solv, "_classified_rows", rows)
     monkeypatch.setattr(solv, "subalgebra_closure", closure)
-    return closures
+    monkeypatch.setattr(LieAlgebra, "bracket", bracket)
+    return closures, brackets
 
 
 class TestPlaneTable:
@@ -182,32 +190,79 @@ class TestPlaneTable:
 
     @staticmethod
     def _classifications(monkeypatch, capsys, argv):
-        """Run the CLI once; return its stdout and the number of closures the table ran."""
+        """Run the CLI once; return its stdout and the numbers of closures
+        and brackets the table ran."""
         from solvgraph import cli
-        closures = _count_table_closures(monkeypatch)
+        closures, brackets = _count_table_work(monkeypatch)
         assert cli.main(argv) == 0
-        return capsys.readouterr().out, len(closures)
+        return capsys.readouterr().out, len(closures), len(brackets)
 
     def test_each_plane_classified_once_per_conjecture_run(self, monkeypatch, capsys):
-        # each solvable closure of sl2 is a Borel, a single plane, so no
-        # later plane lies in it and every plane runs one closure
-        out, calls = self._classifications(monkeypatch, capsys, ["conjecture", "sl2@5"])
+        # sl2 has dimension 3 and radical 0, so each plane is classified by
+        # its one bracket, with no closure
+        out, closures, brackets = self._classifications(monkeypatch, capsys, ["conjecture", "sl2@5"])
         assert out == "sum=3625 order=125 divisible=yes quotient=29\n"
-        assert calls == gaussian_binomial_2(3, 5)
+        assert (closures, brackets) == (0, gaussian_binomial_2(3, 5))
 
     def test_only_planes_of_the_quotient_classified(self, monkeypatch, capsys):
-        # gl2 has center the scalars, and gl2/center (pgl2, whose Borels
-        # are single planes too) has [3 2]_5 planes
-        out, calls = self._classifications(monkeypatch, capsys, ["conjecture", "gl2@5"])
+        # gl2 has center the scalars, and gl2/center (pgl2, of dimension 3)
+        # has [3 2]_5 planes, each classified by one bracket
+        out, closures, brackets = self._classifications(monkeypatch, capsys, ["conjecture", "gl2@5"])
         assert out == "sum=90625 order=625 divisible=yes quotient=145\n"
-        assert calls == gaussian_binomial_2(3, 5)
+        assert (closures, brackets) == (0, gaussian_binomial_2(3, 5))
 
     def test_solvable_algebra_classifies_no_plane(self, monkeypatch, capsys):
         # t3 is solvable, so every verdict is known in advance
-        out, calls = self._classifications(monkeypatch, capsys, ["info", "t3@3"])
+        out, closures, brackets = self._classifications(monkeypatch, capsys, ["info", "t3@3"])
         assert out == ("algebra=t3@3\np=3\ndim=6\norder=729\nsolvable=true\n"
                        "sol_size=729\nradical_dim=6\nradical_size=729\ns_lie=true\n")
-        assert calls == 0
+        assert (closures, brackets) == (0, 0)
+
+    def test_conjecture_sl3_f2_brackets(self, monkeypatch, capsys):
+        # sl3@2 has dimension 8, so its planes run closures; a closure that
+        # bracketed the vector completing L as well ran 127,563 brackets
+        from solvgraph import cli
+        brackets = _count_calls(monkeypatch, LieAlgebra, "bracket")
+        assert cli.main(["conjecture", "sl3@2"]) == 0
+        assert capsys.readouterr().out == "sum=33280 order=256 divisible=yes quotient=130\n"
+        assert len(brackets) <= 111_491
+
+
+def _permuted_sl2_3_file(tmp_path):
+    """sl2@3 with its basis e, f, h reordered as h, e, f, written by
+    to_file and loaded back as a file algebra."""
+    sl2, order = make_sl(2, 3), (2, 0, 1)
+    constants = [[[sl2.constants[i][j][k] for k in order] for j in order] for i in order]
+    L = LieAlgebra(sl2.field, constants, labels=[sl2.labels[i] for i in order], name="hef")
+    assert L.bracket(L.basis_vector(1), L.basis_vector(2)) == L.basis_vector(0)  # [e, f] = h
+    path = tmp_path / "hef.txt"
+    to_file(L, path)
+    return from_file(path)
+
+
+class TestThreeDimensionalRule:
+    """A plane of an algebra of dimension 3 with radical 0 is solvable iff
+    it is closed under its one bracket; the tables it gives against the
+    reference closure of every plane."""
+
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda tmp: make_sl(2, 3), id="sl2@3"),
+        pytest.param(lambda tmp: make_sl(2, 5), id="sl2@5"),
+        pytest.param(lambda tmp: make_sl(2, 7), id="sl2@7"),
+        pytest.param(lambda tmp: make_so(3, 5), id="so3@5"),
+        pytest.param(lambda tmp: make_w3(2), id="w3"),
+        pytest.param(lambda tmp: make_gl(2, 3), id="gl2@3"),
+        pytest.param(lambda tmp: make_gl(2, 5), id="gl2@5"),
+        pytest.param(_permuted_sl2_3_file, id="file:sl2@3-permuted")])
+    def test_table_matches_oracle(self, build, tmp_path, monkeypatch):
+        # gl2's table is lifted from gl2/center, pgl2, of dimension 3; every
+        # other algebra here is classified itself
+        closures, brackets = _count_table_work(monkeypatch)
+        L = build(tmp_path)
+        _assert_table_matches_oracle(L)
+        Q = L._quotient[0] if L._quotient else L
+        assert (Q.dim, Q._radical.dim) == (3, 0)
+        assert (len(closures), len(brackets)) == (0, gaussian_binomial_2(3, L.field.p))
 
 
 def _lines_and_edges(G):
@@ -813,7 +868,7 @@ class TestQuotientPath:
     def test_table_matches_oracle_gl3_f2(self, monkeypatch):
         # the table is classified on gl3/center, whose solvable closures of
         # dimension 3 and more hold planes met later, which skip the closure
-        closures = _count_table_closures(monkeypatch)
+        closures, _ = _count_table_work(monkeypatch)
         _assert_table_matches_oracle(make_gl(3, 2))
         assert 0 < len(closures) < gaussian_binomial_2(8, 2)
 
@@ -937,8 +992,10 @@ class TestRowQueriesMatchElementLoops:
                 assert equivariance_check(sl2_3, phi, x) == equivariance_by_elements(sl2_3, phi, x)
 
     def test_quotient_compatibility(self, sl2_3, gl2_3, t2_3):
-        gl2_5 = make_gl(2, 5)
-        for L, N in ((gl2_3, center(gl2_3)), (gl2_5, center(gl2_5)),
+        # a row of gl2 is shared by every line over one line of gl2/center,
+        # and the check projects each distinct row once
+        gl2_5, gl2_7 = make_gl(2, 5), make_gl(2, 7)
+        for L, N in ((gl2_3, center(gl2_3)), (gl2_5, center(gl2_5)), (gl2_7, center(gl2_7)),
                      (t2_3, t2_3.full_space()), (sl2_3, sl2_3.zero_space())):
             assert quotient_compatibility_check(L, N) == quotient_compatibility_by_elements(L, N)
 
