@@ -141,7 +141,12 @@ def cmd_verify(args) -> int:
     if spec.kind not in ("sl", "gl") or spec.n != 2:
         raise ValueError("verify supports only the sl2@q and gl2@q families")
     report = formulas.verify(f"{spec.kind}2", spec.p, force=args.force)
-    print(report.to_json() if args.format == "json" else report.text())
+    if args.format == "json":
+        _print_json({**report._asdict(),
+                     "expected": [[d, m] for d, m in report.expected.items()],
+                     "computed": [[d, m] for d, m in report.computed.items()]})
+    else:
+        print(report.text())
     return 0 if report.passed else 1
 
 

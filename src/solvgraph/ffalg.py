@@ -11,7 +11,8 @@ time one enlarges the span (the bracket closures of ``liealg`` use this).
 Every other answer is read from a block of such an echelon form:
 :func:`rref` is the routine itself, :func:`kernel` the zero-left rows of
 [M^T | I], :meth:`Subspace.intersect` the zero-left rows of [u | u] and
-[w | 0], and ``liealg`` reads coordinates, and inverses with them, from
+[w | 0], and :func:`solve`, which gives coordinates in the span of some
+rows and so inverses, the right block of [t | 0] reduced against
 [rows | I].  :func:`_reduce` is the one reduction against such a form.
 
 All objects are immutable after construction and all operations are pure
@@ -172,6 +173,28 @@ def _beside_identity(rows, width: int, field: PrimeField) -> Subspace:
     """Echelon form of [rows | I] for rows of the given width."""
     eye = full_space(len(rows), field).basis
     return _echelon(field, width + len(rows), [tuple(r) + e for r, e in zip(rows, eye)])
+
+
+def solve(rows, targets, field: PrimeField) -> list:
+    """For each target t, coefficients x with sum(x_i * rows_i) = t, or
+    None if t is outside the span of the rows.
+
+    The echelon of [rows | I] spans {[sum(x_i rows_i) | x]}.  Its rows with
+    a pivot in the left block come first, so reducing [t | 0] against it
+    leaves [0 | -x] when t is in the span and a nonzero left block
+    otherwise.  With dependent rows x is one of several solutions; with g
+    square, solve(g, I) is the rows of g^(-1), and holds a None exactly
+    when g is singular.
+    """
+    if not targets:
+        return []
+    p, w = field.p, len(targets[0])
+    aug = _beside_identity(rows, w, field)
+    out = []
+    for t in targets:
+        z = aug.reduce(tuple(t) + (0,) * len(rows))
+        out.append(None if any(z[:w]) else tuple(-x % p for x in z[w:]))
+    return out
 
 
 def rref(rows, field: PrimeField, ambient: int | None = None) -> Subspace:

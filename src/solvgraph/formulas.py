@@ -146,13 +146,6 @@ class VerificationReport(NamedTuple):
         lines.append(f"result={'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        import json  # here, so text output never loads json
-        return json.dumps({**self._asdict(),
-                           "expected": [[d, m] for d, m in self.expected.items()],
-                           "computed": [[d, m] for d, m in self.computed.items()]},
-                          separators=(",", ":"))
-
 
 def verify(family: str, q: int, force: bool = False) -> VerificationReport:
     """Build the graph for sl2 or gl2 over F_q and compare with the closed forms.

@@ -173,13 +173,14 @@ def _edge_chunks(pairs, head, tail):
             yield h + h.join(strs[k:])
 
 
-def _coordinates(G: SolvGraph, digits) -> list[tuple]:
-    """Coordinates of every element as a tuple of digits[c], indexed by
+def _coordinates(G: SolvGraph) -> list[tuple]:
+    """Coordinates of every element as a tuple of digit strings, indexed by
     element index, as algebra.vector gives them (least significant first):
     one product enumeration instead of a vector call per vertex.  Empty when
     G has no vertices, so an empty graph builds no table."""
     if not G.lines:
         return []
+    digits = [str(c) for c in range(G.algebra.field.p)]
     return [t[::-1] for t in product(digits, repeat=G.algebra.dim)]
 
 
@@ -190,7 +191,7 @@ def export_dot(G: SolvGraph, path):
     (see SolvGraph._neighbor_lists); the edge list is never held.
     """
     pairs = G._neighbor_lists()
-    coords = _coordinates(G, [str(c) for c in range(G.algebra.field.p)])
+    coords = _coordinates(G)
     labels = {m: "(" + ",".join(coords[m]) + ")" for m, _ in pairs}
     name = G.algebra.name.replace("\\", "\\\\").replace('"', '\\"')
     with open(path, "w", buffering=_WRITE_BUFFER) as fh:
@@ -212,7 +213,7 @@ def export_json(G: SolvGraph, path):
     """
     import json  # here, so commands without a JSON export never load json
     L, pairs = G.algebra, G._neighbor_lists()
-    coords = _coordinates(G, [str(c) for c in range(L.field.p)])
+    coords = _coordinates(G)
     vertices = ",".join(f"[{m},[" + ",".join(coords[m]) + "]]" for m, _ in pairs)
     head = f'{{"algebra":{json.dumps(L.name)},"p":{L.field.p},"dim":{L.dim},"vertices":[{vertices}]'
     chunks = _edge_chunks(pairs, lambda m: f",[{m},", {m: f"{m}]" for m, _ in pairs})

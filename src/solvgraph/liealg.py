@@ -19,7 +19,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
-from .ffalg import PrimeField, Subspace, _beside_identity, _echelon, full_space, kernel, rref
+from .ffalg import PrimeField, Subspace, _echelon, full_space, kernel, rref, solve, zero_space
 
 DEFAULT_ELEMENT_CAP = 1 << 24
 MAX_DIM = 64  # checked before a builtin or a file allocates its dim**3 table
@@ -214,7 +214,7 @@ class LieAlgebra:
         return full_space(self.dim, self.field)
 
     def zero_space(self) -> Subspace:
-        return rref([], self.field, ambient=self.dim)
+        return zero_space(self.dim, self.field)
 
     def __eq__(self, other):
         return (isinstance(other, LieAlgebra) and self.field == other.field
@@ -249,44 +249,11 @@ def _flatten(m):
     return tuple(x for row in m for x in row)
 
 
-def _mat_inv(g, field: PrimeField):
-    """Inverse of a square matrix over F_p; raises ValueError when singular.
-
-    Row i of g^(-1) is the x with x g = e_i, and some e_i has no such x
-    exactly when g is singular.
-    """
-    eye = full_space(len(g), field).basis
-    rows = _solve_combination(g, eye, field)
-    if None in rows:
-        raise ValueError("matrix is not invertible")
-    return tuple(rows)
-
-
-def _solve_combination(rows, targets, field: PrimeField):
-    """For each target t, coefficients x with sum(x_i * rows_i) = t, or
-    None if t is outside the span of the rows.
-
-    The echelon of [rows | I] spans {[sum(x_i rows_i) | x]}.  Its rows with
-    a pivot in the left block come first, so reducing [t | 0] against it
-    leaves [0 | -x] when t is in the span and a nonzero left block
-    otherwise.  With dependent rows x is one of several solutions.
-    """
-    if not targets:
-        return []
-    p, w = field.p, len(targets[0])
-    aug = _beside_identity(rows, w, field)
-    out = []
-    for t in targets:
-        z = aug.reduce(tuple(t) + (0,) * len(rows))
-        out.append(None if any(z[:w]) else tuple(-x % p for x in z[w:]))
-    return out
-
-
 def _from_matrix_basis(mats, labels, field, name, matrix_size):
     flats = [_flatten(m) for m in mats]
     n = len(mats)
     brackets = [_flatten(_mat_bracket(a, b, field.p)) for a in mats for b in mats]
-    coeffs = _solve_combination(flats, brackets, field)
+    coeffs = solve(flats, brackets, field)
     if None in coeffs:
         i, j = divmod(coeffs.index(None), n)
         raise ValidationError(
@@ -726,10 +693,12 @@ def conjugation_automorphism(L: LieAlgebra, g) -> LinearMap:
     g = tuple(tuple(int(x) % p for x in row) for row in g)
     if len(g) != L.matrix_size or any(len(row) != L.matrix_size for row in g):
         raise ValueError(f"g must be a {L.matrix_size}x{L.matrix_size} matrix")
-    ginv = _mat_inv(g, L.field)
+    ginv = solve(g, full_space(len(g), L.field).basis, L.field)
+    if None in ginv:
+        raise ValueError("matrix is not invertible")
     flats = [_flatten(m) for m in L.basis_matrices]
     conjs = [_flatten(_mat_mul(_mat_mul(g, m, p), ginv, p)) for m in L.basis_matrices]
-    rows = _solve_combination(flats, conjs, L.field)
+    rows = solve(flats, conjs, L.field)
     if None in rows:
         raise ValueError("conjugation does not preserve the basis span")
     phi = LinearMap(L.field, rows)

@@ -301,10 +301,25 @@ def component_lists(L, parts):
 # from plane-table rows.  solvabilizer itself is checked against
 # direct_solvabilizer; these loops check what the queries do with it.
 
+def _by_row(L, expand):
+    """expand(x) memoized by x's plane-table row, with x = 0 keyed apart:
+    solvabilizer(L, x) reads nothing else of x, so what expand derives from
+    that list alone is computed once per distinct row."""
+    nbr, memo = plane_table(L), {}
+
+    def get(x):
+        key = nbr[L.line(x)] if any(x) else -1
+        if key not in memo:
+            memo[key] = expand(x)
+        return memo[key]
+    return get
+
+
 def s_lie_by_elements(L):
     """Whether every distinct solvabilizer list fills its span and the span
     is a subalgebra."""
-    sols = {solvabilizer(L, L.vector(m)) for m in range(L.size)}
+    sol = _by_row(L, lambda x: solvabilizer(L, x))
+    sols = {sol(L.vector(m)) for m in range(L.size)}
     return all(span_of_indices(L, s).size == len(s) and is_subalgebra(L, span_of_indices(L, s))
                for s in sols)
 
@@ -365,12 +380,15 @@ def quotient_compatibility_by_elements(L, N):
     """quotient_compatibility_check's verdict by a loop over every element
     of L, for a solvable ideal N inside sol(L)."""
     Q, project, _ = quotient(L, N)
+
+    def with_image(x):
+        sol_x = solvabilizer(L, x)
+        return sol_x, tuple(sorted({Q.index(project(L.vector(a))) for a in sol_x}))
+    sol_l, sol_q = _by_row(L, with_image), _by_row(Q, lambda y: solvabilizer(Q, y))
     for m in range(L.size):
         x = L.vector(m)
-        sol_x = solvabilizer(L, x)
-        sol_q = solvabilizer(Q, project(x))
-        if (tuple(sorted({Q.index(project(L.vector(a))) for a in sol_x})) != sol_q
-                or len(sol_x) != N.size * len(sol_q)):
+        (sol_x, image), sol_y = sol_l(x), sol_q(project(x))
+        if image != sol_y or len(sol_x) != N.size * len(sol_y):
             return False
     return s_lie_by_elements(L) == s_lie_by_elements(Q)
 

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
 from oracles import eigenvalue_count, vertex_degree, vertices_by_lines
 from solvgraph import formulas
+from solvgraph.cli import main
 from solvgraph.formulas import (
     SpectralClass,
     gl2_expected,
@@ -139,15 +142,17 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify("sl2", 2)
 
-    def test_report_text_and_json(self):
+    def test_report_text_and_json(self, capsys):
         report = verify("sl2", 3)
         text = report.text()
         assert "result=PASS" in text
         assert "family=sl2 q=3" in text
-        import json
-        payload = json.loads(report.to_json())
+        assert main(["verify", "sl2@3", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["family"] == "sl2"
+        assert payload["expected"] == [[d, m] for d, m in report.expected.items()]
+        assert payload["computed"] == [[d, m] for d, m in report.computed.items()]
 
     @pytest.mark.parametrize("family", ["sl2", "gl2"])
     @pytest.mark.parametrize("q", [3, 5, 7])

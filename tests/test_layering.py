@@ -4,9 +4,11 @@ is imported.
 Only ffalg builds Subspace objects: a Subspace holds a canonical RREF basis,
 and ``ffalg._echelon`` is the one place that makes one; every other module
 asks ffalg for its spaces.  Only liealg's solvability verdict runs a
-derived series.  The commands reach the other modules through public
-names only, and no module imports a private name of another, except
-liealg's two from ffalg's one elimination.
+derived series.  Every linear system is solved by ``ffalg.solve``, and
+every JSON line a command prints is written by ``cli``.  The commands
+reach the other modules through public names only, and no module imports
+a private name of another, except liealg's ``_echelon``, ffalg's one
+elimination.
 """
 
 import ast
@@ -70,11 +72,22 @@ def test_cli_calls_the_public_line_level_queries():
 
 def test_no_module_imports_a_private_name_of_another():
     # a private helper shared across modules is a second, unreviewed entry
-    # point; liealg builds its closures and solves on ffalg._echelon, which
-    # ffalg calls the one elimination, and its augmented form
-    allowed = {("liealg.py", "ffalg", "_echelon"), ("liealg.py", "ffalg", "_beside_identity")}
+    # point; liealg builds its closures on ffalg._echelon, which ffalg calls
+    # the one elimination, and solves its linear systems with ffalg.solve
+    allowed = {("liealg.py", "ffalg", "_echelon")}
     imported = {(m.name, node.module, alias.name) for m in sorted(PACKAGE.glob("*.py"))
                 for node in ast.walk(ast.parse(m.read_text()))
                 if isinstance(node, ast.ImportFrom) and node.level
                 for alias in node.names if alias.name.startswith("_")}
     assert imported <= allowed
+
+
+def test_formulas_imports_no_json():
+    # cli._print_json is the one --format json writer: formulas returns
+    # reports, and the command prints them
+    tree = ast.parse((PACKAGE / "formulas.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and not node.level}
+    assert not any(m.split(".")[0] == "json" for m in modules)

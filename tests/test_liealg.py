@@ -665,9 +665,10 @@ class TestConjugation:
                      ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), ((1, 0, 0), (0, 1), (0, 0, 1))):
             assert not is_lie_automorphism(sl2_3, LinearMap(sl2_3.field, rows)), rows
 
-    def test_singular_matrix_rejected(self, sl2_3):
-        with pytest.raises(ValueError, match="invertible"):
-            conjugation_automorphism(sl2_3, ((1, 1), (1, 1)))
+    def test_singular_matrix_rejected(self, sl2_3, gl2_3):
+        for L in (sl2_3, gl2_3):
+            with pytest.raises(ValueError, match="matrix is not invertible"):
+                conjugation_automorphism(L, ((1, 1), (1, 1)))
         for g in (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 0), (0,))):
             with pytest.raises(ValueError, match="must be a 2x2 matrix"):
                 conjugation_automorphism(sl2_3, g)

@@ -790,6 +790,35 @@ def _assert_table_matches_oracle(L):
     assert len(checked) == comb(L.line_count, 2)
 
 
+def _assert_table_lifts_from(L, N):
+    """L's table against the reference on the planes of Q = L/N alone, for
+    a solvable ideal N, and against the lift lemma on every pair of L's
+    lines.
+
+    Q is built here, apart from the L/rad(L) that radical keeps, and its
+    table is checked by _assert_table_matches_oracle.  The lemma: <x, y> is
+    solvable iff <x + N, y + N> is, so lines l and m see each other iff one
+    of them lies in N, or their images in Q lie on one line or see each
+    other.  Each of L's rows is compared whole, so every pair is checked.
+    """
+    Q, project, _ = quotient(L, N)
+    _assert_table_matches_oracle(Q)
+    nbr, q_nbr = plane_table(L), plane_table(Q)
+    images = [project(L.vector(L.line_rep(l))) for l in range(L.line_count)]
+    in_n = sum(1 << l for l, y in enumerate(images) if not any(y))
+    over = [0] * Q.line_count  # the lines of L over each line of Q
+    for l, y in enumerate(images):
+        if any(y):
+            over[Q.line(y)] |= 1 << l
+    for l, y in enumerate(images):
+        if any(y):
+            k = Q.line(y)
+            want = in_n | over[k] | sum(over[j] for j in bits(q_nbr[k] & ~(1 << k)))
+        else:
+            want = (1 << L.line_count) - 1
+        assert nbr[l] == want, l
+
+
 # gl2@3 + sl2@3, with basis E00, E01, E10, E11 of gl2, then e, f, h of sl2
 _GL2_SL2 = direct_sum(make_gl(2, 3), make_sl(2, 3))
 
@@ -844,19 +873,25 @@ class TestQuotientPath:
         assert plane_table(L) == expected
         assert counts == {"derived_series": series, "quotient": 2}
 
-    @pytest.mark.parametrize("build", [
-        pytest.param(lambda: sl2_semidirect(3), id="sl2+F_3^2"),
-        pytest.param(lambda: sl2_semidirect(5), id="sl2+F_5^2", marks=pytest.mark.slow),
-        pytest.param(lambda: make_so(4, 2), id="so4@2")])
-    def test_non_central_radical(self, build):
+    @pytest.mark.parametrize("build, by_quotient", [
+        pytest.param(lambda: sl2_semidirect(3), False, id="sl2+F_3^2"),
+        pytest.param(lambda: sl2_semidirect(5), True, id="sl2+F_5^2"),
+        pytest.param(lambda: make_so(4, 2), False, id="so4@2")])
+    def test_non_central_radical(self, build, by_quotient):
         # zero center, nonzero radical: the line search keeps L/rad(L), with
-        # its radical marked 0, and the table is lifted from it
+        # its radical marked 0, and the table is lifted from it; sl2 + F_3^2
+        # and so4@2 are checked against the reference on every plane of L,
+        # sl2 + F_5^2 on the planes of L/rad(L) and by the lift lemma
         L = build()
+        rad = radical_by_lines(L)
         assert center(L).dim == 0 < radical(L).dim < L.dim
-        assert radical(L) == radical_by_lines(L)
+        assert radical(L) == rad
         Q = L._quotient[0]
         assert Q.dim == L.dim - radical(L).dim and Q._radical.dim == 0
-        _assert_table_matches_oracle(L)
+        if by_quotient:
+            _assert_table_lifts_from(L, rad)
+        else:
+            _assert_table_matches_oracle(L)
 
     def test_table_matches_oracle(self, sl2_2, gl2_3, t2_3, w3, zero_file, abelian_file):
         # the solvable ones (t2, t3, the file algebras) have every row full
@@ -867,10 +902,14 @@ class TestQuotientPath:
     @pytest.mark.slow
     def test_table_matches_oracle_gl3_f2(self, monkeypatch):
         # the table is classified on gl3/center, whose solvable closures of
-        # dimension 3 and more hold planes met later, which skip the closure
+        # dimension 3 and more hold planes met later, which skip the closure;
+        # the reference runs on the planes of gl3/center, and the lift
+        # lemma checks the rest
         closures, _ = _count_table_work(monkeypatch)
-        _assert_table_matches_oracle(make_gl(3, 2))
+        L = make_gl(3, 2)
+        plane_table(L)
         assert 0 < len(closures) < gaussian_binomial_2(8, 2)
+        _assert_table_lifts_from(L, center(L))
 
     def test_fixed_pairs_take_the_lift(self):
         for x, y in _LIFTED_PAIRS:
