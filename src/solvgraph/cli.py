@@ -4,6 +4,13 @@ Algebras are named by compact specs: sl2@3, gl2@5, t3@2, so3@5, w3, or
 file:PATH for a structure-constants file.  All commands are deterministic;
 identical invocations produce byte-identical output.  Every solvability
 query a command makes reads the loaded algebra's plane table (see solv).
+
+Commands compute, and main loads and prints: each algebra command is a
+function cmd_x(L, args) that returns the fields it prints, and main loads
+L once, runs the command, and prints its fields as compact JSON, as
+key=value pairs joined by the command's separator in _COMMANDS, or, for
+degrees, as d,m rows.  verify builds its own algebra and exits 1 on FAIL,
+so cmd_verify prints its own report.
 """
 
 from __future__ import annotations
@@ -79,30 +86,18 @@ def _text(v) -> str:
     return " ".join(map(str, v)) if isinstance(v, list) else str(v)
 
 
-def _print_fields(fields: dict, fmt: str, sep: str = "\n"):
-    """Print a command's fields as compact JSON, or as key=value pairs
-    joined by sep: one per line by default, one line with sep=" "."""
-    if fmt == "json":
-        _print_json(fields)
-    else:
-        print(sep.join(f"{k}={_text(v)}" for k, v in fields.items()))
-
-
-def cmd_info(args) -> int:
-    L = load_algebra(parse_spec(args.algebra))
+def cmd_info(L, args) -> dict:
     sol = solv.sol_of_algebra(L, force=args.force)
     rad = liealg.radical(L, force=args.force)
     s_lie = solv.is_s_lie(L, force=args.force)
-    _print_fields({
+    return {
         "algebra": L.name, "p": L.field.p, "dim": L.dim, "order": L.size,
         "solvable": liealg.is_solvable(L), "sol_size": solv.row_size(L, sol),
         "radical_dim": rad.dim, "radical_size": rad.size, "s_lie": s_lie,
-    }, args.format)
-    return 0
+    }
 
 
-def cmd_graph(args) -> int:
-    L = load_algebra(parse_spec(args.algebra))
+def cmd_graph(L, args) -> dict:
     G = graph.build(L, force=args.force)
     if args.dot:
         graph.export_dot(G, args.dot)
@@ -110,30 +105,20 @@ def cmd_graph(args) -> int:
         graph.export_json(G, args.json)
     if args.csv:
         graph.export_degrees_csv(G, args.csv)
-    _print_fields({"vertices": G.vertex_count, "edges": G.edge_count,
-                   "components": len(graph.components(G))}, args.format, sep=" ")
-    return 0
+    return {"vertices": G.vertex_count, "edges": G.edge_count,
+            "components": len(graph.components(G))}
 
 
-def cmd_degrees(args) -> int:
-    L = load_algebra(parse_spec(args.algebra))
-    G = graph.build(L, force=args.force)
-    seq = graph.degree_sequence(G)
-    if args.format == "json":
-        _print_json({"degrees": [[d, m] for d, m in seq.items()]})
-    else:
-        for d, m in seq.items():
-            print(f"{d},{m}")
-    return 0
+def cmd_degrees(L, args) -> dict:
+    seq = graph.degree_sequence(graph.build(L, force=args.force))
+    return {"degrees": [[d, m] for d, m in seq.items()]}
 
 
-def cmd_conjecture(args) -> int:
-    L = load_algebra(parse_spec(args.algebra))
+def cmd_conjecture(L, args) -> dict:
     res = solv.conjecture_sum(L, force=args.force)
     divisible = res.divisible if args.format == "json" else "yes" if res.divisible else "no"
-    _print_fields({"sum": res.total, "order": res.order, "divisible": divisible,
-                   "quotient": str(res.quotient)}, args.format, sep=" ")
-    return 0
+    return {"sum": res.total, "order": res.order, "divisible": divisible,
+            "quotient": str(res.quotient)}
 
 
 def cmd_verify(args) -> int:
@@ -150,15 +135,11 @@ def cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_complement(args) -> int:
-    L = load_algebra(parse_spec(args.algebra))
-    G = graph.build(L, force=args.force)
-    _print_fields({"components": len(graph.complement_components(G))}, args.format, sep=" ")
-    return 0
+def cmd_complement(L, args) -> dict:
+    return {"components": len(graph.complement_components(graph.build(L, force=args.force)))}
 
 
-def cmd_solvabilizer(args) -> int:
-    L = load_algebra(parse_spec(args.algebra))
+def cmd_solvabilizer(L, args) -> dict:
     try:
         coords = tuple(int(c) for c in args.element.split(","))
     except ValueError:
@@ -166,34 +147,38 @@ def cmd_solvabilizer(args) -> int:
     x = L.element(coords)
     members = solv.solvabilizer(L, x, force=args.force)
     rep = solv.divisibility_report(L, x, force=args.force)
-    _print_fields({
+    return {
         "element": x, "size": rep.sol_size, "members": list(members),
         "p_divides": rep.p_divides, "sol_size": rep.sol_of_algebra_size,
         "sol_divides": rep.sol_divides,
         "centralizer_size": rep.centralizer_size,
         "centralizer_divides": rep.centralizer_divides,
         "coset_closed": rep.coset_closed,
-    }, args.format)
-    return 0
+    }
 
 
-def cmd_slie(args) -> int:
-    L = load_algebra(parse_spec(args.algebra))
+def cmd_slie(L, args) -> dict:
     witness = solv.s_lie_witness(L, force=args.force)
     fields = {"s_lie": witness is None}
     if witness is not None and args.format == "json":
         fields["witness"] = dict(zip("xab", map(list, witness)))
     elif witness is not None:
         fields.update(zip(("witness_x", "witness_a", "witness_b"), witness))
-    _print_fields(fields, args.format)
-    return 0
+    return fields
 
 
-def _add_common(sub, formats=("text", "json")):
-    sub.add_argument("algebra", help="algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH")
-    sub.add_argument("--force", action="store_true",
-                     help="override the enumeration size cap")
-    sub.add_argument("--format", choices=formats, default="text")
+# name, help, command, and the separator of its key=value text: None for
+# degrees, whose text is one d,m row per degree, and for verify
+_COMMANDS = (
+    ("info", "order, solvability, sol(L), radical, S-property", cmd_info, "\n"),
+    ("graph", "build the solvable graph and export it", cmd_graph, " "),
+    ("degrees", "print the degree sequence as CSV rows", cmd_degrees, None),
+    ("conjecture", "sum of solvabilizer sizes and divisibility", cmd_conjecture, " "),
+    ("verify", "check a built graph against the closed forms", cmd_verify, None),
+    ("complement", "component count of the complement graph", cmd_complement, " "),
+    ("solvabilizer", "solvabilizer of one element", cmd_solvabilizer, "\n"),
+    ("slie", "is every solvabilizer a subalgebra?", cmd_slie, "\n"),
+)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -201,53 +186,39 @@ def make_parser() -> argparse.ArgumentParser:
         prog="solvgraph",
         description="Solvable graphs and solvabilizers of Lie algebras over F_p.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("info", help="order, solvability, sol(L), radical, S-property")
-    _add_common(s)
-    s.set_defaults(func=cmd_info)
-
-    s = subs.add_parser("graph", help="build the solvable graph and export it")
-    _add_common(s)
+    for name, help_text, func, sep in _COMMANDS:
+        s = subs.add_parser(name, help=help_text)
+        s.add_argument("algebra", help="algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH")
+        s.add_argument("--force", action="store_true",
+                       help="override the enumeration size cap")
+        # degrees' text output is already CSV rows; it accepts the explicit spelling too
+        s.add_argument("--format", default="text",
+                       choices=("text", "json", "csv") if name == "degrees" else ("text", "json"))
+        s.set_defaults(func=func, sep=sep)
+    s = subs.choices["graph"]
     s.add_argument("--dot", metavar="PATH", help="write a Graphviz DOT file")
     s.add_argument("--json", metavar="PATH", help="write a JSON graph file")
     s.add_argument("--csv", metavar="PATH", help="write a degree,multiplicity CSV")
-    s.set_defaults(func=cmd_graph)
-
-    s = subs.add_parser("degrees", help="print the degree sequence as CSV rows")
-    # text output is already CSV rows; accept the explicit spelling too
-    _add_common(s, formats=("text", "json", "csv"))
-    s.set_defaults(func=cmd_degrees)
-
-    s = subs.add_parser("conjecture", help="sum of solvabilizer sizes and divisibility")
-    _add_common(s)
-    s.set_defaults(func=cmd_conjecture)
-
-    s = subs.add_parser("verify", help="check a built graph against the closed forms")
-    _add_common(s)
-    s.set_defaults(func=cmd_verify)
-
-    s = subs.add_parser("complement", help="component count of the complement graph")
-    _add_common(s)
-    s.set_defaults(func=cmd_complement)
-
-    s = subs.add_parser("solvabilizer", help="solvabilizer of one element")
-    _add_common(s)
-    s.add_argument("--element", required=True,
-                   help="comma-separated coordinates in constructor basis order")
-    s.set_defaults(func=cmd_solvabilizer)
-
-    s = subs.add_parser("slie", help="is every solvabilizer a subalgebra?")
-    _add_common(s)
-    s.set_defaults(func=cmd_slie)
-
+    subs.choices["solvabilizer"].add_argument(
+        "--element", required=True,
+        help="comma-separated coordinates in constructor basis order")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if args.command == "verify":  # builds its own algebra, and exits 1 on FAIL
+            return cmd_verify(args)
+        fields = args.func(load_algebra(parse_spec(args.algebra)), args)
+        if args.format == "json":
+            _print_json(fields)
+        elif args.sep is None:
+            for d, m in fields["degrees"]:
+                print(f"{d},{m}")
+        else:
+            print(args.sep.join(f"{k}={_text(v)}" for k, v in fields.items()))
+        return 0
     except (ValueError, liealg.CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

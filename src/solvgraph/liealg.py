@@ -77,10 +77,10 @@ class LieAlgebra:
     # _quotient, L/rad(L) with its projection, by radical alone, and only
     # when 0 < dim rad(L) < dim L; _plane_table by solv.plane_table.
     __slots__ = ("field", "dim", "constants", "labels", "name",
-                 "basis_matrices", "matrix_size", "_radical", "_quotient", "_plane_table")
+                 "basis_matrices", "_radical", "_quotient", "_plane_table")
 
     def __init__(self, field: PrimeField, constants, labels=None, name="L",
-                 basis_matrices=None, matrix_size=None):
+                 basis_matrices=None):
         p = field.p
         self.field = field
         self.constants = tuple(
@@ -94,7 +94,6 @@ class LieAlgebra:
         self.labels = tuple(str(x) for x in labels)
         self.name = name
         self.basis_matrices = basis_matrices
-        self.matrix_size = matrix_size
         self._radical = self._quotient = self._plane_table = None
         self._validate()
 
@@ -249,7 +248,13 @@ def _flatten(m):
     return tuple(x for row in m for x in row)
 
 
-def _from_matrix_basis(mats, labels, field, name, matrix_size):
+def _unit_basis(n, keep):
+    """The unit matrices E_ij with keep(i, j), in row-major order, and their labels."""
+    ij = [(i, j) for i in range(n) for j in range(n) if keep(i, j)]
+    return [_unit_matrix(n, i, j) for i, j in ij], [f"E{i}{j}" for i, j in ij]
+
+
+def _from_matrix_basis(mats, labels, field, name):
     flats = [_flatten(m) for m in mats]
     n = len(mats)
     brackets = [_flatten(_mat_bracket(a, b, field.p)) for a in mats for b in mats]
@@ -259,8 +264,7 @@ def _from_matrix_basis(mats, labels, field, name, matrix_size):
         raise ValidationError(
             f"bracket [{labels[i]}, {labels[j]}] falls outside the basis span")
     constants = [coeffs[i * n:(i + 1) * n] for i in range(n)]
-    return LieAlgebra(field, constants, labels=labels, name=name,
-                      basis_matrices=tuple(mats), matrix_size=matrix_size)
+    return LieAlgebra(field, constants, labels=labels, name=name, basis_matrices=tuple(mats))
 
 
 def _family_field(n: int, p: int, dim: int) -> PrimeField:
@@ -276,12 +280,8 @@ def _family_field(n: int, p: int, dim: int) -> PrimeField:
 def make_gl(n: int, p: int) -> LieAlgebra:
     """All n-by-n matrices with bracket xy - yx; basis E_ij in row-major order."""
     field = _family_field(n, p, n * n)
-    mats, labels = [], []
-    for i in range(n):
-        for j in range(n):
-            mats.append(_unit_matrix(n, i, j))
-            labels.append(f"E{i}{j}")
-    return _from_matrix_basis(mats, labels, field, f"gl{n}@{p}", n)
+    mats, labels = _unit_basis(n, lambda i, j: True)
+    return _from_matrix_basis(mats, labels, field, f"gl{n}@{p}")
 
 
 def make_sl(n: int, p: int) -> LieAlgebra:
@@ -292,30 +292,21 @@ def make_sl(n: int, p: int) -> LieAlgebra:
     [h,e] = 2e, [h,f] = -2f, [e,f] = h.
     """
     field = _family_field(n, p, n * n - 1)
-    mats, labels = [], []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                mats.append(_unit_matrix(n, i, j))
-                labels.append(f"E{i}{j}")
+    mats, labels = _unit_basis(n, lambda i, j: i != j)
     for i in range(n - 1):
         m = _mat_add(_unit_matrix(n, i, i), _unit_matrix(n, i + 1, i + 1), p, sign=-1)
         mats.append(m)
         labels.append(f"H{i}")
     if n == 2:
         labels = ["e", "f", "h"]
-    return _from_matrix_basis(mats, labels, field, f"sl{n}@{p}", n)
+    return _from_matrix_basis(mats, labels, field, f"sl{n}@{p}")
 
 
 def make_t(n: int, p: int) -> LieAlgebra:
     """Upper triangular n-by-n matrices, dimension n(n+1)/2."""
     field = _family_field(n, p, n * (n + 1) // 2)
-    mats, labels = [], []
-    for i in range(n):
-        for j in range(i, n):
-            mats.append(_unit_matrix(n, i, j))
-            labels.append(f"E{i}{j}")
-    return _from_matrix_basis(mats, labels, field, f"t{n}@{p}", n)
+    mats, labels = _unit_basis(n, lambda i, j: i <= j)
+    return _from_matrix_basis(mats, labels, field, f"t{n}@{p}")
 
 
 def make_so(n: int, p: int) -> LieAlgebra:
@@ -332,7 +323,7 @@ def make_so(n: int, p: int) -> LieAlgebra:
             m = _mat_add(_unit_matrix(n, i, j), _unit_matrix(n, j, i), p, sign=-1)
             mats.append(m)
             labels.append(f"A{i}{j}")
-    return _from_matrix_basis(mats, labels, field, f"so{n}@{p}", n)
+    return _from_matrix_basis(mats, labels, field, f"so{n}@{p}")
 
 
 def make_w3(p: int) -> LieAlgebra:
@@ -346,7 +337,7 @@ def make_w3(p: int) -> LieAlgebra:
     a = ((0, 0, 0), (0, 1, 0), (0, 0, 1))
     b = ((0, 1, 0), (0, 0, 0), (1, 0, 0))
     c = ((0, 0, 1), (1, 0, 0), (0, 0, 0))
-    return _from_matrix_basis([a, b, c], ["a", "b", "c"], field, "w3", 3)
+    return _from_matrix_basis([a, b, c], ["a", "b", "c"], field, "w3")
 
 
 # ---------------------------------------------------------------------------
@@ -685,15 +676,17 @@ def conjugation_automorphism(L: LieAlgebra, g) -> LinearMap:
     Requires an algebra produced by one of the matrix constructors, an
     invertible g, and conjugation to keep every basis matrix inside the
     basis span (automatic for gl and sl; for the triangular family g must
-    itself be upper triangular).
+    itself be upper triangular).  g is as large as the basis matrices; the
+    zero algebra has none, and any invertible g gives its empty map.
     """
     if L.basis_matrices is None:
         raise ValueError("algebra was not built from a matrix basis")
     p = L.field.p
     g = tuple(tuple(int(x) % p for x in row) for row in g)
-    if len(g) != L.matrix_size or any(len(row) != L.matrix_size for row in g):
-        raise ValueError(f"g must be a {L.matrix_size}x{L.matrix_size} matrix")
-    ginv = solve(g, full_space(len(g), L.field).basis, L.field)
+    n = len(L.basis_matrices[0]) if L.basis_matrices else len(g)
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ValueError(f"g must be a {n}x{n} matrix")
+    ginv = solve(g, full_space(n, L.field).basis, L.field)
     if None in ginv:
         raise ValueError("matrix is not invertible")
     flats = [_flatten(m) for m in L.basis_matrices]

@@ -8,25 +8,22 @@ the solvable graph are read off rows.  sol_of_algebra answers with a line
 bitset and is_s_lie with a verdict; elements() expands a row to element
 indices only for solvabilizer, the one query that returns them.
 
-Coset decomposition: let N be a solvable ideal and pi: L -> Q = L/N the
-projection.  For a subalgebra K, K meet N is solvable and
-K/(K meet N) is isomorphic to pi(K), so K is solvable iff pi(K) is.  As
-pi<x, y> = <pi x, pi y>, the pair x, y generates a solvable subalgebra iff
-pi x, pi y do in Q.  So plane_table() classifies the planes of Q, not of L:
-it takes the largest solvable ideal, N = rad(L) = liealg.radical(L), and
-lifts Q's table to L's lines, once.  rad(Q) is 0, as an extension of a
-solvable algebra by a solvable one is solvable, so Q's planes are
-classified directly and nothing recurses.  radical finds N and keeps N
-and Q on L, and N = L makes every row full with no Q at all.  Only an
-algebra whose radical is 0 has its own planes enumerated, each once,
-directly in reduced row-echelon form.  In dimension 3 a plane is solvable
-iff it is closed under its one bracket; in higher dimension it is
-classified by liealg.is_solvable on its closure, the verdict
-pair_solvable reads too, a solvable closure marks all of its lines
-pairwise adjacent, and a later plane whose two RREF rows' lines are
-already adjacent lies inside it and runs no closure.  A
-row's S-verdict, whether 0 and its lines form a subalgebra, is one
-closure of its lines (see _failing_line).
+Coset decomposition: for a solvable ideal N, L's table is the lift of the
+table of Q = L/N (the lift lemma, see _lift).  So plane_table() classifies
+the planes of Q, not of L: it takes the largest solvable ideal,
+N = rad(L) = liealg.radical(L), and lifts Q's table to L's lines, once.
+rad(Q) is 0, as an extension of a solvable algebra by a solvable one is
+solvable, so Q's planes are classified directly and nothing recurses.
+radical finds N and keeps N and Q on L, and N = L makes every row full
+with no Q at all.  Only an algebra whose radical is 0 has its own planes
+enumerated, each once, directly in reduced row-echelon form.  In
+dimension 3 a plane is solvable iff it is closed under its one bracket; in
+higher dimension it is classified by liealg.is_solvable on its closure,
+the verdict pair_solvable reads too, a solvable closure marks all of its
+lines pairwise adjacent, and a later plane whose two RREF rows' lines are
+already adjacent lies inside it and runs no closure.  A row's S-verdict,
+whether 0 and its lines form a subalgebra, is one closure of its lines
+(see _failing_line).
 """
 
 from __future__ import annotations
@@ -93,7 +90,7 @@ def plane_table(L: LieAlgebra, force: bool = False) -> tuple[int, ...]:
         if N.dim == L.dim:
             L._plane_table = ((1 << L.line_count) - 1,) * L.line_count
         else:
-            L._plane_table = tuple(_lifted_rows(L) if N.dim else _classified_rows(L))
+            L._plane_table = tuple(_lift(L, *L._quotient) if N.dim else _classified_rows(L))
     return L._plane_table
 
 
@@ -156,17 +153,19 @@ def _span_lines(L: LieAlgebra, basis) -> int:
     return _lines_through(L, reps)
 
 
-def _lifted_rows(L: LieAlgebra) -> list[int]:
-    """Neighbor bitsets of L's lines, lifted from the table of Q = L/N with
-    N = rad(L).  Q and the projection are the pair liealg.radical kept on
-    L, with rad(Q) = 0 marked on Q, so Q's planes are classified.
+def _lift(L: LieAlgebra, Q: LieAlgebra, project) -> list[int]:
+    """Neighbor bitsets of L's lines, lifted from the table of Q = L/N for
+    a solvable ideal N, with project the projection pi: L -> Q.
 
-    A line inside N sees every line.  Any other line l sees the lines of N
-    and every line over a Q-line that sees pi(l); that includes the lines
-    over pi(l) itself, as two dependent projections generate a subalgebra
-    of dimension at most 1, which is solvable.
+    The lift lemma: x and y generate a solvable subalgebra of L iff pi x
+    and pi y generate one of Q.  For a subalgebra K, K meet N is solvable
+    and K/(K meet N) is isomorphic to pi(K), so K is solvable iff pi(K)
+    is, and pi<x, y> = <pi x, pi y>.  So a line inside N sees every line,
+    and any other line l sees the lines of N and every line over a Q-line
+    that sees pi(l); that includes the lines over pi(l) itself, as two
+    dependent projections generate a subalgebra of dimension at most 1,
+    which is solvable.  x's row is the full preimage of pi x's row.
     """
-    Q, project = L._quotient
     q_nbr = plane_table(Q, force=True)
     over = [0] * (len(q_nbr) + 1)  # the L-lines over each Q-line, then those in N
     q_lines = []
@@ -405,31 +404,22 @@ def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
     its own: N lies in rad(L), and rad(L) lies in sol(L), for with r in
     rad(L) and any x, F x + rad(L) is a subalgebra whose solvable ideal
     rad(L) has an abelian quotient of dimension at most 1, so it is a
-    solvable subalgebra holding x and r.  Verifies, for every
-    element x, that the projection of sol_L(x) equals the solvabilizer of
-    the projection of x, and that |sol_L(x)| = |N| * |sol_(L/N)(pi(x))|.
-    As sol_L(tx) = sol_L(x) and pi(tx) = t pi(x), 0 and one element per
-    line stand for all; pi(sol_L(x)) is 0 and the lines through the
-    projections of one vector per line of x's row, found once per
-    distinct row.
+    solvable subalgebra holding x and r.
 
-    When every x passes, L and L/N also agree on whether every
-    solvabilizer is a subalgebra, with no verdict of either: the fibres
-    of pi have |N| elements, so equal images and that size make sol_L(x)
-    the full preimage of sol_(L/N)(pi(x)), and a preimage under the
-    surjection pi is a subalgebra iff its image is.
+    The check is that, for every element x, the projection of sol_L(x)
+    equals the solvabilizer of the projection of x, and that
+    |sol_L(x)| = |N| * |sol_(L/N)(pi(x))|.  The fibres of pi have |N|
+    elements, so that holds iff sol_L(x) is the full preimage of
+    sol_(L/N)(pi(x)), that is, iff L's table is the lift of the table of
+    L/N (see _lift), which is what is compared.  L and L/N then also agree
+    on whether every solvabilizer is a subalgebra, with no verdict of
+    either, as a preimage under the surjection pi is a subalgebra iff its
+    image is.  L's table is read first, so the cap refuses L before L/N,
+    which is no larger.
     """
     if not is_ideal(L, N):
         raise ValueError("N is not an ideal")
     if not is_solvable(L, N):
         raise ValueError("N is not solvable")
-
     Q, project, _ = quotient(L, N)
-    images = {}  # row -> its image's line bitset: each distinct row is projected once
-    for x in [L.zero()] + _reps(L, (1 << L.line_count) - 1):
-        row, q_row = _row(L, x, force), _row(Q, project(x), force)
-        if row not in images:
-            images[row] = _lines_through(Q, map(project, _reps(L, row)))
-        if images[row] != q_row or row_size(L, row) != N.size * row_size(Q, q_row):
-            return False
-    return True
+    return list(plane_table(L, force)) == _lift(L, Q, project)

@@ -94,7 +94,7 @@ def sl2_semidirect(p):
         return tuple(tuple(int((r, c) == (i, j)) for c in range(3)) for r in range(3))
     h = tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(unit(0, 0), unit(1, 1)))
     return _from_matrix_basis([unit(0, 1), unit(1, 0), h, unit(0, 2), unit(1, 2)],
-                              ["e", "f", "h", "u", "w"], PrimeField(p), f"sl2x{p}^2", 3)
+                              ["e", "f", "h", "u", "w"], PrimeField(p), f"sl2x{p}^2")
 
 
 def closed_subalgebra(L, generators):

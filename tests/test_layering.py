@@ -5,7 +5,8 @@ Only ffalg builds Subspace objects: a Subspace holds a canonical RREF basis,
 and ``ffalg._echelon`` is the one place that makes one; every other module
 asks ffalg for its spaces.  Only liealg's solvability verdict runs a
 derived series.  Every linear system is solved by ``ffalg.solve``, and
-every JSON line a command prints is written by ``cli``.  The commands
+every JSON line a command prints is written by ``cli``, whose ``main``
+alone loads the algebra and prints a command's fields.  The commands
 reach the other modules through public names only, and no module imports
 a private name of another, except liealg's ``_echelon``, ffalg's one
 elimination.
@@ -59,6 +60,19 @@ def test_cli_reads_no_private_name_of_another_module():
                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+def test_cli_loads_the_algebra_once_in_main():
+    # commands take the loaded algebra; main is the one place that loads it
+    assert [fn for fn, _ in _calls(PACKAGE / "cli.py", "load_algebra")] == ["main"]
+
+
+def test_only_main_and_verify_print_in_cli():
+    # commands return their fields and main prints them; verify builds its
+    # own algebra and prints its own report
+    cli = PACKAGE / "cli.py"
+    printers = {fn for callee in ("print", "_print_json") for fn, _ in _calls(cli, callee)}
+    assert printers == {"main", "_print_json", "cmd_verify"}
 
 
 def test_cli_calls_the_public_line_level_queries():

@@ -104,7 +104,7 @@ class TestConstructors:
         # [e, f] = h lies outside span(e, f); it is the first bad bracket
         e, f = ((0, 1), (0, 0)), ((0, 0), (1, 0))
         with pytest.raises(ValidationError, match=r"\[e, f\] falls outside"):
-            liealg._from_matrix_basis([e, f], ["e", "f"], PrimeField(3), "ef", 2)
+            liealg._from_matrix_basis([e, f], ["e", "f"], PrimeField(3), "ef")
 
     def test_validation_catches_bad_table(self):
         fld = PrimeField(3)
@@ -680,6 +680,17 @@ class TestConjugation:
         # upper triangular g stays inside the family
         phi = conjugation_automorphism(L, ((1, 1), (0, 1)))
         assert is_lie_automorphism(L, phi)
+
+    def test_matrix_size_is_read_off_the_basis_matrices(self):
+        # constants and basis matrices alone fix the conjugation action
+        gl = make_gl(2, 3)
+        L = LieAlgebra(gl.field, gl.constants, basis_matrices=gl.basis_matrices)
+        g = ((1, 1), (0, 1))
+        assert conjugation_automorphism(L, g).matrix == conjugation_automorphism(gl, g).matrix
+        with pytest.raises(ValueError, match="must be a 2x2 matrix"):
+            conjugation_automorphism(L, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        # so1 is the zero algebra: no basis matrix, and an empty map
+        assert conjugation_automorphism(make_so(1, 3), ((1,),)).matrix == ()
 
     def test_linear_map_rejects_wrong_length(self):
         eye = LinearMap(PrimeField(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1)))

@@ -967,6 +967,17 @@ class TestQuotientCompatibility:
     def test_solvable_algebra_mod_itself(self, t2_3):
         assert quotient_compatibility_check(t2_3, t2_3.full_space())
 
+    def test_table_that_is_not_the_lift_fails(self):
+        # gl2@3 with one symmetric pair of bits cleared: two lines that
+        # share a solvable plane no longer see each other
+        L = make_gl(2, 3)
+        nbr = list(plane_table(L))
+        l, m = next((l, m) for l, row in enumerate(nbr) for m in bits(row) if m != l)
+        nbr[l] &= ~(1 << m)
+        nbr[m] &= ~(1 << l)
+        L._plane_table = tuple(nbr)
+        assert not quotient_compatibility_check(L, center(L))
+
     def test_non_ideal_rejected(self, w3):
         from solvgraph.ffalg import rref
         span_a = rref([(1, 0, 0)], w3.field, ambient=3)
