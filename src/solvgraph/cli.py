@@ -5,12 +5,12 @@ file:PATH for a structure-constants file.  All commands are deterministic;
 identical invocations produce byte-identical output.  Every solvability
 query a command makes reads the loaded algebra's plane table (see solv).
 
-Commands compute, and main loads and prints: each algebra command is a
-function cmd_x(L, args) that returns the fields it prints, and main loads
-L once, runs the command, and prints its fields as compact JSON, as
-key=value pairs joined by the command's separator in _COMMANDS, or, for
-degrees, as d,m rows.  verify builds its own algebra and exits 1 on FAIL,
-so cmd_verify prints its own report.
+Commands compute, and main loads, renders and exits: each command is a
+function cmd_x(L, args) that takes the algebra main loaded and returns
+its fields as data.  main alone reads --format: it prints the fields as
+compact JSON or as the text of the command's renderer in _COMMANDS
+(nothing when that text is empty), and exits 1 exactly when the fields
+say passed is false, as a FAIL report of verify does.
 """
 
 from __future__ import annotations
@@ -116,23 +116,15 @@ def cmd_degrees(L, args) -> dict:
 
 def cmd_conjecture(L, args) -> dict:
     res = solv.conjecture_sum(L, force=args.force)
-    divisible = res.divisible if args.format == "json" else "yes" if res.divisible else "no"
-    return {"sum": res.total, "order": res.order, "divisible": divisible,
+    return {"sum": res.total, "order": res.order, "divisible": res.divisible,
             "quotient": str(res.quotient)}
 
 
-def cmd_verify(args) -> int:
-    spec = parse_spec(args.algebra)
-    if spec.kind not in ("sl", "gl") or spec.n != 2:
-        raise ValueError("verify supports only the sl2@q and gl2@q families")
-    report = formulas.verify(f"{spec.kind}2", spec.p, force=args.force)
-    if args.format == "json":
-        _print_json({**report._asdict(),
-                     "expected": [[d, m] for d, m in report.expected.items()],
-                     "computed": [[d, m] for d, m in report.computed.items()]})
-    else:
-        print(report.text())
-    return 0 if report.passed else 1
+def cmd_verify(L, args) -> dict:
+    report = formulas.verify(L, force=args.force)
+    return {**report._asdict(),
+            "expected": [[d, m] for d, m in report.expected.items()],
+            "computed": [[d, m] for d, m in report.computed.items()]}
 
 
 def cmd_complement(L, args) -> dict:
@@ -159,25 +151,52 @@ def cmd_solvabilizer(L, args) -> dict:
 
 def cmd_slie(L, args) -> dict:
     witness = solv.s_lie_witness(L, force=args.force)
-    fields = {"s_lie": witness is None}
-    if witness is not None and args.format == "json":
-        fields["witness"] = dict(zip("xab", map(list, witness)))
-    elif witness is not None:
-        fields.update(zip(("witness_x", "witness_a", "witness_b"), witness))
-    return fields
+    if witness is None:
+        return {"s_lie": True}
+    return {"s_lie": False, "witness": dict(zip("xab", map(list, witness)))}
 
 
-# name, help, command, and the separator of its key=value text: None for
-# degrees, whose text is one d,m row per degree, and for verify
+def _pairs(sep):
+    """The renderer of a command's fields as key=value pairs joined by sep."""
+    return lambda fields: sep.join(f"{k}={_text(v)}" for k, v in fields.items())
+
+
+def _degrees_text(fields) -> str:
+    return "\n".join(f"{d},{m}" for d, m in fields["degrees"])
+
+
+def _conjecture_text(fields) -> str:
+    return _pairs(" ")({**fields, "divisible": "yes" if fields["divisible"] else "no"})
+
+
+def _slie_text(fields) -> str:
+    witness = {f"witness_{k}": tuple(v) for k, v in fields.get("witness", {}).items()}
+    return _pairs("\n")({"s_lie": fields["s_lie"], **witness})
+
+
+def _verify_text(report) -> str:
+    expected, computed = dict(report["expected"]), dict(report["computed"])
+    lines = [f"family={report['family']} q={report['q']}", "degree,expected,computed"]
+    lines += [f"{d},{expected.get(d, 0)},{computed.get(d, 0)}"
+              for d in sorted(set(expected) | set(computed), reverse=True)]
+    lines.append("class,expected,computed")
+    lines += [f"{cls},{n},{report['class_counts'][cls]}"
+              for cls, n in report["expected_class_counts"].items()]
+    if report["first_mismatch"]:
+        lines.append(f"mismatch={report['first_mismatch']}")
+    return "\n".join(lines + [f"result={'PASS' if report['passed'] else 'FAIL'}"])
+
+
+# name, help, command, and the renderer of its fields as text
 _COMMANDS = (
-    ("info", "order, solvability, sol(L), radical, S-property", cmd_info, "\n"),
-    ("graph", "build the solvable graph and export it", cmd_graph, " "),
-    ("degrees", "print the degree sequence as CSV rows", cmd_degrees, None),
-    ("conjecture", "sum of solvabilizer sizes and divisibility", cmd_conjecture, " "),
-    ("verify", "check a built graph against the closed forms", cmd_verify, None),
-    ("complement", "component count of the complement graph", cmd_complement, " "),
-    ("solvabilizer", "solvabilizer of one element", cmd_solvabilizer, "\n"),
-    ("slie", "is every solvabilizer a subalgebra?", cmd_slie, "\n"),
+    ("info", "order, solvability, sol(L), radical, S-property", cmd_info, _pairs("\n")),
+    ("graph", "build the solvable graph and export it", cmd_graph, _pairs(" ")),
+    ("degrees", "print the degree sequence as CSV rows", cmd_degrees, _degrees_text),
+    ("conjecture", "sum of solvabilizer sizes and divisibility", cmd_conjecture, _conjecture_text),
+    ("verify", "check a built graph against the closed forms", cmd_verify, _verify_text),
+    ("complement", "component count of the complement graph", cmd_complement, _pairs(" ")),
+    ("solvabilizer", "solvabilizer of one element", cmd_solvabilizer, _pairs("\n")),
+    ("slie", "is every solvabilizer a subalgebra?", cmd_slie, _slie_text),
 )
 
 
@@ -186,7 +205,7 @@ def make_parser() -> argparse.ArgumentParser:
         prog="solvgraph",
         description="Solvable graphs and solvabilizers of Lie algebras over F_p.")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, sep in _COMMANDS:
+    for name, help_text, func, render in _COMMANDS:
         s = subs.add_parser(name, help=help_text)
         s.add_argument("algebra", help="algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH")
         s.add_argument("--force", action="store_true",
@@ -194,7 +213,7 @@ def make_parser() -> argparse.ArgumentParser:
         # degrees' text output is already CSV rows; it accepts the explicit spelling too
         s.add_argument("--format", default="text",
                        choices=("text", "json", "csv") if name == "degrees" else ("text", "json"))
-        s.set_defaults(func=func, sep=sep)
+        s.set_defaults(func=func, render=render)
     s = subs.choices["graph"]
     s.add_argument("--dot", metavar="PATH", help="write a Graphviz DOT file")
     s.add_argument("--json", metavar="PATH", help="write a JSON graph file")
@@ -208,17 +227,12 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.command == "verify":  # builds its own algebra, and exits 1 on FAIL
-            return cmd_verify(args)
         fields = args.func(load_algebra(parse_spec(args.algebra)), args)
         if args.format == "json":
             _print_json(fields)
-        elif args.sep is None:
-            for d, m in fields["degrees"]:
-                print(f"{d},{m}")
-        else:
-            print(args.sep.join(f"{k}={_text(v)}" for k, v in fields.items()))
-        return 0
+        elif text := args.render(fields):
+            print(text)
+        return 0 if fields.get("passed", True) else 1
     except (ValueError, liealg.CapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -38,8 +38,6 @@ def _class_table(family: str, q: int) -> dict[SpectralClass, tuple[int, int]]:
     each vertex sees q(d + 1) - 1 others where its traceless part sees d.
     """
     _require_odd_prime(q)
-    if family not in ("sl2", "gl2"):
-        raise ValueError(f"unknown family {family!r}; expected 'sl2' or 'gl2'")
     table = {
         SpectralClass.TWO_EIGENVALUES: (2 * q * q - q - 2, q * (q * q - 1) // 2),
         SpectralClass.ONE_EIGENVALUE: (q * q - 2, q * q - 1),
@@ -94,18 +92,29 @@ def _matrix(family: str, x):
     return x[:2], x[2:]
 
 
+def _family(L: LieAlgebra) -> str | None:
+    """The family, sl2 or gl2, whose constructor gives L over L's field, or
+    None.  Only the candidate of L's dimension is built to compare with;
+    names and labels are not compared, so a file: copy of sl2@q or gl2@q
+    is that family, and an isomorphic algebra in another basis is not."""
+    family, make = {3: ("sl2", make_sl), 4: ("gl2", make_gl)}.get(L.dim, (None, None))
+    return family if family and L == make(2, L.field.p) else None
+
+
 def spectral_class_sl2(L: LieAlgebra, x) -> SpectralClass:
     """Eigenvalue count of the traceless 2x2 matrix with coordinates x.
 
-    Coordinates follow the constructor basis (e, f, h), so the matrix is
-    [[h, e], [f, -h]].  No command calls it (verify classifies one
-    discriminant per line); it is public as the paper's spectral type of
-    one matrix.
+    L must be sl2@q in the constructor basis (e, f, h), so the matrix is
+    [[h, e], [f, -h]]; any other algebra is refused, since its coordinates
+    would be read as those of another matrix.  No command calls it (verify
+    classifies one discriminant per line); it is public as the paper's
+    spectral type of one matrix.
     """
     q = L.field.p
     _require_odd_prime(q)
-    if L.dim != 3:
-        raise ValueError("expected a 3-dimensional traceless 2x2 algebra")
+    if _family(L) != "sl2":
+        raise ValueError("expected sl2@q: the 3-dimensional traceless 2x2 algebra "
+                         "in the basis (e, f, h)")
     x = L.element(x)
     if not any(x):
         raise ValueError("the zero element has no spectral class")
@@ -131,28 +140,16 @@ class VerificationReport(NamedTuple):
     expected_class_counts: dict[str, int]
     first_mismatch: str | None
 
-    def text(self) -> str:
-        lines = [f"family={self.family} q={self.q}"]
-        lines.append("degree,expected,computed")
-        degrees = sorted(set(self.expected) | set(self.computed), reverse=True)
-        for d in degrees:
-            lines.append(f"{d},{self.expected.get(d, 0)},{self.computed.get(d, 0)}")
-        lines.append("class,expected,computed")
-        for cls in SpectralClass:
-            lines.append(f"{cls.value},{self.expected_class_counts[cls.value]},"
-                         f"{self.class_counts[cls.value]}")
-        if self.first_mismatch:
-            lines.append(f"mismatch={self.first_mismatch}")
-        lines.append(f"result={'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines)
 
+def verify(L: LieAlgebra, force: bool = False) -> VerificationReport:
+    """Build L's graph and compare it with the closed forms.
 
-def verify(family: str, q: int, force: bool = False) -> VerificationReport:
-    """Build the graph for sl2 or gl2 over F_q and compare with the closed forms.
-
-    Checks the degree multiset, then that the eigenvalue class of every
-    vertex determines its degree exactly; the per-class counts are tallied
-    in the same pass and always reported.
+    L is accepted exactly when it equals the constructor's sl2(F_q) or
+    gl2(F_q) over its own field, so the family is checked once, on the
+    algebra: a file: copy of either verifies, and any other algebra is
+    refused.  The degree multiset is checked, then that the eigenvalue
+    class of every vertex determines its degree exactly; the per-class
+    counts are tallied in the same pass and always reported.
 
     Lemma: the counts need no check of their own.  The three class degrees
     are distinct for odd q (they differ by q^2 - q, or q times that for
@@ -166,8 +163,10 @@ def verify(family: str, q: int, force: bool = False) -> VerificationReport:
     lines ascend by that member, so the first mismatch is the smallest
     failing vertex, as a per-vertex scan would find it.
     """
+    family, q = _family(L), L.field.p
+    if family is None:
+        raise ValueError("verify supports only the sl2@q and gl2@q families")
     table = _class_table(family, q)
-    L = make_sl(2, q) if family == "sl2" else make_gl(2, q)
     expected = dict(table.values())
 
     G = build(L, force=force)

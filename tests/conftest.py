@@ -1,6 +1,29 @@
 import pytest
 
-from solvgraph import liealg
+from solvgraph import cli, liealg
+
+
+@pytest.fixture(scope="session")
+def load_once():
+    """cli.load_algebra memoized for the session, keyed by the parsed spec.
+
+    Only for tests that compare output, so that an algebra several of them
+    read, such as so4@3 or sl3@2, classifies its planes once.  Tests that
+    count closures, series, brackets or quotients, patch the cap, or read
+    the cache slots load fresh algebras."""
+    memo, load = {}, cli.load_algebra
+
+    def load_shared(spec):
+        if spec not in memo:
+            memo[spec] = load(spec)
+        return memo[spec]
+    return load_shared
+
+
+@pytest.fixture
+def main_loads_once(monkeypatch, load_once):
+    """cli.main loads its algebra through the session memo."""
+    monkeypatch.setattr(cli, "load_algebra", load_once)
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,9 @@ from solvgraph.liealg import (
     centralizer,
     derived_series,
     is_ideal,
+    make_sl,
     quotient,
+    to_file,
 )
 from solvgraph.solv import (
     _failing_line, bits, elements, plane_table, sol_lines, sol_of_algebra, solvabilizer,
@@ -95,6 +97,19 @@ def sl2_semidirect(p):
     h = tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(unit(0, 0), unit(1, 1)))
     return _from_matrix_basis([unit(0, 1), unit(1, 0), h, unit(0, 2), unit(1, 2)],
                               ["e", "f", "h", "u", "w"], PrimeField(p), f"sl2x{p}^2")
+
+
+def permuted_sl2_3_file(directory):
+    """The path of sl2@3 with its basis e, f, h reordered as h, e, f,
+    written by to_file: an algebra isomorphic to sl2@3 that is not sl2@3
+    in the constructor's basis."""
+    sl2, order = make_sl(2, 3), (2, 0, 1)
+    constants = [[[sl2.constants[i][j][k] for k in order] for j in order] for i in order]
+    L = LieAlgebra(sl2.field, constants, labels=[sl2.labels[i] for i in order], name="hef")
+    assert L.bracket(L.basis_vector(1), L.basis_vector(2)) == L.basis_vector(0)  # [e, f] = h
+    path = Path(directory) / "hef.txt"
+    to_file(L, path)
+    return path
 
 
 def closed_subalgebra(L, generators):

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from oracles import permuted_sl2_3_file
 from solvgraph import graph, solv
 from solvgraph.cli import main, parse_spec
-from solvgraph.liealg import LieAlgebra, make_sl
+from solvgraph.liealg import LieAlgebra, make_gl, make_sl, to_file
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +78,7 @@ GOLDEN = {
 }
 
 
+@pytest.mark.usefixtures("main_loads_once")
 @pytest.mark.parametrize("argv", list(GOLDEN))
 def test_info_and_solvabilizer_stdout_is_golden(capsys, argv):
     # every command the table holds, in both formats
@@ -254,6 +256,17 @@ class TestVerifyCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_file_copies_verify(self, capsys, tmp_path):
+        # verify checks the algebra it is given: a file: copy of sl2@5 or
+        # gl2@3 passes, and sl2@3 in the basis h, e, f is not the family
+        for L in (make_sl(2, 5), make_gl(2, 3)):
+            to_file(L, tmp_path / f"{L.name}.txt")
+            code, out, _ = run_cli(capsys, "verify", f"file:{tmp_path / L.name}.txt")
+            assert code == 0 and out.endswith("result=PASS\n")
+        code, out, err = run_cli(capsys, "verify", f"file:{permuted_sl2_3_file(tmp_path)}")
+        assert (code, out) == (2, "")
+        assert err == "error: verify supports only the sl2@q and gl2@q families\n"
+
     def test_huge_q_rejected_at_once(self, capsys):
         # in a child with a timeout: trial division up to sqrt(q) would
         # not finish before the size bound is checked
@@ -323,6 +336,7 @@ class TestSlieCommand:
         ("gl2@7", ("(1,0,0,0)", "(0,1,0,0)", "(0,0,1,0)")),
         ("sl3@2", ("(1,0,0,0,0,0,0,0)", "(0,1,0,0,0,0,0,0)", "(0,1,1,1,1,0,0,0)")),
     ])
+    @pytest.mark.usefixtures("main_loads_once")
     def test_first_witness_is_pinned(self, spec, witness, capsys):
         # a faster witness search must still return this first witness
         code, out, _ = run_cli(capsys, "slie", spec)

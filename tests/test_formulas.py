@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oracles import eigenvalue_count, vertex_degree, vertices_by_lines
+from oracles import eigenvalue_count, permuted_sl2_3_file, vertex_degree, vertices_by_lines
 from solvgraph import formulas
 from solvgraph.cli import main
 from solvgraph.formulas import (
@@ -15,7 +15,7 @@ from solvgraph.formulas import (
     verify,
 )
 from solvgraph.graph import build
-from solvgraph.liealg import make_gl, make_sl
+from solvgraph.liealg import center, from_file, make_gl, make_sl, make_so, make_t, quotient, to_file
 
 _CLASS_OF_ROOT_COUNT = {0: SpectralClass.NO_EIGENVALUE,
                         1: SpectralClass.ONE_EIGENVALUE,
@@ -97,6 +97,28 @@ class TestSpectralClass:
         with pytest.raises(ValueError, match="3-dimensional"):
             spectral_class_sl2(gl2_3, (1, 0, 0, 0))
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda tmp: make_so(3, 5), id="so3@5"),
+        pytest.param(lambda tmp: make_t(2, 5), id="t2@5"),
+        pytest.param(lambda tmp: quotient(make_gl(2, 5), center(make_gl(2, 5)))[0],
+                     id="gl2@5/center"),
+        pytest.param(lambda tmp: from_file(permuted_sl2_3_file(tmp)),
+                     id="file:sl2@3-permuted")])
+    def test_refuses_other_algebras_of_dimension_3(self, build, tmp_path):
+        # their coordinates are not those of [[h, e], [f, -h]]: so3@5's A01
+        # would read as e, of class one, yet its degree is that of class two
+        L = build(tmp_path)
+        assert L.dim == 3
+        with pytest.raises(ValueError, match="3-dimensional"):
+            spectral_class_sl2(L, (1, 0, 0))
+
+    def test_accepts_a_file_copy_of_sl2(self, tmp_path):
+        to_file(make_sl(2, 5), tmp_path / "sl2.txt")
+        L = from_file(tmp_path / "sl2.txt")
+        for m in range(1, L.size):
+            x = L.vector(m)
+            assert spectral_class_sl2(L, x) is _root_class("sl2", x, 5)
+
     def test_matches_root_scan(self, sl2_5):
         # independent check: literally count the roots of the characteristic
         # polynomial lambda^2 - (a^2 + bc)
@@ -124,27 +146,28 @@ class TestSpectralClass:
 
 class TestVerify:
     def test_sl2_q3_passes(self):
-        report = verify("sl2", 3)
+        report = verify(make_sl(2, 3))
         assert report.passed
         assert report.first_mismatch is None
         assert report.computed == report.expected
 
     def test_gl2_q3_passes(self):
-        report = verify("gl2", 3)
+        report = verify(make_gl(2, 3))
         assert report.passed
         assert report.class_counts == report.expected_class_counts
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="family"):
-            verify("so3", 3)
+        with pytest.raises(ValueError, match="families"):
+            verify(make_so(3, 3))
 
     def test_q_two_rejected(self):
         with pytest.raises(ValueError):
-            verify("sl2", 2)
+            verify(make_sl(2, 2))
 
     def test_report_text_and_json(self, capsys):
-        report = verify("sl2", 3)
-        text = report.text()
+        report = verify(make_sl(2, 3))
+        assert main(["verify", "sl2@3"]) == 0
+        text = capsys.readouterr().out
         assert "result=PASS" in text
         assert "family=sl2 q=3" in text
         assert main(["verify", "sl2@3", "--format", "json"]) == 0
@@ -172,11 +195,12 @@ class TestVerify:
                 assert vertex_degree(G, m) == vertex_degree(G, rep) == G.line_degree(l)
                 tally[cls.value] += 1
         assert sum(tally.values()) == G.vertex_count
-        assert verify(family, q).class_counts == tally
+        assert verify(L).class_counts == tally
 
-    def test_fail_names_the_smallest_failing_vertex(self, monkeypatch):
+    def test_fail_names_the_smallest_failing_vertex(self, monkeypatch, capsys):
         # every vertex reads as two-eigenvalue, so the first mismatch is the
-        # smallest vertex whose true class differs, and the counts are whole
+        # smallest vertex whose true class differs, and the counts are whole;
+        # main renders the FAIL report and exits 1, in text and in JSON
         for family, q in (("sl2", 5), ("gl2", 3)):
             L = make_sl(2, q) if family == "sl2" else make_gl(2, q)
             G = build(L)
@@ -185,21 +209,25 @@ class TestVerify:
             with monkeypatch.context() as patch:
                 patch.setattr(formulas, "_discriminant_class",
                               lambda *args: SpectralClass.TWO_EIGENVALUES)
-                report = verify(family, q)
+                report = verify(L)
+                assert main(["verify", f"{family}@{q}"]) == 1
+                text = capsys.readouterr().out
+                assert main(["verify", f"{family}@{q}", "--format", "json"]) == 1
+                payload = json.loads(capsys.readouterr().out)
             assert not report.passed
             assert report.first_mismatch == (
                 f"vertex {first} of class two has degree {vertex_degree(G, first)}, "
                 f"expected {max(report.expected)}")
             assert report.class_counts == {"none": 0, "one": 0, "two": G.vertex_count}
-            assert report.text().endswith("mismatch=" + report.first_mismatch
-                                          + "\nresult=FAIL")
+            assert text.endswith("mismatch=" + report.first_mismatch + "\nresult=FAIL\n")
+            assert (payload["passed"], payload["first_mismatch"]) == (False, report.first_mismatch)
 
     def test_fail_on_degree_sequence_still_counts_classes(self, monkeypatch):
         # one extra degree fails the sequence check first; the class counts
         # are still those of the (correct) graph, not zeros
         real = formulas.degree_sequence
         monkeypatch.setattr(formulas, "degree_sequence", lambda G: {**real(G), 0: 1})
-        report = verify("sl2", 5)
+        report = verify(make_sl(2, 5))
         assert not report.passed
         assert report.first_mismatch.startswith("degree sequence ")
         assert report.class_counts == report.expected_class_counts == {

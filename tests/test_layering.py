@@ -6,7 +6,8 @@ and ``ffalg._echelon`` is the one place that makes one; every other module
 asks ffalg for its spaces.  Only liealg's solvability verdict runs a
 derived series.  Every linear system is solved by ``ffalg.solve``, and
 every JSON line a command prints is written by ``cli``, whose ``main``
-alone loads the algebra and prints a command's fields.  The commands
+alone loads the algebra, reads --format, and prints a command's fields;
+every command, verify included, returns data.  The commands
 reach the other modules through public names only, and no module imports
 a private name of another, except liealg's ``_echelon``, ffalg's one
 elimination.
@@ -18,20 +19,27 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "solvgraph"
 
 
-def _calls(path, callee):
-    """(innermost enclosing function or None, line) of every call to callee."""
+def _nodes(path, match):
+    """(innermost enclosing function or None, line) of every node match accepts."""
     def visit(node, fn):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == callee:
-                    yield fn, child.lineno
+            if match(child):
+                yield fn, child.lineno
             yield from visit(child, fn)
     yield from visit(ast.parse(path.read_text()), None)
+
+
+def _calls(path, callee):
+    """(innermost enclosing function or None, line) of every call to callee."""
+    def is_call(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee
+    return _nodes(path, is_call)
 
 
 def test_only_ffalg_constructs_subspaces():
@@ -68,11 +76,20 @@ def test_cli_loads_the_algebra_once_in_main():
 
 
 def test_only_main_and_verify_print_in_cli():
-    # commands return their fields and main prints them; verify builds its
-    # own algebra and prints its own report
+    # commands return their fields and main prints them, verify's report
+    # included: no command prints, however it exits
     cli = PACKAGE / "cli.py"
     printers = {fn for callee in ("print", "_print_json") for fn, _ in _calls(cli, callee)}
-    assert printers == {"main", "_print_json", "cmd_verify"}
+    assert printers == {"main", "_print_json"}
+
+
+def test_only_main_reads_the_format():
+    # a command returns the same data for every --format; main alone picks
+    # JSON or the command's text renderer
+    readers = {fn for fn, _ in _nodes(
+        PACKAGE / "cli.py", lambda node: isinstance(node, ast.Attribute) and node.attr == "format"
+        and isinstance(node.value, ast.Name) and node.value.id == "args")}
+    assert readers == {"main"}
 
 
 def test_cli_calls_the_public_line_level_queries():

@@ -39,6 +39,7 @@ def _divisible_builtins():
 @pytest.mark.parametrize("spec", [
     pytest.param(spec, marks=pytest.mark.slow) if spec == "sl3@3" else spec  # about 8 s
     for spec in _divisible_builtins()])
+@pytest.mark.usefixtures("main_loads_once")
 def test_divisibility_list_matches_conjecture(spec, capsys):
     # each builtin README lists as divisible must print divisible=yes, so a
     # stale list fails the suite

@@ -20,6 +20,7 @@ from oracles import (
     equivariance_by_elements,
     is_additively_closed_indices,
     lines_by_scan,
+    permuted_sl2_3_file,
     quotient_compatibility_by_elements,
     first_failing_pair,
     radical_by_lines,
@@ -30,7 +31,7 @@ from oracles import (
     subspace_elements,
 )
 from solvgraph import liealg, solv
-from solvgraph.cli import main
+from solvgraph.cli import main, parse_spec
 from solvgraph.ffalg import rref
 from solvgraph.graph import build, complement_components, components
 from solvgraph.formulas import spectral_class_sl2
@@ -228,18 +229,6 @@ class TestPlaneTable:
         assert len(brackets) <= 111_491
 
 
-def _permuted_sl2_3_file(tmp_path):
-    """sl2@3 with its basis e, f, h reordered as h, e, f, written by
-    to_file and loaded back as a file algebra."""
-    sl2, order = make_sl(2, 3), (2, 0, 1)
-    constants = [[[sl2.constants[i][j][k] for k in order] for j in order] for i in order]
-    L = LieAlgebra(sl2.field, constants, labels=[sl2.labels[i] for i in order], name="hef")
-    assert L.bracket(L.basis_vector(1), L.basis_vector(2)) == L.basis_vector(0)  # [e, f] = h
-    path = tmp_path / "hef.txt"
-    to_file(L, path)
-    return from_file(path)
-
-
 class TestThreeDimensionalRule:
     """A plane of an algebra of dimension 3 with radical 0 is solvable iff
     it is closed under its one bracket; the tables it gives against the
@@ -253,7 +242,8 @@ class TestThreeDimensionalRule:
         pytest.param(lambda tmp: make_w3(2), id="w3"),
         pytest.param(lambda tmp: make_gl(2, 3), id="gl2@3"),
         pytest.param(lambda tmp: make_gl(2, 5), id="gl2@5"),
-        pytest.param(_permuted_sl2_3_file, id="file:sl2@3-permuted")])
+        pytest.param(lambda tmp: from_file(permuted_sl2_3_file(tmp)),
+                     id="file:sl2@3-permuted")])
     def test_table_matches_oracle(self, build, tmp_path, monkeypatch):
         # gl2's table is lifted from gl2/center, pgl2, of dimension 3; every
         # other algebra here is classified itself
@@ -614,13 +604,12 @@ class TestOneSolvableIdealPerAlgebra:
         assert verdicts.count(True) == len(solvabilizer(L, (1, 0, 0)))
         assert counts["derived_series"] <= 1
 
-    @pytest.mark.parametrize("build", [lambda: make_sl(2, 11), lambda: make_gl(2, 7),
-                                       lambda: make_so(4, 3)],
-                             ids=["sl2@11", "gl2@7", "so4@3"])
-    def test_s_verdict_is_one_closure_per_row(self, build, monkeypatch):
+    @pytest.mark.parametrize("spec", ["sl2@11", "gl2@7", "so4@3"])
+    def test_s_verdict_is_one_closure_per_row(self, spec, monkeypatch, load_once):
         # each distinct row that is not full is examined by one closure of
-        # its lines, with no span first
-        L = build()
+        # its lines, with no span first; the table is built before the
+        # count starts, so it may be one that other tests built
+        L = load_once(parse_spec(spec))
         nbr = plane_table(L)
         closures = []
 
