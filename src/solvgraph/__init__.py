@@ -3,7 +3,6 @@
 from .ffalg import PrimeField, Subspace, full_space, kernel, rref, zero_space
 from .formulas import (
     SpectralClass,
-    VerificationReport,
     gl2_expected,
     sl2_expected,
     spectral_class_sl2,

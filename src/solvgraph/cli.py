@@ -121,10 +121,7 @@ def cmd_conjecture(L, args) -> dict:
 
 
 def cmd_verify(L, args) -> dict:
-    report = formulas.verify(L, force=args.force)
-    return {**report._asdict(),
-            "expected": [[d, m] for d, m in report.expected.items()],
-            "computed": [[d, m] for d, m in report.computed.items()]}
+    return formulas.verify(L, force=args.force)
 
 
 def cmd_complement(L, args) -> dict:

@@ -11,7 +11,6 @@ discriminant is 4(a^2 + bc).
 from __future__ import annotations
 
 import enum
-from typing import NamedTuple
 
 from .ffalg import PrimeField
 from .graph import build, degree_sequence
@@ -129,20 +128,12 @@ def spectral_counts(q: int) -> tuple[int, int, int]:
     return tuple(table[cls][1] for cls in SpectralClass)
 
 
-class VerificationReport(NamedTuple):
-    """Outcome of checking a built graph against the closed forms."""
-    family: str
-    q: int
-    passed: bool
-    expected: dict[int, int]
-    computed: dict[int, int]
-    class_counts: dict[str, int]
-    expected_class_counts: dict[str, int]
-    first_mismatch: str | None
-
-
-def verify(L: LieAlgebra, force: bool = False) -> VerificationReport:
-    """Build L's graph and compare it with the closed forms.
+def verify(L: LieAlgebra, force: bool = False) -> dict:
+    """Build L's graph, compare it with the closed forms, and return the
+    fields the verify command prints, in its order: family, q, passed,
+    expected and computed (the degree multisets as [degree, multiplicity]
+    pairs, largest degree first), class_counts, expected_class_counts
+    (vertices per spectral class) and first_mismatch (None on a pass).
 
     L is accepted exactly when it equals the constructor's sl2(F_q) or
     gl2(F_q) over its own field, so the family is checked once, on the
@@ -184,13 +175,13 @@ def verify(L: LieAlgebra, force: bool = False) -> VerificationReport:
             mismatch = (f"vertex {m} of class {cls.value} has degree {deg}, "
                         f"expected {table[cls][0]}")
 
-    return VerificationReport(
-        family=family,
-        q=q,
-        passed=mismatch is None,
-        expected=expected,
-        computed=computed,
-        class_counts={cls.value: n for cls, n in observed_counts.items()},
-        expected_class_counts={cls.value: table[cls][1] for cls in SpectralClass},
-        first_mismatch=mismatch,
-    )
+    return {
+        "family": family,
+        "q": q,
+        "passed": mismatch is None,
+        "expected": [[d, m] for d, m in expected.items()],
+        "computed": [[d, m] for d, m in computed.items()],
+        "class_counts": {cls.value: n for cls, n in observed_counts.items()},
+        "expected_class_counts": {cls.value: table[cls][1] for cls in SpectralClass},
+        "first_mismatch": mismatch,
+    }

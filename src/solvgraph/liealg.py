@@ -135,12 +135,15 @@ class LieAlgebra:
         return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def vector(self, index: int) -> tuple[int, ...]:
-        """Coordinates of element ``index`` (base-p digits, least significant first)."""
-        p = self.field.p
+        """Coordinates of element ``index`` (base-p digits, least significant
+        first); ValueError unless 0 <= index < size."""
+        p, m = self.field.p, index
         coords = []
         for _ in range(self.dim):
-            index, r = divmod(index, p)
+            m, r = divmod(m, p)
             coords.append(r)
+        if m:  # digits left over, or a negative index's -1
+            raise ValueError(f"element index {index} is outside 0..{self.size - 1}")
         return tuple(coords)
 
     def element(self, x) -> tuple[int, ...]:
@@ -181,7 +184,10 @@ class LieAlgebra:
         return (p ** self.dim - 1) // (p - 1)
 
     def line(self, v) -> int:
-        """Number of the line through the nonzero coordinate vector v."""
+        """Number of the line through the nonzero coordinate vector v;
+        ValueError unless v has dim coordinates."""
+        if len(v) != self.dim:
+            raise ValueError(f"expected {self.dim} coordinates, got {len(v)}")
         p = self.field.p
         for k in range(len(v) - 1, -1, -1):
             if v[k] % p:
@@ -191,15 +197,19 @@ class LieAlgebra:
 
     def line_rep(self, l: int) -> int:
         """Index of the smallest member of line l: the p**k lines whose last
-        nonzero coordinate is k have the smallest members p**k onwards."""
-        p, block = self.field.p, 1
-        while l >= block:
-            l -= block
+        nonzero coordinate is k have the smallest members p**k onwards.
+        ValueError unless 0 <= l < line_count."""
+        p, block, k = self.field.p, 1, l
+        for _ in range(self.dim):
+            if 0 <= k < block:
+                return block + k
+            k -= block
             block *= p
-        return block + l
+        raise ValueError(f"line {l} is outside 0..{self.line_count - 1}")
 
     def line_members(self, l: int) -> tuple[int, ...]:
-        """Sorted indices of the p - 1 members of line l."""
+        """Sorted indices of the p - 1 members of line l; ValueError unless
+        0 <= l < line_count."""
         v = self.vector(self.line_rep(l))
         return tuple(sorted(self.index([t * x for x in v]) for t in range(1, self.field.p)))
 

@@ -188,7 +188,11 @@ def bits(mask: int):
 
 
 def elements(L: LieAlgebra, mask: int) -> list[int]:
-    """Sorted indices of the elements on the lines of a line bitset (0 is on none)."""
+    """Sorted indices of the elements on the lines of a line bitset (0 is on
+    none); ValueError if the bitset is negative or holds a bit past the last
+    line."""
+    if mask < 0 or mask >> L.line_count:
+        raise ValueError(f"line bitset holds bits outside lines 0..{L.line_count - 1}")
     return sorted(m for l in bits(mask) for m in L.line_members(l))
 
 

@@ -147,14 +147,14 @@ class TestSpectralClass:
 class TestVerify:
     def test_sl2_q3_passes(self):
         report = verify(make_sl(2, 3))
-        assert report.passed
-        assert report.first_mismatch is None
-        assert report.computed == report.expected
+        assert report["passed"]
+        assert report["first_mismatch"] is None
+        assert report["computed"] == report["expected"]
 
     def test_gl2_q3_passes(self):
         report = verify(make_gl(2, 3))
-        assert report.passed
-        assert report.class_counts == report.expected_class_counts
+        assert report["passed"]
+        assert report["class_counts"] == report["expected_class_counts"]
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="families"):
@@ -174,8 +174,8 @@ class TestVerify:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
         assert payload["family"] == "sl2"
-        assert payload["expected"] == [[d, m] for d, m in report.expected.items()]
-        assert payload["computed"] == [[d, m] for d, m in report.computed.items()]
+        assert payload["expected"] == report["expected"]
+        assert payload["computed"] == report["computed"]
 
     @pytest.mark.parametrize("family", ["sl2", "gl2"])
     @pytest.mark.parametrize("q", [3, 5, 7])
@@ -195,7 +195,7 @@ class TestVerify:
                 assert vertex_degree(G, m) == vertex_degree(G, rep) == G.line_degree(l)
                 tally[cls.value] += 1
         assert sum(tally.values()) == G.vertex_count
-        assert verify(L).class_counts == tally
+        assert verify(L)["class_counts"] == tally
 
     def test_fail_names_the_smallest_failing_vertex(self, monkeypatch, capsys):
         # every vertex reads as two-eigenvalue, so the first mismatch is the
@@ -214,13 +214,26 @@ class TestVerify:
                 text = capsys.readouterr().out
                 assert main(["verify", f"{family}@{q}", "--format", "json"]) == 1
                 payload = json.loads(capsys.readouterr().out)
-            assert not report.passed
-            assert report.first_mismatch == (
+            assert not report["passed"]
+            assert report["first_mismatch"] == (
                 f"vertex {first} of class two has degree {vertex_degree(G, first)}, "
-                f"expected {max(report.expected)}")
-            assert report.class_counts == {"none": 0, "one": 0, "two": G.vertex_count}
-            assert text.endswith("mismatch=" + report.first_mismatch + "\nresult=FAIL\n")
-            assert (payload["passed"], payload["first_mismatch"]) == (False, report.first_mismatch)
+                f"expected {report['expected'][0][0]}")
+            assert report["class_counts"] == {"none": 0, "one": 0, "two": G.vertex_count}
+            assert text.endswith("mismatch=" + report["first_mismatch"] + "\nresult=FAIL\n")
+            assert (payload["passed"], payload["first_mismatch"]) == (False, report["first_mismatch"])
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["pass", "forced-fail"])
+    @pytest.mark.parametrize("spec", ["sl2@5", "gl2@3"])
+    def test_json_is_the_return_value(self, spec, fail, monkeypatch, capsys):
+        # the command prints verify's result as it is, a FAIL report too
+        # (forced as in test_fail_names_the_smallest_failing_vertex)
+        if fail:
+            monkeypatch.setattr(formulas, "_discriminant_class",
+                                lambda *args: SpectralClass.TWO_EIGENVALUES)
+        family, q = spec.split("@")
+        L = make_sl(2, int(q)) if family == "sl2" else make_gl(2, int(q))
+        assert main(["verify", spec, "--format", "json"]) == (1 if fail else 0)
+        assert json.loads(capsys.readouterr().out) == verify(L)
 
     def test_fail_on_degree_sequence_still_counts_classes(self, monkeypatch):
         # one extra degree fails the sequence check first; the class counts
@@ -228,7 +241,7 @@ class TestVerify:
         real = formulas.degree_sequence
         monkeypatch.setattr(formulas, "degree_sequence", lambda G: {**real(G), 0: 1})
         report = verify(make_sl(2, 5))
-        assert not report.passed
-        assert report.first_mismatch.startswith("degree sequence ")
-        assert report.class_counts == report.expected_class_counts == {
+        assert not report["passed"]
+        assert report["first_mismatch"].startswith("degree sequence ")
+        assert report["class_counts"] == report["expected_class_counts"] == {
             "none": 40, "one": 24, "two": 60}

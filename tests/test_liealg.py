@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -550,6 +551,28 @@ class TestLineNumbers:
         for L in (sl2_3, w3):
             with pytest.raises(ValueError, match="zero vector"):
                 L.line(L.zero())
+
+    @pytest.mark.parametrize("method, arg, message", [
+        ("vector", 27, "element index 27 is outside 0..26"),
+        ("vector", -1, "element index -1 is outside 0..26"),
+        ("line_rep", 13, "line 13 is outside 0..12"),
+        ("line_members", 13, "line 13 is outside 0..12"),
+        ("line_members", -2, "line -2 is outside 0..12"),
+        ("line", (1, 0), "expected 3 coordinates, got 2"),
+    ], ids=["vector(27)", "vector(-1)", "line_rep(13)", "line_members(13)",
+            "line_members(-2)", "line((1,0))"])
+    def test_out_of_range_coordinates_rejected(self, sl2_3, method, arg, message):
+        # sl2@3 has 27 elements on 13 lines; an index past either end, or a
+        # short vector, used to name another element or line
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(sl2_3, method)(arg)
+
+    def test_last_element_and_line_still_answer(self, sl2_3, gl2_3):
+        for L in (sl2_3, gl2_3):
+            assert L.vector(L.size - 1) == (L.field.p - 1,) * L.dim
+            last = L.line_rep(L.line_count - 1)
+            assert L.vector(last) == (L.field.p - 1,) * (L.dim - 1) + (1,)
+            assert L.line(L.vector(last)) == L.line_count - 1
 
 
 class TestRadical:

@@ -58,6 +58,7 @@ from solvgraph.solv import (
     bits,
     conjecture_sum,
     divisibility_report,
+    elements,
     equivariance_check,
     is_s_lie,
     pair_solvable,
@@ -322,6 +323,13 @@ class TestSolvabilizer:
             for query in queries:
                 with pytest.raises(ValueError, match=f"^expected 3 coordinates, got {n}$"):
                     query(sl2_3, x)
+
+    def test_elements_rejects_bits_past_the_last_line(self, sl2_3):
+        # 0 is on no line, so a bit past the last one must not read as 0
+        for mask in (1 << 13, -1, (1 << 14) - 1):
+            with pytest.raises(ValueError, match="outside lines 0..12$"):
+                elements(sl2_3, mask)
+        assert elements(sl2_3, (1 << 13) - 1) == list(range(1, 27))
 
     def test_own_multiples_always_present(self, sl2_3, w3):
         for L in (sl2_3, w3):
