@@ -56,6 +56,7 @@ from .solv import (
     plane_table,
     quotient_compatibility_check,
     row_size,
+    row_sizes,
     s_lie_witness,
     sol_of_algebra,
     solvabilizer,

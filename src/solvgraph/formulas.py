@@ -11,9 +11,10 @@ discriminant is 4(a^2 + bc).
 from __future__ import annotations
 
 import enum
+from collections import Counter
 
 from .ffalg import PrimeField
-from .graph import build, degree_sequence
+from .graph import build
 from .liealg import LieAlgebra, make_gl, make_sl
 
 
@@ -138,9 +139,11 @@ def verify(L: LieAlgebra, force: bool = False) -> dict:
     L is accepted exactly when it equals the constructor's sl2(F_q) or
     gl2(F_q) over its own field, so the family is checked once, on the
     algebra: a file: copy of either verifies, and any other algebra is
-    refused.  The degree multiset is checked, then that the eigenvalue
-    class of every vertex determines its degree exactly; the per-class
-    counts are tallied in the same pass and always reported.
+    refused.  One pass over the vertex lines reads each line's class and
+    row size, and tallies both.  The degree multiset, read off the row
+    sizes through the graph's degree formula (see solv.row_sizes), is
+    checked, then that the eigenvalue class of every vertex determines its
+    degree exactly; the per-class counts are always reported.
 
     Lemma: the counts need no check of their own.  The three class degrees
     are distinct for odd q (they differ by q^2 - q, or q times that for
@@ -149,8 +152,9 @@ def verify(L: LieAlgebra, force: bool = False) -> dict:
     multiset fixes at the expected count.
 
     Lemma: for t != 0, disc(tx) = t^2 disc(x) and tx shares x's plane-table
-    row, so tx has the class and degree of x.  Hence one representative per
-    vertex line, its smallest member, is checked and counted q - 1 times;
+    row, so tx has the class and row size, and with it the degree, of x.
+    Hence one representative per vertex line, its smallest member, is
+    checked and counted q - 1 times, and each row size too;
     lines ascend by that member, so the first mismatch is the smallest
     failing vertex, as a per-vertex scan would find it.
     """
@@ -161,19 +165,18 @@ def verify(L: LieAlgebra, force: bool = False) -> dict:
     expected = dict(table.values())
 
     G = build(L, force=force)
-    computed = degree_sequence(G)
-    mismatch = None
-    if computed != expected:
-        mismatch = f"degree sequence {computed} != expected {expected}"
-
-    observed_counts = {cls: 0 for cls in SpectralClass}
-    for l, deg in zip(G.lines, G.degrees):
-        m = L.line_rep(l)
+    observed_counts, sizes, mismatch = Counter(), Counter(), None
+    for l in G.lines:
+        m, k = L.line_rep(l), G.nbr[l].bit_count()
         cls = _discriminant_class(_matrix(family, L.vector(m)), q)
         observed_counts[cls] += q - 1
-        if mismatch is None and deg != table[cls][0]:
+        sizes[k] += 1
+        if mismatch is None and (deg := G.degree(k)) != table[cls][0]:
             mismatch = (f"vertex {m} of class {cls.value} has degree {deg}, "
                         f"expected {table[cls][0]}")
+    computed = {G.degree(k): (q - 1) * n for k, n in sorted(sizes.items(), reverse=True)}
+    if computed != expected:  # the degree multiset's mismatch is reported first
+        mismatch = f"degree sequence {computed} != expected {expected}"
 
     return {
         "family": family,
@@ -181,7 +184,7 @@ def verify(L: LieAlgebra, force: bool = False) -> dict:
         "passed": mismatch is None,
         "expected": [[d, m] for d, m in expected.items()],
         "computed": [[d, m] for d, m in computed.items()],
-        "class_counts": {cls.value: n for cls, n in observed_counts.items()},
+        "class_counts": {cls.value: observed_counts[cls] for cls in SpectralClass},
         "expected_class_counts": {cls.value: table[cls][1] for cls in SpectralClass},
         "first_mismatch": mismatch,
     }

@@ -4,64 +4,72 @@ Vertices are the elements outside the global solvabilizer; two vertices are
 adjacent when they generate a solvable subalgebra.  Adjacency only depends
 on the plane the pair spans, so the graph is a view of the algebra's plane
 table (see solv): it holds the table's rows, indexed by line number (see
-liealg), counts each vertex line's degree once, and reads edge counts and
-the components of the graph and of its complement, as line bitsets, off
-the rows of the vertex lines.  Nothing is kept per vertex.  Edges are
-pairs of element indices, expanded only by the exports and the rows
-property, which share one expansion per graph: each distinct row once,
-into a sorted list of the elements on its vertex lines, which every vertex
-with that row shares.  A row is shared by at least the p - 1 vertices of
-one line, so the lists hold at most (2E + |V|)/(p - 1) entries for E edges
-and |V| vertices.  Each export formats each distinct list into its
-neighbor strings once, and every vertex with that row joins the strings
-past itself.
+liealg), reads its degree sequence and edge count off the multiset of row
+sizes (solv.row_sizes), counted once per graph, and the components of the
+graph and of its complement, as line bitsets, off the rows of the vertex
+lines.  Nothing is kept per vertex.  Edges are pairs of element indices,
+expanded only by the exports and the rows property, which share one
+expansion per graph: each distinct row once, into a sorted list of the
+elements on its vertex lines, which every vertex with that row shares.
+A row is shared by at least the p - 1 vertices of one line, so the lists
+hold at most (2E + |V|)/(p - 1) entries for E edges and |V| vertices.
+Each export formats each distinct list into its neighbor strings once,
+and every vertex with that row joins the strings past itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from itertools import chain, product
 from pathlib import Path
 
 from .liealg import LieAlgebra
-from .solv import bits, plane_table, sol_lines
+from .solv import bits, plane_table, row_sizes, sol_lines
 
 
 class SolvGraph:
-    """Solvable graph held as the plane table's rows.
+    """Solvable graph held as the plane table's rows.  Its degrees and
+    edge count are read off the table's row sizes, through one degree
+    formula (see degree and degree_sequence), not per line.
 
     nbr:     the plane table of the algebra (see solv.plane_table), shared,
              not copied.  A vertex on line l is adjacent to every vertex on
              the vertex lines in nbr[l] but itself.
     lines:   ascending numbers of the vertex lines, whose rows are not
              full (full rows are sol(L)); vertex_lines as a bitmask.
-    degrees: line_degree of each of lines, counted once here.
+    _sizes:  solv.row_sizes of nbr, counted on first use, or None.
     _lists:  the one expansion of the rows (see _neighbor_lists), or None.
     """
 
-    __slots__ = ("algebra", "nbr", "lines", "vertex_lines", "degrees", "edge_count", "_lists")
+    __slots__ = ("algebra", "nbr", "lines", "vertex_lines", "_sizes", "_lists")
 
     def __init__(self, algebra, nbr):
         self.algebra = algebra
         self.nbr = nbr
-        self.vertex_lines = ((1 << len(nbr)) - 1) ^ sol_lines(nbr)
-        self.lines = tuple(bits(self.vertex_lines))
-        self.degrees = tuple(map(self.line_degree, self.lines))
-        self._lists = None
-        total_degree = (algebra.field.p - 1) * sum(self.degrees)
-        if total_degree % 2:
-            raise AssertionError("line rows are not symmetric")
-        self.edge_count = total_degree // 2
+        full = (1 << len(nbr)) - 1
+        self.vertex_lines = full ^ sol_lines(nbr)
+        self.lines = tuple(l for l, row in enumerate(nbr) if row != full)
+        self._sizes = self._lists = None
 
     @property
     def vertex_count(self) -> int:
         return (self.algebra.field.p - 1) * len(self.lines)
 
-    def line_degree(self, l: int) -> int:
-        """Degree of each vertex on the vertex line l."""
-        return ((self.algebra.field.p - 1)
-                * (self.nbr[l] & self.vertex_lines).bit_count() - 1)
+    def degree(self, k: int) -> int:
+        """Degree of each vertex on a line whose row holds k lines: p - 1
+        vertices on each of the row's k - s lines outside sol(L), itself
+        excluded, where s = len(nbr) - len(lines) counts sol(L)'s lines,
+        which every row holds (see solv.row_sizes)."""
+        return (self.algebra.field.p - 1) * (k - len(self.nbr) + len(self.lines)) - 1
+
+    @property
+    def edge_count(self) -> int:
+        """Half the degree sum; AssertionError if the sum is odd, which
+        a symmetric table never gives."""
+        total = sum(d * n for d, n in degree_sequence(self).items())
+        if total % 2:
+            raise AssertionError("line rows are not symmetric")
+        return total // 2
 
     def _neighbor_lists(self) -> list[tuple[int, list[int]]]:
         """(m, sorted element indices on the vertex lines of m's row) per
@@ -94,9 +102,13 @@ def build(L: LieAlgebra, force: bool = False) -> SolvGraph:
 
 
 def degree_sequence(G: SolvGraph) -> dict[int, int]:
-    """Multiset of vertex degrees as {degree: multiplicity}, largest first."""
-    per_line = G.algebra.field.p - 1
-    return {d: per_line * n for d, n in sorted(Counter(G.degrees).items(), reverse=True)}
+    """Multiset of vertex degrees as {degree: multiplicity}, largest first:
+    p - 1 vertices of degree G.degree(k) per vertex line whose row holds k
+    lines.  Full rows are sol(L)'s lines, which hold no vertex."""
+    if G._sizes is None:
+        G._sizes = row_sizes(G.nbr)
+    per_line, full = G.algebra.field.p - 1, len(G.nbr)
+    return {G.degree(k): per_line * n for k, n in sorted(G._sizes.items(), reverse=True) if k < full}
 
 
 def _line_walk(G: SolvGraph, flip: int) -> list[int]:

@@ -132,6 +132,9 @@ class LieAlgebra:
         return (0,) * self.dim
 
     def basis_vector(self, i: int) -> tuple[int, ...]:
+        """Coordinates of the i-th basis vector; ValueError unless 0 <= i < dim."""
+        if not 0 <= i < self.dim:
+            raise ValueError(f"basis index {i} is outside 0..{self.dim - 1}")
         return tuple(1 if j == i else 0 for j in range(self.dim))
 
     def vector(self, index: int) -> tuple[int, ...]:

@@ -3,10 +3,12 @@
 The subalgebra generated by x and y depends only on the plane span{x, y}.
 plane_table() records, per projective line, which lines share a solvable
 plane with it: the line's row.  sol_L(x) is 0 and the lines of x's row, so
-sol(L), every solvabilizer's size, the conjecture sum, the S-property and
-the solvable graph are read off rows.  sol_of_algebra answers with a line
-bitset and is_s_lie with a verdict; elements() expands a row to element
-indices only for solvabilizer, the one query that returns them.
+sol(L), the S-property and the solvable graph are read off rows, a
+solvabilizer's size off its row's size, and the conjecture sum and the
+graph's degrees off the multiset of row sizes (see row_sizes).
+sol_of_algebra answers with a line bitset and is_s_lie with a verdict;
+elements() expands a row to element indices only for solvabilizer, the
+one query that returns them.
 
 Coset decomposition: for a solvable ideal N, L's table is the lift of the
 table of Q = L/N (the lift lemma, see _lift).  So plane_table() classifies
@@ -28,6 +30,7 @@ whether 0 and its lines form a subalgebra, is one closure of its lines
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -187,13 +190,18 @@ def bits(mask: int):
         mask ^= low
 
 
-def elements(L: LieAlgebra, mask: int) -> list[int]:
-    """Sorted indices of the elements on the lines of a line bitset (0 is on
-    none); ValueError if the bitset is negative or holds a bit past the last
-    line."""
+def _line_bitset(L: LieAlgebra, mask: int) -> int:
+    """mask itself; ValueError if it is negative or holds a bit past the
+    last line."""
     if mask < 0 or mask >> L.line_count:
         raise ValueError(f"line bitset holds bits outside lines 0..{L.line_count - 1}")
-    return sorted(m for l in bits(mask) for m in L.line_members(l))
+    return mask
+
+
+def elements(L: LieAlgebra, mask: int) -> list[int]:
+    """Sorted indices of the elements on the lines of a line bitset (0 is on
+    none); ValueError as _line_bitset."""
+    return sorted(m for l in bits(_line_bitset(L, mask)) for m in L.line_members(l))
 
 
 def _row(L: LieAlgebra, x, force: bool = False) -> int:
@@ -204,8 +212,9 @@ def _row(L: LieAlgebra, x, force: bool = False) -> int:
 
 
 def row_size(L: LieAlgebra, row: int) -> int:
-    """Number of elements in 0 and the lines of a row, p - 1 per line."""
-    return 1 + (L.field.p - 1) * row.bit_count()
+    """Number of elements in 0 and the lines of a row, p - 1 per line;
+    ValueError as _line_bitset."""
+    return 1 + (L.field.p - 1) * _line_bitset(L, row).bit_count()
 
 
 def _reps(L: LieAlgebra, row: int) -> list[tuple[int, ...]]:
@@ -253,6 +262,23 @@ def sol_lines(nbr) -> int:
     """Bitset of the lines whose plane-table row holds every line: sol(L)."""
     full = (1 << len(nbr)) - 1
     return sum(1 << l for l, row in enumerate(nbr) if row == full)
+
+
+def row_sizes(nbr) -> Counter:
+    """The row-size multiset of a plane table: {k: n_k}, with n_k the
+    number of lines whose row holds k lines.  The conjecture sum and the
+    graph's degree sequence and edge count are read off it.
+
+    Lemma: the table is symmetric, and the lines of sol(L) have full rows,
+    so every row holds them; let s be their number, so |sol(L)| is
+    1 + (p - 1)s.  Then a vertex on a line whose row holds k lines has
+    degree (p - 1)(k - s) - 1: the vertices on the row's k - s lines
+    outside sol(L), itself excluded (see graph.SolvGraph.degree).  The
+    edge count is half the sum of the degrees, and the conjecture sum is
+    |L| + (p - 1) sum_k n_k (1 + (p - 1)k), as |sol_L(x)| = 1 + (p - 1)k
+    at each of the p - 1 elements of such a line.
+    """
+    return Counter(map(int.bit_count, nbr))
 
 
 def _failing_line(L: LieAlgebra, force: bool = False) -> int | None:
@@ -327,10 +353,11 @@ class ConjectureResult(NamedTuple):
 def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
     """Sum of |sol_L(x)| over all x of L, and its divisibility by |L|.
 
-    The summand is |L| at x = 0, and the size of line l's row at each of
-    the p - 1 elements of l.
+    The summand is |L| at x = 0, and 1 + (p - 1)k at each of the p - 1
+    elements of a line whose row holds k lines (see row_sizes).
     """
-    total = L.size + (L.field.p - 1) * sum(row_size(L, row) for row in plane_table(L, force))
+    p, sizes = L.field.p, row_sizes(plane_table(L, force))
+    total = L.size + (p - 1) * sum(n * (1 + (p - 1) * k) for k, n in sizes.items())
     q, r = divmod(total, L.size)
     if r == 0:
         return ConjectureResult(total, L.size, True, q)

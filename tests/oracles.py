@@ -330,6 +330,12 @@ def _by_row(L, expand):
     return get
 
 
+def solvabilizer_lengths(L):
+    """len(solvabilizer(L, x)) for every element x, in index order."""
+    length = _by_row(L, lambda x: len(solvabilizer(L, x)))
+    return [length(L.vector(m)) for m in range(L.size)]
+
+
 def s_lie_by_elements(L):
     """Whether every distinct solvabilizer list fills its span and the span
     is a subalgebra."""
@@ -418,11 +424,13 @@ def vertices_by_lines(G):
 
 
 def vertex_degree(G, element_index):
-    """Degree of a vertex; KeyError for 0, members of sol(L) and non-elements."""
+    """Degree of a vertex, counted from its own row: the p - 1 vertices on
+    each vertex line the row holds, itself excluded.  KeyError for 0,
+    members of sol(L) and non-elements."""
     m, L = element_index, G.algebra
     if not (0 < m < L.size and G.vertex_lines >> (l := L.line(L.vector(m))) & 1):
         raise KeyError(m)
-    return G.line_degree(l)
+    return (L.field.p - 1) * (G.nbr[l] & G.vertex_lines).bit_count() - 1
 
 
 def edges_by_lists(G):

@@ -71,7 +71,7 @@ def test_conjecture_sums_match_published_table():
         assert res.divisible
         assert (res.total, res.order, res.quotient) == expected
     elapsed = time.perf_counter() - t0
-    assert elapsed < 30
+    assert elapsed < 1
     _ok(f"divisibility sums sl2@3, sl2@5, gl2@3 ({elapsed:.2f}s)")
 
 
@@ -87,7 +87,7 @@ def test_sl2_degree_sequence_q11():
     G = build(make_sl(2, 11))
     assert degree_sequence(G) == sl2_expected(11)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 300
+    assert elapsed < 1
     _ok(f"sl2 degree sequence, q = 11 ({elapsed:.2f}s)")
 
 
@@ -103,7 +103,7 @@ def test_gl2_degree_sequence_q7():
     G = build(make_gl(2, 7))
     assert degree_sequence(G) == gl2_expected(7)
     elapsed = time.perf_counter() - t0
-    assert elapsed < 60
+    assert elapsed < 1
     _ok(f"gl2 degree sequence, q = 7 ({elapsed:.2f}s)")
 
 

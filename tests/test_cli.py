@@ -357,25 +357,27 @@ class TestOnePassPerFact:
                              [("gl2@5", "1,2,3,4", 155), ("sl2@5", "1,2,3", 31)])
     def test_each_command_computes_each_table_fact_once(self, spec, element, vertex_lines,
                                                         capsys, monkeypatch, tmp_path):
-        # a vertex line's degree, a line's elements, sol(L) and the S-verdict
-        # are each computed at most once per command: gl2@5 has a lifted
-        # table, sl2@5 a classified one
-        calls = {name: [] for name in ("line_degree", "line_members", "sol_lines", "_failing_line")}
-        for owner, name in ((graph.SolvGraph, "line_degree"), (LieAlgebra, "line_members"),
+        # the row-size multiset, a line's elements, sol(L) and the S-verdict
+        # are each computed at most once per command, and the multiset
+        # counts every vertex line: gl2@5 has a lifted table, sl2@5 a
+        # classified one
+        calls = {name: [] for name in ("row_sizes", "line_members", "sol_lines", "_failing_line")}
+        for owner, name in ((solv, "row_sizes"), (graph, "row_sizes"), (LieAlgebra, "line_members"),
                             (solv, "sol_lines"), (graph, "sol_lines"), (solv, "_failing_line")):
             f = getattr(owner, name)
             monkeypatch.setattr(owner, name, lambda *a, f=f, log=calls[name].append, **k:
                                 log(a[-1]) or f(*a, **k))
         exports = [f"--{k}={tmp_path / k}" for k in ("json", "dot", "csv")]
-        for argv, builds in ((["info"], False), (["graph", *exports], True),
-                             (["complement"], True), (["degrees"], True), (["verify"], True),
-                             (["conjecture"], False), (["solvabilizer", "--element", element], False),
+        for argv, counts in ((["info"], False), (["graph", *exports], True),
+                             (["complement"], False), (["degrees"], True), (["verify"], False),
+                             (["conjecture"], True), (["solvabilizer", "--element", element], False),
                              (["slie"], False)):
             for log in calls.values():
                 log.clear()
             assert main([argv[0], spec, *argv[1:]]) == 0, argv
             capsys.readouterr()
-            assert len(calls["line_degree"]) == (vertex_lines if builds else 0), argv
+            assert [sum(row != (1 << len(nbr)) - 1 for row in nbr)
+                    for nbr in calls["row_sizes"]] == ([vertex_lines] if counts else []), argv
             assert len(calls["line_members"]) == len(set(calls["line_members"])), argv
             assert len(calls["sol_lines"]) <= 1, argv
             assert len(calls["_failing_line"]) <= 1, argv

@@ -14,8 +14,9 @@ from solvgraph.formulas import (
     spectral_counts,
     verify,
 )
-from solvgraph.graph import build
+from solvgraph.graph import SolvGraph, build
 from solvgraph.liealg import center, from_file, make_gl, make_sl, make_so, make_t, quotient, to_file
+from solvgraph.solv import bits, plane_table
 
 _CLASS_OF_ROOT_COUNT = {0: SpectralClass.NO_EIGENVALUE,
                         1: SpectralClass.ONE_EIGENVALUE,
@@ -181,7 +182,8 @@ class TestVerify:
     @pytest.mark.parametrize("q", [3, 5, 7])
     def test_one_element_per_line_stands_for_the_line(self, family, q):
         # verify checks each vertex line's smallest member and counts it
-        # q - 1 times; every member must share its class and degree, and
+        # q - 1 times; every member must share its class and degree, that
+        # degree must be the degree formula's at the line's row size, and
         # the counts must be those of a per-vertex scan
         L = make_sl(2, q) if family == "sl2" else make_gl(2, q)
         G = build(L)
@@ -192,7 +194,7 @@ class TestVerify:
             cls = _root_class(family, L.vector(rep), q)
             for m in members[l]:
                 assert _root_class(family, L.vector(m), q) is cls
-                assert vertex_degree(G, m) == vertex_degree(G, rep) == G.line_degree(l)
+                assert vertex_degree(G, m) == vertex_degree(G, rep) == G.degree(G.nbr[l].bit_count())
                 tally[cls.value] += 1
         assert sum(tally.values()) == G.vertex_count
         assert verify(L)["class_counts"] == tally
@@ -236,12 +238,20 @@ class TestVerify:
         assert json.loads(capsys.readouterr().out) == verify(L)
 
     def test_fail_on_degree_sequence_still_counts_classes(self, monkeypatch):
-        # one extra degree fails the sequence check first; the class counts
-        # are still those of the (correct) graph, not zeros
-        real = formulas.degree_sequence
-        monkeypatch.setattr(formulas, "degree_sequence", lambda G: {**real(G), 0: 1})
-        report = verify(make_sl(2, 5))
+        # a table with one symmetric pair of bits cleared gives the two
+        # lines of that pair a degree q - 1 lower: the sequence check fails
+        # first, ahead of those lines' own mismatch, and the class counts
+        # are still whole, not zeros
+        L = make_sl(2, 5)
+        nbr = list(plane_table(L))
+        m = next(bits(nbr[0] ^ 1))  # the lowest line adjacent to line 0
+        nbr[0] ^= 1 << m
+        nbr[m] ^= 1
+        monkeypatch.setattr(formulas, "build", lambda L, force=False: SolvGraph(L, tuple(nbr)))
+        report = verify(L)
         assert not report["passed"]
+        computed, expected = dict(report["computed"]), dict(report["expected"])
+        assert set(computed) - set(expected) and sum(computed.values()) == L.size - 1
         assert report["first_mismatch"].startswith("degree sequence ")
         assert report["class_counts"] == report["expected_class_counts"] == {
             "none": 40, "one": 24, "two": 60}

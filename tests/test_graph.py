@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    SL2_MODULE_F7,
     build_bruteforce,
     closed_subalgebra,
     component_lists,
@@ -19,11 +21,13 @@ from oracles import (
     s_lie_by_elements,
     s_lie_witness_by_pairs,
     sol_members,
+    solvabilizer_lengths,
     vertex_degree,
     vertices_by_lines,
     vertices_by_scan,
 )
-from solvgraph.cli import main
+from solvgraph import graph
+from solvgraph.cli import main, parse_spec
 from solvgraph.graph import (
     SolvGraph,
     _edge_chunks,
@@ -36,7 +40,17 @@ from solvgraph.graph import (
     export_json,
 )
 from solvgraph.liealg import CapExceeded, from_file, make_gl, make_sl, make_so, make_t, radical
-from solvgraph.solv import bits, is_s_lie, plane_table, s_lie_witness, solvabilizer
+from solvgraph.solv import (
+    bits,
+    conjecture_sum,
+    is_s_lie,
+    plane_table,
+    row_size,
+    row_sizes,
+    s_lie_witness,
+    sol_of_algebra,
+    solvabilizer,
+)
 
 
 def _assert_matches_bruteforce(L):
@@ -62,6 +76,25 @@ def _generated_subalgebras(draw):
     S = closed_subalgebra(L, [draw(coords), draw(coords)])
     assume(S.dim <= 4)
     return S
+
+
+def _assert_counts_match_per_element(L):
+    # every count read off the row-size multiset by its lemma (see
+    # solv.row_sizes), and the library's own, against counts taken per
+    # element: each vertex's degree from its row, and each solvabilizer's
+    # length
+    G, p, N = build(L), L.field.p, L.line_count
+    sizes = row_sizes(plane_table(L))
+    s = sizes[N]  # sol(L)'s lines, whose rows are full
+    degrees = Counter(vertex_degree(G, m) for m in vertices_by_lines(G))
+    lengths = solvabilizer_lengths(L)
+    by_lemma = [((p - 1) * (k - s) - 1, (p - 1) * n)
+                for k, n in sorted(sizes.items(), reverse=True) if k < N]
+    assert list(degree_sequence(G).items()) == by_lemma == sorted(degrees.items(), reverse=True)
+    assert 2 * G.edge_count == sum(d * n for d, n in degrees.items())
+    assert conjecture_sum(L).total == sum(lengths) == L.size + (p - 1) * sum(
+        n * (1 + (p - 1) * k) for k, n in sizes.items())
+    assert lengths.count(L.size) == 1 + (p - 1) * s == row_size(L, sol_of_algebra(L))
 
 
 def _assert_matches_per_edge_writers(G, out_dir):
@@ -98,6 +131,11 @@ class TestRandomSubalgebras:
     @given(_generated_subalgebras())
     def test_exports_match_per_edge_writers(self, tmp_path_factory, S):
         _assert_matches_per_edge_writers(build(S), tmp_path_factory.mktemp("exports"))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(_generated_subalgebras())
+    def test_counts_from_row_sizes_match_per_element(self, S):
+        _assert_counts_match_per_element(S)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(_generated_subalgebras())
@@ -216,18 +254,40 @@ class TestDegrees:
         assert degree_sequence(build(sl2_2)) == {}
 
     def test_one_line_degree_pass_per_graph(self, capsys, monkeypatch):
-        # build counts each vertex line's degree once, and degree_sequence
-        # and verify's per-line class check read those counts (gl2@q has
-        # (q^4 - 1)/(q - 1) - 1 vertex lines)
-        calls = []
-        line_degree = SolvGraph.line_degree
-        monkeypatch.setattr(SolvGraph, "line_degree",
-                            lambda G, l: calls.append(l) or line_degree(G, l))
+        # the graph's table is read in whole passes, at most three (sol(L),
+        # the vertex lines and the row sizes), and a row by its line at
+        # most once: verify reads each vertex line's row size once in its
+        # class pass, and degrees reads the row-size multiset alone (gl2@q
+        # has (q^4 - 1)/(q - 1) - 1 vertex lines)
+        passes, reads = [], []
+
+        class CountingTable(tuple):
+            def __iter__(self):
+                passes.append(1)
+                return super().__iter__()
+
+            def __getitem__(self, l):
+                reads.append(l)
+                return super().__getitem__(l)
+        table = graph.plane_table
+        monkeypatch.setattr(graph, "plane_table", lambda L, force=False:
+                            CountingTable(table(L, force)))
         for argv, count in ((["verify", "gl2@31"], 30_783), (["verify", "gl2@5"], 155),
-                            (["degrees", "gl2@5"], 155)):
-            calls.clear()
+                            (["degrees", "gl2@5"], 0)):
+            passes.clear()
+            reads.clear()
             assert main(argv) == 0
-            assert len(calls) == count, argv
+            assert len(passes) <= 3, argv
+            assert len(reads) == len(set(reads)) == count, argv
+
+
+class TestRowSizes:
+    @pytest.mark.parametrize("spec", [
+        "sl2@2", "sl2@3", "sl2@7", "gl2@2", "gl2@5", "gl2@7", "t3@3", "t2@3", "w3", "so3@5",
+        "gl3@2", "sl3@2", "so4@3",
+        pytest.param(f"file:{SL2_MODULE_F7}", id="file:sl2_module_f7")])
+    def test_counts_match_per_element(self, spec, load_once):
+        _assert_counts_match_per_element(load_once(parse_spec(spec)))
 
 
 class TestComponents:

@@ -559,11 +559,14 @@ class TestLineNumbers:
         ("line_members", 13, "line 13 is outside 0..12"),
         ("line_members", -2, "line -2 is outside 0..12"),
         ("line", (1, 0), "expected 3 coordinates, got 2"),
+        ("basis_vector", 3, "basis index 3 is outside 0..2"),
+        ("basis_vector", -1, "basis index -1 is outside 0..2"),
     ], ids=["vector(27)", "vector(-1)", "line_rep(13)", "line_members(13)",
-            "line_members(-2)", "line((1,0))"])
+            "line_members(-2)", "line((1,0))", "basis_vector(3)", "basis_vector(-1)"])
     def test_out_of_range_coordinates_rejected(self, sl2_3, method, arg, message):
-        # sl2@3 has 27 elements on 13 lines; an index past either end, or a
-        # short vector, used to name another element or line
+        # sl2@3 has 27 elements on 13 lines and dimension 3; an index past
+        # either end, or a short vector, used to name another element or
+        # line, or the zero vector
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             getattr(sl2_3, method)(arg)
 
@@ -573,6 +576,7 @@ class TestLineNumbers:
             last = L.line_rep(L.line_count - 1)
             assert L.vector(last) == (L.field.p - 1,) * (L.dim - 1) + (1,)
             assert L.line(L.vector(last)) == L.line_count - 1
+            assert L.basis_vector(L.dim - 1) == (0,) * (L.dim - 1) + (1,)
 
 
 class TestRadical:

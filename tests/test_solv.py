@@ -64,6 +64,7 @@ from solvgraph.solv import (
     pair_solvable,
     plane_table,
     quotient_compatibility_check,
+    row_size,
     s_lie_witness,
     sol_lines,
     sol_of_algebra,
@@ -330,6 +331,13 @@ class TestSolvabilizer:
             with pytest.raises(ValueError, match="outside lines 0..12$"):
                 elements(sl2_3, mask)
         assert elements(sl2_3, (1 << 13) - 1) == list(range(1, 27))
+
+    def test_row_size_rejects_bits_past_the_last_line(self, sl2_3):
+        # a bit past the last line, or a negative bitset, counts no line
+        for mask in (1 << 20, -1, (1 << 14) - 1):
+            with pytest.raises(ValueError, match="outside lines 0..12$"):
+                row_size(sl2_3, mask)
+        assert row_size(sl2_3, (1 << 13) - 1) == 27
 
     def test_own_multiples_always_present(self, sl2_3, w3):
         for L in (sl2_3, w3):
