@@ -16,13 +16,15 @@ say passed is false, as a FAIL report of verify does.
 from __future__ import annotations
 
 import argparse
+import atexit
+import os
 import re
 import sys
 from typing import NamedTuple
 
 from . import formulas, graph, liealg, solv
 
-_SPEC_RE = re.compile(r"^(sl|gl|t|so)(\d+)@(\d+)$")
+_SPEC_RE = re.compile(r"^(sl|gl|t|so)(\w+)@(\w+)$")
 
 
 class AlgebraSpec(NamedTuple):
@@ -41,7 +43,7 @@ def parse_spec(text: str) -> AlgebraSpec:
             raise ValueError("empty path in file: spec")
         return AlgebraSpec("file", None, None, path)
     m = _SPEC_RE.match(text)
-    if not m:
+    if not (m and liealg.is_decimal(m.group(2)) and liealg.is_decimal(m.group(3))):
         raise ValueError(
             f"cannot parse algebra spec {text!r}; expected forms like "
             "sl2@3, gl2@5, t3@2, so3@5, w3, file:PATH")
@@ -129,8 +131,11 @@ def cmd_complement(L, args) -> dict:
 
 
 def cmd_solvabilizer(L, args) -> dict:
+    parts = args.element.split(",")
     try:
-        coords = tuple(int(c) for c in args.element.split(","))
+        if not all(liealg.is_decimal(c, signed=True) for c in parts):
+            raise ValueError
+        coords = tuple(map(int, parts))  # ValueError past 4,300 digits too
     except ValueError:
         raise ValueError(f"cannot parse element coordinates {args.element!r}") from None
     x = L.element(coords)
@@ -235,5 +240,33 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """The process entry of `python -m solvgraph` and the console script:
+    run main() and end the process with its exit code.
+
+    Once main has returned, every file a command wrote is closed by its
+    with block, and solvgraph starts no threads.  So the interpreter's
+    teardown, which frees every module and object the command built, is
+    skipped: the atexit handlers run, stdout and stderr are flushed, and
+    os._exit ends the process.  The normal exit is kept when main raises
+    (usage errors, --help, tracebacks), when a profiler, tracer or
+    debugger watches the process or -i asks for a prompt, since each acts
+    at exit, and when a flush fails, so that a closed pipe is reported as
+    before.
+    """
+    code = main()
+    monitoring = getattr(sys, "monitoring", None)  # 3.12+, tool ids 0-5; cProfile registers here
+    if (sys.getprofile() or sys.gettrace() or sys.flags.inspect
+            or monitoring and any(map(monitoring.get_tool, range(6)))):
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # OSError, or AttributeError when fd 1 was closed and stdout is None
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    run()

@@ -33,13 +33,25 @@ class CapExceeded(RuntimeError):
     """p**n exceeds the exhaustive-enumeration cap."""
 
 
+def is_decimal(text: str, signed: bool = False) -> bool:
+    """Whether text spells an integer in ASCII decimal: a sign where signed
+    allows one, then the digits 0-9, with whitespace around.  int() also
+    reads '_' separators and every Unicode digit, so '1_0' as 10 and an
+    Arabic-Indic one as 1, and str.isdecimal() and the regex \\d take those
+    digits too."""
+    body = text.strip()
+    if signed and body[:1] in ("+", "-"):
+        body = body[1:]
+    return body.isascii() and body.isdecimal()
+
+
 def element_cap() -> int:
     """Cap on |L| for whole-algebra enumerations; override via SOLVGRAPH_CAP."""
     raw = os.environ.get("SOLVGRAPH_CAP")
     if raw is None:
         return DEFAULT_ELEMENT_CAP
     digits = raw.strip().lstrip("0")
-    if not digits.isdecimal() or int(digits[:600]) < 1:
+    if not is_decimal(digits) or int(digits[:600]) < 1:
         raise ValueError(f"SOLVGRAPH_CAP must be a positive integer, got {raw!r}")
     # int() refuses over 4,300 digits, and every |L| = p**dim is below
     # 2^1984 < 10^600 (p < 2^31, dim <= 64): a longer cap never binds
@@ -47,9 +59,9 @@ def element_cap() -> int:
 
 
 def bounded_int(text: str, bound: int, message: str) -> int:
-    """int(text) for a decimal text, or ValueError(message) when its digits
-    past leading zeros outnumber bound's: int() refuses more than 4,300
-    digits, and the callers reject every value over bound anyway."""
+    """int(text) for an ASCII decimal text, or ValueError(message) when its
+    digits past leading zeros outnumber bound's: int() refuses more than
+    4,300 digits, and the callers reject every value over bound anyway."""
     digits = text.lstrip("0")
     if len(digits) > len(str(bound)):
         raise ValueError(message)
@@ -385,7 +397,7 @@ def from_file(path) -> LieAlgebra:
         if parts[0] in ("p", "dim", "labels") and seen.setdefault(parts[0], lineno) < lineno:
             raise ValueError(f"{where}: repeated '{parts[0]}' line, first at line {seen[parts[0]]}")
         if parts[0] == "p":
-            if len(parts) != 2 or not parts[1].removeprefix("-").isdecimal():
+            if len(parts) != 2 or not is_decimal(parts[1].removeprefix("-")):
                 raise ValueError(f"{where}: expected 'p <prime>'")
             if parts[1].startswith("-"):  # not prime, however long
                 raise ValueError(f"{where}: {parts[1]} is not prime")
@@ -394,7 +406,7 @@ def from_file(path) -> LieAlgebra:
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
         elif parts[0] == "dim":
-            if len(parts) != 2 or not parts[1].isdecimal():
+            if len(parts) != 2 or not is_decimal(parts[1]):
                 raise ValueError(f"{where}: expected 'dim <n>'")
             dim = bounded_int(parts[1], 2**31 - 1, f"{where}: dim exceeds the limit {MAX_DIM}")
             if dim > MAX_DIM:
@@ -405,7 +417,9 @@ def from_file(path) -> LieAlgebra:
             if len(parts) != 4:
                 raise ValueError(f"{where}: expected 'i j k v', got {line!r}")
             try:
-                i, j, k, v = (int(x) for x in parts)
+                if not all(is_decimal(x, signed=True) for x in parts):
+                    raise ValueError
+                i, j, k, v = map(int, parts)  # ValueError past 4,300 digits too
             except ValueError:
                 raise ValueError(f"{where}: expected four integers, got {line!r}") from None
             entries.setdefault((i, j, k), []).append((v, lineno))

@@ -108,6 +108,13 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="matrix size must be positive"):
             parse_spec("sl0@3")
 
+    def test_digits_are_ascii(self):
+        # the regex \d and int() read every Unicode digit, and int() '_'
+        for bad in ("sl\u0662@\u0663", "sl2@\u0663", "gl\u0662@5", "sl2@1_1", "sl1_0@3",
+                    "sl2@+3", "sl 2@3"):
+            with pytest.raises(ValueError, match="cannot parse algebra spec"):
+                parse_spec(bad)
+
 
 class TestInfo:
     def test_sl2_f3(self, capsys):
@@ -314,6 +321,15 @@ class TestSolvabilizerCommand:
         assert code == 2
         assert "error:" in err
 
+    def test_coordinates_are_ascii_decimals(self, capsys):
+        # int() reads '1_0' as 10 and an Arabic-Indic digit as its value
+        for bad in ("1_0,0,0", "\u0661,0,0", "0,0,\u00b2", "--1,0,0", "1,,0"):
+            assert run_cli(capsys, "solvabilizer", "sl2@3", f"--element={bad}") == (
+                2, "", f"error: cannot parse element coordinates {bad!r}\n")
+        # a sign and whitespace around a coordinate are read as before
+        code, out, _ = run_cli(capsys, "solvabilizer", "sl2@3", "--element= -1, +0,0 ")
+        assert code == 0 and out.startswith("element=(2,0,0)\n")
+
 
 class TestSlieCommand:
     def test_w3_true(self, capsys):
@@ -462,6 +478,14 @@ class TestErrorsAndCap:
         code, _, err = run_cli(capsys, "degrees", "sl2@5")
         assert code == 2 and "exceeds the enumeration cap 27;" in err
 
+    def test_cap_digits_are_ascii(self, capsys, monkeypatch):
+        for bad in ("\u0661\u0660\u0660", "1_000", "+100"):
+            monkeypatch.setenv("SOLVGRAPH_CAP", bad)
+            assert run_cli(capsys, "degrees", "sl2@3") == (
+                2, "", f"error: SOLVGRAPH_CAP must be a positive integer, got {bad!r}\n")
+        monkeypatch.setenv("SOLVGRAPH_CAP", " 100\n")
+        assert run_cli(capsys, "degrees", "sl2@3")[0] == 0
+
     def test_threads_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["degrees", "sl2@3", "--threads", "4"])
@@ -507,3 +531,91 @@ class TestStartup:
         assert loaded == "[]"
         assert json.loads(json_line)["s_lie"] is True
         assert json_loaded == "True"
+
+
+class TestProcessEntry:
+    """`python -m solvgraph` and the console script end through cli.run,
+    which skips interpreter teardown; what a user sees must not change."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    # a block-buffered stdout, as a pipe is without PYTHONUNBUFFERED
+    ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    REFERENCE = "import sys\nfrom solvgraph.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    ENTRY = "import runpy\nrunpy.run_module('solvgraph', run_name='__main__', alter_sys=True)\n"
+    # verify's expected degrees shifted by one, so every verify is a FAIL
+    FAIL = ("from solvgraph import formulas\n"
+            "real = formulas._class_table\n"
+            "formulas._class_table = lambda family, q: {\n"
+            "    cls: (d + 1, n) for cls, (d, n) in real(family, q).items()}\n")
+
+    def child(self, args, **kw):
+        kw.setdefault("stdout", subprocess.PIPE)
+        proc = subprocess.run([sys.executable, *args], stderr=subprocess.PIPE, env=self.ENV,
+                              stdin=subprocess.DEVNULL, timeout=60, **kw)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    @pytest.mark.parametrize("argv,code", [
+        (["info", "t3@3"], 0),
+        (["info", "t3@3", "--format", "json"], 0),
+        (["verify", "gl2@5"], 0),
+        (["info", "sl2@4"], 2),
+        (["degrees", "sl2@3", "--threads", "4"], 2),
+        (["--help"], 0),
+    ])
+    def test_output_and_code_match_the_normal_exit(self, argv, code):
+        entry = self.child(["-m", "solvgraph", *argv])
+        assert entry == self.child(["-c", self.REFERENCE, *argv])
+        assert entry[0] == code and entry[1 if code == 0 else 2]
+
+    def test_a_fail_report_matches_the_normal_exit(self):
+        entry = self.child(["-c", self.FAIL + self.ENTRY, "verify", "sl2@5"])
+        assert entry == self.child(["-c", self.FAIL + self.REFERENCE, "verify", "sl2@5"])
+        assert entry[0] == 1 and entry[1].endswith(b"result=FAIL\n")
+
+    def test_a_closed_pipe_is_reported_as_before(self):
+        # the reader is gone before the child writes: the flush fails, and
+        # the normal exit reports it (status 120, "Exception ignored")
+        def closed_pipe(args):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                return self.child(args, stdout=write)
+            finally:
+                os.close(write)
+        entry = closed_pipe(["-m", "solvgraph", "info", "t3@3"])
+        assert entry == closed_pipe(["-c", self.REFERENCE, "info", "t3@3"])
+        assert entry[0] == 120 and b"BrokenPipeError" in entry[2]
+
+    def test_a_closed_stdout_matches_the_normal_exit(self):
+        # with fd 1 closed at start, sys.stdout is None: print writes
+        # nothing, and stdout.flush() raises AttributeError
+        entry = self.child(["-m", "solvgraph", "info", "t3@3"], stdout=None,
+                           preexec_fn=lambda: os.close(1))
+        assert entry == self.child(["-c", self.REFERENCE, "info", "t3@3"], stdout=None,
+                                   preexec_fn=lambda: os.close(1))
+        assert entry == (0, None, b"")
+
+    def test_a_profiler_keeps_its_report(self):
+        code, out, _ = self.child(["-m", "cProfile", "-m", "solvgraph", "info", "t3@3"])
+        assert code == 0
+        assert out.startswith(b"algebra=t3@3\n") and b"function calls" in out
+
+    def test_atexit_handlers_run_after_the_output(self):
+        code, out, err = self.child(
+            ["-c", "import atexit\natexit.register(print, 'handler ran')\n" + self.ENTRY,
+             "info", "t3@3"])
+        assert (code, err) == (0, b"")
+        assert out.endswith(b"s_lie=true\nhandler ran\n")
+
+    def test_teardown_is_skipped(self):
+        # a finalizer that only the interpreter's teardown runs: the normal
+        # exit runs it, the entry does not
+        probe = ("import os, solvgraph\n"
+                 "class Probe:\n"
+                 "    def __del__(self, write=os.write):\n"
+                 "        write(2, b'torn down\\n')\n"
+                 "solvgraph.probe = Probe()\n")
+        code, out, err = self.child(["-c", probe + self.REFERENCE, "info", "t3@3"])
+        assert (code, err) == (0, b"torn down\n")
+        assert self.child(["-c", probe + self.ENTRY, "info", "t3@3"]) == (0, out, b"")

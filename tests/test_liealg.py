@@ -280,6 +280,27 @@ labels a b c
         with pytest.raises(ValueError, match="bad.txt:1: expected 'p"):
             from_file(path)
 
+    def test_numbers_are_ascii_decimals(self, tmp_path):
+        # int() and str.isdecimal() read every Unicode digit, and int() '_'
+        path = tmp_path / "bad.txt"
+        for text, message in (
+                ("p 3\ndim \u0662\n", "bad.txt:2: expected 'dim <n>'"),
+                ("p \u0663\ndim 2\n", "bad.txt:1: expected 'p <prime>'"),
+                ("p -\u0663\ndim 2\n", "bad.txt:1: expected 'p <prime>'"),
+                ("p 3\ndim 2\n0 1 1 1_0\n", "bad.txt:3: expected four integers, got '0 1 1 1_0'"),
+                ("p 3\ndim 2\n0 \u0661 1 1\n",
+                 "bad.txt:3: expected four integers, got '0 \u0661 1 1'")):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError) as exc:
+                from_file(path)
+            assert str(exc.value) == message
+        # signs are read where they were: an entry's value and a negative p
+        path.write_text("p 3\ndim 2\n+0 1 1 -2\n")
+        assert from_file(path).constants[0][1] == (0, 1)
+        path.write_text("p -3\ndim 2\n")
+        with pytest.raises(ValueError, match="^bad.txt:1: -3 is not prime$"):
+            from_file(path)
+
     def test_out_of_range_indices(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("p 3\ndim 2\n0 1 5 1\n")
