@@ -45,8 +45,6 @@ from .liealg import (
     to_file,
 )
 from .solv import (
-    ConjectureResult,
-    DivisibilityReport,
     conjecture_sum,
     divisibility_report,
     elements,

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from . import formulas, graph, liealg, solv
 
-_SPEC_RE = re.compile(r"^(sl|gl|t|so)(\w+)@(\w+)$")
+_SPEC_RE = re.compile(r"(sl|gl|t|so)([0-9]+)@([0-9]+)")
 
 
 class AlgebraSpec(NamedTuple):
@@ -42,8 +42,8 @@ def parse_spec(text: str) -> AlgebraSpec:
         if not path:
             raise ValueError("empty path in file: spec")
         return AlgebraSpec("file", None, None, path)
-    m = _SPEC_RE.match(text)
-    if not (m and liealg.is_decimal(m.group(2)) and liealg.is_decimal(m.group(3))):
+    m = _SPEC_RE.fullmatch(text)
+    if not m:
         raise ValueError(
             f"cannot parse algebra spec {text!r}; expected forms like "
             "sl2@3, gl2@5, t3@2, so3@5, w3, file:PATH")
@@ -117,9 +117,8 @@ def cmd_degrees(L, args) -> dict:
 
 
 def cmd_conjecture(L, args) -> dict:
-    res = solv.conjecture_sum(L, force=args.force)
-    return {"sum": res.total, "order": res.order, "divisible": res.divisible,
-            "quotient": str(res.quotient)}
+    fields = solv.conjecture_sum(L, force=args.force)
+    return {**fields, "quotient": str(fields["quotient"])}
 
 
 def cmd_verify(L, args) -> dict:
@@ -138,17 +137,10 @@ def cmd_solvabilizer(L, args) -> dict:
         coords = tuple(map(int, parts))  # ValueError past 4,300 digits too
     except ValueError:
         raise ValueError(f"cannot parse element coordinates {args.element!r}") from None
-    x = L.element(coords)
-    members = solv.solvabilizer(L, x, force=args.force)
-    rep = solv.divisibility_report(L, x, force=args.force)
-    return {
-        "element": x, "size": rep.sol_size, "members": list(members),
-        "p_divides": rep.p_divides, "sol_size": rep.sol_of_algebra_size,
-        "sol_divides": rep.sol_divides,
-        "centralizer_size": rep.centralizer_size,
-        "centralizer_divides": rep.centralizer_divides,
-        "coset_closed": rep.coset_closed,
-    }
+    members = solv.solvabilizer(L, coords, force=args.force)
+    # divisibility_report's fields, with members after element and size
+    element, size, *rest = solv.divisibility_report(L, coords, force=args.force).items()
+    return dict([element, size, ("members", list(members)), *rest])
 
 
 def cmd_slie(L, args) -> dict:

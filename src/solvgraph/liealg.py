@@ -385,7 +385,9 @@ def from_file(path) -> LieAlgebra:
     entries: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            # a leading BOM is dropped here, not by the utf-8-sig codec, whose
+            # error offsets would not count the BOM's three bytes
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path.name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     for lineno, raw in enumerate(text.split("\n"), 1):
@@ -458,14 +460,20 @@ def from_file(path) -> LieAlgebra:
 def to_file(L: LieAlgebra, path):
     """Write an algebra in the structure-constants format read by from_file.
     No command calls it; it is public as the writer of the file format
-    that file: specs name, and from_file(to_file(L)) gives L back."""
+    that file: specs name, and from_file(to_file(L)) gives L back.  A label
+    that is empty, holds whitespace or holds '#' would not read back as
+    one label, so it raises ValueError before the file is opened."""
+    for label in L.labels:
+        if not label or "#" in label or any(map(str.isspace, label)):
+            raise ValueError(f"label {label!r} cannot be written: it is empty or holds "
+                             "whitespace or '#'")
     lines = [f"p {L.field.p}", f"dim {L.dim}", "labels " + " ".join(L.labels)]
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             for k, v in enumerate(L.constants[i][j]):
                 if v:
                     lines.append(f"{i} {j} {k} {v}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

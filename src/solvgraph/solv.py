@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from typing import TYPE_CHECKING, NamedTuple
 
 from .ffalg import Subspace, rref
 from .liealg import (
@@ -47,9 +46,6 @@ from .liealg import (
     require_enumerable,
     subalgebra_closure,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def pair_solvable(L: LieAlgebra, x, y) -> bool:
@@ -242,13 +238,8 @@ def solvabilizer_set(L: LieAlgebra, A, B) -> tuple[int, ...]:
     no constraint and gives all of A.
     """
     nbr = plane_table(L)
-
-    def line(m):
-        if not 0 <= m < L.size:
-            raise ValueError(f"element index {m} is outside 0 .. |L| - 1, |L| = {L.size}")
-        return L.line(L.vector(m))
-    need = sum(1 << l for l in {line(b) for b in B if b})
-    return tuple(a for a in sorted(set(A)) if a == 0 or nbr[line(a)] & need == need)
+    need = sum(1 << l for l in {L.line(L.vector(b)) for b in B if b})
+    return tuple(a for a in sorted(set(A)) if a == 0 or nbr[L.line(L.vector(a))] & need == need)
 
 
 def sol_of_algebra(L: LieAlgebra, force: bool = False) -> int:
@@ -343,15 +334,10 @@ def s_lie_witness(L: LieAlgebra, force: bool = False):
     raise AssertionError("subspace test failed but no witness pair found")
 
 
-class ConjectureResult(NamedTuple):
-    total: int
-    order: int
-    divisible: bool
-    quotient: int | Fraction
-
-
-def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
-    """Sum of |sol_L(x)| over all x of L, and its divisibility by |L|.
+def conjecture_sum(L: LieAlgebra, force: bool = False) -> dict:
+    """Sum of |sol_L(x)| over all x of L, and its divisibility by |L|: the
+    fields sum, order, divisible and quotient that the conjecture command
+    prints.  quotient is an int when |L| divides the sum, else a Fraction.
 
     The summand is |L| at x = 0, and 1 + (p - 1)k at each of the p - 1
     elements of a line whose row holds k lines (see row_sizes).
@@ -359,33 +345,20 @@ def conjecture_sum(L: LieAlgebra, force: bool = False) -> ConjectureResult:
     p, sizes = L.field.p, row_sizes(plane_table(L, force))
     total = L.size + (p - 1) * sum(n * (1 + (p - 1) * k) for k, n in sizes.items())
     q, r = divmod(total, L.size)
-    if r == 0:
-        return ConjectureResult(total, L.size, True, q)
-    from fractions import Fraction  # here, so a divisible sum never loads fractions and decimal
-    return ConjectureResult(total, L.size, False, Fraction(total, L.size))
+    if r:
+        from fractions import Fraction  # here, so a divisible sum never loads fractions and decimal
+        q = Fraction(total, L.size)
+    return {"sum": total, "order": L.size, "divisible": not r, "quotient": q}
 
 
-class DivisibilityReport(NamedTuple):
-    """Size and coset facts about one solvabilizer.
+def divisibility_report(L: LieAlgebra, x, force: bool = False) -> dict:
+    """|sol_L(x)| and its divisibility and coset properties: the fields,
+    but members, that the solvabilizer command prints.
 
-    sol_divides is None when sol(L) is not additively closed, and
-    centralizer_divides is None when some solvabilizer of L fails to be a
-    subalgebra; both divisibility statements need those hypotheses.
-    coset_closed is True for every x, by construction of the plane table
-    (see divisibility_report).
-    """
-    element_index: int
-    sol_size: int
-    p_divides: bool
-    sol_of_algebra_size: int
-    sol_divides: bool | None
-    centralizer_size: int
-    centralizer_divides: bool | None
-    coset_closed: bool
-
-
-def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityReport:
-    """Compute |sol_L(x)| and check the divisibility and coset properties.
+    element is x reduced mod p, size is |sol_L(x)| and sol_size is
+    |sol(L)|.  sol_divides is None when sol(L) is not additively closed,
+    and centralizer_divides is None when some solvabilizer of L fails to
+    be a subalgebra; both divisibility statements need those hypotheses.
 
     All of it is read off x's row and the row of sol(L).  The coset
     property, sol_L(x) + t x = sol_L(x) for every t, holds by construction
@@ -400,20 +373,19 @@ def divisibility_report(L: LieAlgebra, x, force: bool = False) -> DivisibilityRe
     p, x = L.field.p, L.element(x)
     size = row_size(L, _row(L, x, force))
     sol, full = sol_of_algebra(L, force), (1 << L.line_count) - 1
-    sol_closed = sol == full or rref(_reps(L, sol), L.field, ambient=L.dim).size == row_size(L, sol)
-    sol_divides = (size % row_size(L, sol) == 0) if sol_closed else None
+    sol_size = row_size(L, sol)
+    sol_closed = sol == full or rref(_reps(L, sol), L.field, ambient=L.dim).size == sol_size
     cent_size = centralizer(L, x).size
-    cent_divides = (size % cent_size == 0) if is_s_lie(L, force) else None
-    return DivisibilityReport(
-        element_index=L.index(x),
-        sol_size=size,
-        p_divides=size % p == 0,
-        sol_of_algebra_size=row_size(L, sol),
-        sol_divides=sol_divides,
-        centralizer_size=cent_size,
-        centralizer_divides=cent_divides,
-        coset_closed=True,
-    )
+    return {
+        "element": x,
+        "size": size,
+        "p_divides": size % p == 0,
+        "sol_size": sol_size,
+        "sol_divides": size % sol_size == 0 if sol_closed else None,
+        "centralizer_size": cent_size,
+        "centralizer_divides": size % cent_size == 0 if is_s_lie(L, force) else None,
+        "coset_closed": True,
+    }
 
 
 def equivariance_check(L: LieAlgebra, phi: LinearMap, x,

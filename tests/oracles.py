@@ -370,7 +370,7 @@ def s_lie_witness_by_pairs(L):
 
 
 def divisibility_by_elements(L, xs):
-    """The fields of divisibility_report for each x in xs, in order: sizes
+    """divisibility_report's dict for each x in xs, in order: sizes
     are list lengths, the subspace test spans every member of sol(L), and
     the coset test adds t x to every member of sol_L(x)."""
     p = L.field.p
@@ -385,9 +385,12 @@ def divisibility_by_elements(L, xs):
         cent = centralizer(L, x).size
         coset = all(L.index(tuple((a + t * b) % p for a, b in zip(L.vector(m), x))) in members
                     for m in sol_x for t in range(1, p))
-        out.append((L.index(x), len(sol_x), len(sol_x) % p == 0, len(sol_all),
-                    len(sol_x) % len(sol_all) == 0 if sol_closed else None,
-                    cent, len(sol_x) % cent == 0 if s_lie else None, coset))
+        out.append({"element": x, "size": len(sol_x), "p_divides": len(sol_x) % p == 0,
+                    "sol_size": len(sol_all),
+                    "sol_divides": len(sol_x) % len(sol_all) == 0 if sol_closed else None,
+                    "centralizer_size": cent,
+                    "centralizer_divides": len(sol_x) % cent == 0 if s_lie else None,
+                    "coset_closed": coset})
     return out
 
 

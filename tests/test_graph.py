@@ -92,7 +92,7 @@ def _assert_counts_match_per_element(L):
                 for k, n in sorted(sizes.items(), reverse=True) if k < N]
     assert list(degree_sequence(G).items()) == by_lemma == sorted(degrees.items(), reverse=True)
     assert 2 * G.edge_count == sum(d * n for d, n in degrees.items())
-    assert conjecture_sum(L).total == sum(lengths) == L.size + (p - 1) * sum(
+    assert conjecture_sum(L)["sum"] == sum(lengths) == L.size + (p - 1) * sum(
         n * (1 + (p - 1) * k) for k, n in sizes.items())
     assert lengths.count(L.size) == 1 + (p - 1) * s == row_size(L, sol_of_algebra(L))
 

@@ -191,6 +191,29 @@ labels a b c
         assert path.read_text() == SL2_MODULE_F7.read_text()
         assert from_file(SL2_MODULE_F7) == sl2_semidirect(7)
 
+    def test_writer_refuses_labels_that_do_not_read_back(self, tmp_path, sl2_3):
+        path = tmp_path / "m.txt"
+        for labels, bad in ((["e x", "f", "h#"], "e x"), (["", "f", "h"], ""),
+                            (["e", "f", "h#"], "h#"), (["e", "f ", "h"], "f ")):
+            L = LieAlgebra(sl2_3.field, sl2_3.constants, labels=labels)
+            with pytest.raises(ValueError, match=f"^label {re.escape(repr(bad))} cannot"):
+                to_file(L, path)
+            assert not path.exists()
+        L = LieAlgebra(sl2_3.field, sl2_3.constants, labels=["e", "fé", "h_1"])
+        to_file(L, path)
+        assert from_file(path).labels == ("e", "fé", "h_1") and from_file(path) == L
+
+    def test_leading_bom_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + SL2_MODULE_F7.read_bytes())
+        L, original = from_file(path), from_file(SL2_MODULE_F7)
+        assert L == original
+        assert (L.constants, L.labels) == (original.constants, original.labels)
+        # a bad byte after the BOM is named at its offset in the file
+        path.write_bytes(b"\xef\xbb\xbfp 3\n\xff\n")
+        with pytest.raises(ValueError, match="not UTF-8 text .* at byte 7"):
+            from_file(path)
+
     def test_alternating_violation_reported(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("p 3\ndim 2\n0 0 1 1\n")
