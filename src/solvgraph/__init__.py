@@ -52,7 +52,6 @@ from .solv import (
     is_s_lie,
     pair_solvable,
     plane_table,
-    quotient_compatibility_check,
     row_size,
     row_sizes,
     s_lie_witness,

@@ -130,7 +130,7 @@ def cmd_complement(L, args) -> dict:
 
 
 def cmd_solvabilizer(L, args) -> dict:
-    parts = args.element.split(",")
+    parts = args.element.split(",") if args.element.strip() else []  # blank: dim 0
     try:
         if not all(liealg.is_decimal(c, signed=True) for c in parts):
             raise ValueError

@@ -10,8 +10,7 @@ time into a canonical RREF basis, optionally queueing more vectors each
 time one enlarges the span (the bracket closures of ``liealg`` use this).
 Every other answer is read from a block of such an echelon form:
 :func:`rref` is the routine itself, :func:`kernel` the zero-left rows of
-[M^T | I], :meth:`Subspace.intersect` the zero-left rows of [u | u] and
-[w | 0], and :func:`solve`, which gives coordinates in the span of some
+[M^T | I], and :func:`solve`, which gives coordinates in the span of some
 rows and so inverses, the right block of [t | 0] reduced against
 [rows | I].  :func:`_reduce` is the one reduction against such a form.
 
@@ -80,10 +79,6 @@ class Subspace:
         """Number of member vectors, p**dim."""
         return self.field.p ** len(self.basis)
 
-    def _check_compatible(self, other: "Subspace"):
-        if self.field != other.field or self.ambient != other.ambient:
-            raise ValueError("subspaces live in different ambient spaces")
-
     def reduce(self, v) -> tuple[int, ...]:
         """Canonical representative of v modulo this subspace."""
         return tuple(_reduce(v, self.basis, self.pivots, self.field.p, self.ambient))
@@ -91,16 +86,6 @@ class Subspace:
     def contains(self, v) -> bool:
         """True iff v lies in the row span."""
         return not any(self.reduce(v))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection, by Zassenhaus: the echelon of [u | u] for u in self
-        and [w | 0] for w in other spans {[u + w | u]}, whose members with a
-        zero left block have u = -w in both spaces.
-        """
-        self._check_compatible(other)
-        zero = (0,) * self.ambient
-        stacked = [u + u for u in self.basis] + [w + zero for w in other.basis]
-        return _tail(_echelon(self.field, 2 * self.ambient, stacked), self.ambient)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -160,15 +145,6 @@ def _echelon(field: PrimeField, ambient: int, vectors, grow=None) -> Subspace:
     return Subspace(field, ambient, tuple(map(tuple, rows)), tuple(pivots))
 
 
-def _tail(space: Subspace, start: int) -> Subspace:
-    """The rows of an echelon form that are zero before column ``start``,
-    cut to the columns from there on: again a canonical RREF basis."""
-    k = bisect_left(space.pivots, start)
-    return Subspace(space.field, space.ambient - start,
-                    tuple(row[start:] for row in space.basis[k:]),
-                    tuple(c - start for c in space.pivots[k:]))
-
-
 def _beside_identity(rows, width: int, field: PrimeField) -> Subspace:
     """Echelon form of [rows | I] for rows of the given width."""
     eye = full_space(len(rows), field).basis
@@ -220,7 +196,8 @@ def kernel(matrix, field: PrimeField, ncols: int | None = None) -> Subspace:
     """Null space {v : M v = 0} of an a-by-b matrix, as a Subspace of F_p^b.
 
     The echelon of [M^T | I] spans {[v M^T | v]}; its rows with a zero left
-    block are [0 | v] for v in the kernel.
+    block are [0 | v] for v in the kernel, and cut to their right block
+    they are again a canonical RREF basis.
     """
     rows = list(matrix)
     if rows:
@@ -234,7 +211,11 @@ def kernel(matrix, field: PrimeField, ncols: int | None = None) -> Subspace:
     else:
         width = ncols
     columns = [tuple(row[j] for row in rows) for j in range(width)]
-    return _tail(_beside_identity(columns, len(rows), field), len(rows))
+    a = len(rows)
+    aug = _beside_identity(columns, a, field)
+    k = bisect_left(aug.pivots, a)  # the first row with a zero left block
+    return Subspace(field, width, tuple(row[a:] for row in aug.basis[k:]),
+                    tuple(c - a for c in aug.pivots[k:]))
 
 
 def zero_space(n: int, field: PrimeField) -> Subspace:

@@ -33,15 +33,13 @@ from __future__ import annotations
 from collections import Counter
 from itertools import product
 
-from .ffalg import Subspace, rref
+from .ffalg import rref
 from .liealg import (
     LieAlgebra,
     LinearMap,
     centralizer,
-    is_ideal,
     is_lie_automorphism,
     is_solvable,
-    quotient,
     radical,
     require_enumerable,
     subalgebra_closure,
@@ -397,32 +395,3 @@ def equivariance_check(L: LieAlgebra, phi: LinearMap, x,
         raise ValueError("map is not a Lie algebra automorphism")
     row = _row(L, x, force)
     return _lines_through(L, map(phi.apply, _reps(L, row))) == _row(L, phi.apply(x), force)
-
-
-def quotient_compatibility_check(L: LieAlgebra, N: Subspace,
-                                 force: bool = False) -> bool:
-    """Check that solvabilizers project onto those of L/N, with matching sizes.
-
-    N must be a solvable ideal.  It then lies in sol(L) with no check of
-    its own: N lies in rad(L), and rad(L) lies in sol(L), for with r in
-    rad(L) and any x, F x + rad(L) is a subalgebra whose solvable ideal
-    rad(L) has an abelian quotient of dimension at most 1, so it is a
-    solvable subalgebra holding x and r.
-
-    The check is that, for every element x, the projection of sol_L(x)
-    equals the solvabilizer of the projection of x, and that
-    |sol_L(x)| = |N| * |sol_(L/N)(pi(x))|.  The fibres of pi have |N|
-    elements, so that holds iff sol_L(x) is the full preimage of
-    sol_(L/N)(pi(x)), that is, iff L's table is the lift of the table of
-    L/N (see _lift), which is what is compared.  L and L/N then also agree
-    on whether every solvabilizer is a subalgebra, with no verdict of
-    either, as a preimage under the surjection pi is a subalgebra iff its
-    image is.  L's table is read first, so the cap refuses L before L/N,
-    which is no larger.
-    """
-    if not is_ideal(L, N):
-        raise ValueError("N is not an ideal")
-    if not is_solvable(L, N):
-        raise ValueError("N is not solvable")
-    Q, project, _ = quotient(L, N)
-    return list(plane_table(L, force)) == _lift(L, Q, project)

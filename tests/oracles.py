@@ -174,11 +174,12 @@ def all_subspaces(L):
 
 
 def center_by_intersection(L):
-    """Center as the intersection of the centralizers of the basis vectors."""
-    space = L.full_space()
+    """Center as the intersection of the centralizers of the basis vectors,
+    each one met by intersect_reference."""
+    basis, p = L.full_space().basis, L.field.p
     for i in range(L.dim):
-        space = space.intersect(centralizer(L, L.basis_vector(i)))
-    return space
+        basis = intersect_reference(basis, centralizer(L, L.basis_vector(i)).basis, L.dim, p)[0]
+    return rref(basis, L.field, ambient=L.dim)
 
 
 def radical_bruteforce(L):
@@ -401,8 +402,10 @@ def equivariance_by_elements(L, phi, x):
 
 
 def quotient_compatibility_by_elements(L, N):
-    """quotient_compatibility_check's verdict by a loop over every element
-    of L, for a solvable ideal N inside sol(L)."""
+    """Whether solvabilizers project onto those of Q = L/N, by a loop over
+    every element of L, for a solvable ideal N inside sol(L): pi(sol_L(x))
+    is sol_Q(pi(x)) with |sol_L(x)| = |N| * |sol_Q(pi(x))| for every x, and
+    L and Q agree on the S-property."""
     Q, project, _ = quotient(L, N)
 
     def with_image(x):

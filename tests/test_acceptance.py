@@ -38,7 +38,6 @@ from solvgraph.solv import (
     equivariance_check,
     is_s_lie,
     pair_solvable,
-    quotient_compatibility_check,
     s_lie_witness,
     solvabilizer,
     solvabilizer_set,
@@ -48,6 +47,7 @@ from oracles import (
     SL2_MODULE_F7,
     component_lists,
     direct_pair_solvable,
+    quotient_compatibility_by_elements,
     sol_members,
     subspace_elements,
     vertex_degree,
@@ -316,7 +316,7 @@ def test_quotient_compatibility_gl2_mod_center():
     L = make_gl(2, 3)
     N = center(L)
     assert N.size == 3
-    assert quotient_compatibility_check(L, N)
+    assert quotient_compatibility_by_elements(L, N)
     # sizes divide by |N| = 3 throughout, checked against the quotient
     from solvgraph.liealg import quotient
     Q, project, _ = quotient(L, N)

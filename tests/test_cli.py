@@ -75,6 +75,14 @@ GOLDEN = {
     ("conjecture", "so4@3"): (
         "sum=88209 order=729 divisible=yes quotient=121\n",
         '{"sum":88209,"order":729,"divisible":true,"quotient":"121"}\n'),
+    # an empty --element is the empty coordinate tuple, sl1's one element
+    ("solvabilizer", "sl1@3", "--element="): (
+        "element=()\nsize=1\nmembers=0\np_divides=false\nsol_size=1\n"
+        "sol_divides=true\ncentralizer_size=1\ncentralizer_divides=true\n"
+        "coset_closed=true\n",
+        '{"element":[],"size":1,"members":[0],"p_divides":false,"sol_size":1,'
+        '"sol_divides":true,"centralizer_size":1,"centralizer_divides":true,'
+        '"coset_closed":true}\n'),
 }
 
 
@@ -314,6 +322,10 @@ class TestSolvabilizerCommand:
         code, _, err = run_cli(capsys, "solvabilizer", "sl2@3", "--element", "1,2")
         assert code == 2
         assert "expected 3 coordinates" in err
+        # an empty or blank element is the empty coordinate tuple
+        for blank, fmt in (("", "text"), ("", "json"), (" ", "text")):
+            assert run_cli(capsys, "solvabilizer", "sl2@3", f"--element={blank}",
+                           "--format", fmt) == (2, "", "error: expected 3 coordinates, got 0\n")
 
     def test_bad_coordinates(self, capsys):
         code, _, err = run_cli(capsys, "solvabilizer", "sl2@3", "--element", "a,b,c")

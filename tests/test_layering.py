@@ -4,10 +4,11 @@ is imported.
 Only ffalg builds Subspace objects: a Subspace holds a canonical RREF basis,
 and ``ffalg._echelon`` is the one place that makes one; every other module
 asks ffalg for its spaces.  Only liealg's solvability verdict runs a
-derived series.  Every linear system is solved by ``ffalg.solve``, and
-every JSON line a command prints is written by ``cli``, whose ``main``
-alone loads the algebra, reads --format, and prints a command's fields;
-every command, verify included, returns data.  The commands
+derived series, and only liealg's radical builds a quotient.  Every
+linear system is solved by ``ffalg.solve``, and every JSON line a command
+prints is written by ``cli``, whose ``main`` alone loads the algebra,
+reads --format, and prints a command's fields; every command, verify
+included, returns data.  The commands
 reach the other modules through public names only, and no module imports
 a private name of another, except liealg's ``_echelon``, ffalg's one
 elimination.
@@ -57,6 +58,14 @@ def test_only_the_verdicts_run_derived_series():
     callers = {(m.name, fn) for m in sorted(PACKAGE.glob("*.py"))
                for fn, _ in _calls(m, "derived_series")}
     assert callers == {("liealg.py", "is_solvable")}
+
+
+def test_only_the_radical_builds_a_quotient():
+    # L/N is built once, for N = rad(L), and kept on L; a second quotient
+    # would be a second route to the lifted table
+    callers = {(m.name, fn) for m in sorted(PACKAGE.glob("*.py"))
+               for fn, _ in _calls(m, "quotient")}
+    assert callers == {("liealg.py", "radical")}
 
 
 def test_cli_reads_no_private_name_of_another_module():
