@@ -11,15 +11,23 @@ its fields as data.  main alone reads --format: it prints the fields as
 compact JSON or as the text of the command's renderer in _COMMANDS
 (nothing when that text is empty), and exits 1 exactly when the fields
 say passed is false, as a FAIL report of verify does.
+
+parse_args reads argv from the same table, which names each command's
+options beyond the shared --force and --format, and prints -h help from
+it.  It reads every argv as an argparse parser of those options would
+(--opt=value, unique prefixes, the last repeat winning, '--'), and exits
+2 on a usage error and 0 after help as argparse does.  It does not
+import argparse: with the gettext and locale argparse imports, that
+cost every command a few milliseconds of start-up.
 """
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import os
 import re
 import sys
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from . import formulas, graph, liealg, solv
@@ -181,45 +189,195 @@ def _verify_text(report) -> str:
     return "\n".join(lines + [f"result={'PASS' if report['passed'] else 'FAIL'}"])
 
 
-# name, help, command, and the renderer of its fields as text
+_TEXT_JSON = ("text", "json")
+
+# name, help, command, the renderer of its fields as text, its --format
+# choices, and the options it takes beyond --force and --format as
+# (flag, metavar, help, required)
 _COMMANDS = (
-    ("info", "order, solvability, sol(L), radical, S-property", cmd_info, _pairs("\n")),
-    ("graph", "build the solvable graph and export it", cmd_graph, _pairs(" ")),
-    ("degrees", "print the degree sequence as CSV rows", cmd_degrees, _degrees_text),
-    ("conjecture", "sum of solvabilizer sizes and divisibility", cmd_conjecture, _conjecture_text),
-    ("verify", "check a built graph against the closed forms", cmd_verify, _verify_text),
-    ("complement", "component count of the complement graph", cmd_complement, _pairs(" ")),
-    ("solvabilizer", "solvabilizer of one element", cmd_solvabilizer, _pairs("\n")),
-    ("slie", "is every solvabilizer a subalgebra?", cmd_slie, _slie_text),
+    ("info", "order, solvability, sol(L), radical, S-property", cmd_info, _pairs("\n"),
+     _TEXT_JSON, ()),
+    ("graph", "build the solvable graph and export it", cmd_graph, _pairs(" "), _TEXT_JSON, (
+        ("--dot", "PATH", "write a Graphviz DOT file", False),
+        ("--json", "PATH", "write a JSON graph file", False),
+        ("--csv", "PATH", "write a degree,multiplicity CSV", False))),
+    # degrees' text output is already CSV rows; it accepts the explicit spelling too
+    ("degrees", "print the degree sequence as CSV rows", cmd_degrees, _degrees_text,
+     ("text", "json", "csv"), ()),
+    ("conjecture", "sum of solvabilizer sizes and divisibility", cmd_conjecture,
+     _conjecture_text, _TEXT_JSON, ()),
+    ("verify", "check a built graph against the closed forms", cmd_verify, _verify_text,
+     _TEXT_JSON, ()),
+    ("complement", "component count of the complement graph", cmd_complement, _pairs(" "),
+     _TEXT_JSON, ()),
+    ("solvabilizer", "solvabilizer of one element", cmd_solvabilizer, _pairs("\n"), _TEXT_JSON, (
+        ("--element", "ELEMENT", "comma-separated coordinates in constructor basis order",
+         True),)),
+    ("slie", "is every solvabilizer a subalgebra?", cmd_slie, _slie_text, _TEXT_JSON, ()),
 )
 
+_HELP = ("-h", "--help")
 
-def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="solvgraph",
-        description="Solvable graphs and solvabilizers of Lie algebras over F_p.")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func, render in _COMMANDS:
-        s = subs.add_parser(name, help=help_text)
-        s.add_argument("algebra", help="algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH")
-        s.add_argument("--force", action="store_true",
-                       help="override the enumeration size cap")
-        # degrees' text output is already CSV rows; it accepts the explicit spelling too
-        s.add_argument("--format", default="text",
-                       choices=("text", "json", "csv") if name == "degrees" else ("text", "json"))
-        s.set_defaults(func=func, render=render)
-    s = subs.choices["graph"]
-    s.add_argument("--dot", metavar="PATH", help="write a Graphviz DOT file")
-    s.add_argument("--json", metavar="PATH", help="write a JSON graph file")
-    s.add_argument("--csv", metavar="PATH", help="write a degree,multiplicity CSV")
-    subs.choices["solvabilizer"].add_argument(
-        "--element", required=True,
-        help="comma-separated coordinates in constructor basis order")
-    return parser
+
+def _options(entry) -> dict:
+    """A command's options as {flag: (metavar, help, choices, required)};
+    a flag whose metavar is None takes no value."""
+    formats = entry[4]
+    return {"--force": (None, "override the enumeration size cap", None, False),
+            "--format": ("{" + ",".join(formats) + "}", "output format (default: text)",
+                         formats, False),
+            **{flag: (metavar, text, None, required)
+               for flag, metavar, text, required in entry[5]}}
+
+
+def _spelled(flag, metavar) -> str:
+    return f"{flag} {metavar}" if metavar else flag
+
+
+def _usage(entry=None) -> str:
+    if entry is None:
+        return "usage: solvgraph [-h] {" + ",".join(e[0] for e in _COMMANDS) + "} ..."
+    words = (_spelled(flag, metavar) if required else f"[{_spelled(flag, metavar)}]"
+             for flag, (metavar, _, _, required) in _options(entry).items())
+    return f"usage: solvgraph {entry[0]} [-h] {' '.join(words)} algebra"
+
+
+def _help(entry=None) -> str:
+    if entry is None:
+        head = "Solvable graphs and solvabilizers of Lie algebras over F_p.\n\ncommands:"
+        rows = [e[:2] for e in _COMMANDS]
+    else:
+        head = f"{entry[1]}\n\narguments:"
+        rows = [("algebra", "algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH"),
+                ("-h, --help", "show this help message and exit"),
+                *((_spelled(flag, metavar), text + " (required)" * required)
+                  for flag, (metavar, text, _, required) in _options(entry).items())]
+    width = max(len(a) for a, _ in rows) + 2
+    return "\n".join([_usage(entry), "", head, *(f"  {a:<{width}}{b}" for a, b in rows)])
+
+
+def _fail(entry, message):
+    """A usage error, reported as argparse reports one."""
+    prog = "solvgraph" if entry is None else f"solvgraph {entry[0]}"
+    print(f"{_usage(entry)}\n{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _show_help(entry, value):
+    """Print help for -h or --help and exit; --help=VALUE is an error."""
+    if value is not None:
+        _fail(entry, f"argument -h/--help: ignored explicit argument {value!r}")
+    print(_help(entry))
+    raise SystemExit(0)
+
+
+def _classify(arg, flags, entry):
+    """How argparse reads one argument other than '--': None for a
+    positional, else (flag, the value after '=' or None), with flag None
+    for an unknown option.  A long option may be a unique prefix."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg in flags:
+        return arg, None
+    name, eq, value = arg.partition("=")
+    if eq and name in flags:
+        return name, value
+    if arg[1] == "-":
+        matches = [f for f in flags if f.startswith(name)]
+        if len(matches) > 1:
+            _fail(entry, f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value if eq else None
+    # argparse reads a negative number, or an argument with a space, as a positional
+    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else (None, None)
+
+
+def parse_args(argv=None):
+    """Read argv as argparse read it from the parser these tables describe.
+
+    Before the command only -h and --help are options; after it, the
+    command's own.  An option takes its value as the next argument or
+    after '='; a long option may be a unique prefix; the last of a
+    repeated option wins; every argument after '--' is positional.
+    Unknown options and extra arguments are reported after the rest is
+    read, so a later -h still prints help.  A usage error prints a usage
+    line and 'solvgraph[ COMMAND]: error: ...' to stderr and raises
+    SystemExit(2); help is printed to stdout and raises SystemExit(0).
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    extras = []
+    for i, arg in enumerate(argv):
+        # a "--" here is read as the command, and refused, as argparse does
+        kind = None if arg == "--" else _classify(arg, _HELP, None)
+        if kind is None:
+            break
+        if kind[0]:
+            _show_help(None, kind[1])
+        extras.append(arg)
+    else:
+        _fail(None, "the following arguments are required: command")
+    entry = next((e for e in _COMMANDS if e[0] == arg), None)
+    if entry is None:
+        _fail(None, f"argument command: invalid choice: {arg!r} (choose from "
+                    + ", ".join(repr(e[0]) for e in _COMMANDS) + ")")
+    options = _options(entry)
+    args = {"command": arg, "algebra": None, "force": False, "format": "text",
+            **{flag[2:]: None for flag, *_ in entry[5]}, "func": entry[2], "render": entry[3]}
+    # each argument after the command read first, as argparse does: an
+    # ambiguous option is refused even after -h; "--" marks the rest positional
+    rest = argv[i + 1:]
+    flags = (*_HELP, *options)
+    kinds = []
+    for j, arg in enumerate(rest):
+        if arg == "--":
+            kinds += ["--"] + [None] * (len(rest) - j - 1)
+            break
+        kinds.append(_classify(arg, flags, entry))
+    kinds.append("end")  # no option value or algebra follows the last argument
+    j = 0
+    while j < len(rest):
+        kind, arg = kinds[j], rest[j]
+        j += 1
+        if kind is None or kind == "--":
+            # the algebra is one positional with at most one "--" on either side
+            k = j if kind == "--" else j - 1
+            if args["algebra"] is not None or kinds[k] is not None:
+                extras.append(arg)
+                continue
+            args["algebra"] = rest[k]
+            j = k + 1 + (kinds[k + 1] == "--")
+            continue
+        flag, value = kind
+        if flag is None:
+            extras.append(arg)
+        elif flag in _HELP:
+            _show_help(entry, value)
+        elif options[flag][0] is None:
+            if value is not None:
+                _fail(entry, f"argument {flag}: ignored explicit argument {value!r}")
+            args[flag[2:]] = True
+        else:
+            if value is None:
+                if kinds[j] is not None:
+                    _fail(entry, f"argument {flag}: expected one argument")
+                value, j = rest[j], j + 1
+            choices = options[flag][2]
+            if choices and value not in choices:
+                _fail(entry, f"argument {flag}: invalid choice: {value!r} (choose from "
+                             + ", ".join(map(repr, choices)) + ")")
+            args[flag[2:]] = value
+    missing = ["algebra"] * (args["algebra"] is None) + [
+        flag for flag, (_, _, _, required) in options.items()
+        if required and args[flag[2:]] is None]
+    if missing:
+        _fail(entry, "the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _fail(None, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         fields = args.func(load_algebra(parse_spec(args.algebra)), args)
         if args.format == "json":

@@ -219,15 +219,22 @@ def export_json(G: SolvGraph, path):
     in the bytes json.dumps with separators (",", ":") would give.
 
     The header is formatted from the digit strings of _coordinates, as
-    DOT's labels are; json.dumps quotes the algebra name alone.  Edges are
-    written one vertex at a time from the shared per-row lists (see
+    DOT's labels are.  The algebra name is quoted as it stands when it is
+    printable ASCII with no '"' or '\\', which json.dumps leaves unescaped;
+    only another name loads json to escape it.  Edges are written one
+    vertex at a time from the shared per-row lists (see
     SolvGraph._neighbor_lists).
     """
-    import json  # here, so commands without a JSON export never load json
     L, pairs = G.algebra, G._neighbor_lists()
+    name = L.name
+    if name.isascii() and name.isprintable() and '"' not in name and "\\" not in name:
+        name = f'"{name}"'
+    else:
+        import json  # here, so only a name that needs escapes loads json
+        name = json.dumps(name)
     coords = _coordinates(G)
     vertices = ",".join(f"[{m},[" + ",".join(coords[m]) + "]]" for m, _ in pairs)
-    head = f'{{"algebra":{json.dumps(L.name)},"p":{L.field.p},"dim":{L.dim},"vertices":[{vertices}]'
+    head = f'{{"algebra":{name},"p":{L.field.p},"dim":{L.dim},"vertices":[{vertices}]'
     chunks = _edge_chunks(pairs, lambda m: f",[{m},", {m: f"{m}]" for m, _ in pairs})
     with open(path, "w", buffering=_WRITE_BUFFER) as fh:
         fh.write(head + ',"edges":[' + next(chunks, ",")[1:])

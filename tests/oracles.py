@@ -6,9 +6,11 @@ is recomputed every time from a round-based closure of its own, the
 subspace lattice is enumerated outright for radicals, and graphs are
 assembled from the raw quadratic pair loop.  It also holds the per-element
 views that no command needs: a subspace's elements, a graph's vertices,
-degrees and edges, and the S-witness by the element-pair loop.
+degrees and edges, and the S-witness by the element-pair loop, and the
+command line's argparse parser.
 """
 
+import argparse
 import json
 from bisect import bisect_right
 from itertools import product
@@ -577,3 +579,30 @@ def mat_inv_reference(g, p):
     basis, pivots = rref_reference(
         [list(row) + [int(c == r) for c in range(n)] for r, row in enumerate(g)], p)
     return tuple(row[n:] for row in basis) if pivots == tuple(range(n)) else None
+
+
+def reference_parser():
+    """The command line as an argparse parser, built the way the CLI built
+    it before cli.parse_args read its tables; parse_args must read every
+    argv as this parser does."""
+    from solvgraph.cli import _COMMANDS
+    parser = argparse.ArgumentParser(
+        prog="solvgraph",
+        description="Solvable graphs and solvabilizers of Lie algebras over F_p.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, func, render, *_ in _COMMANDS:
+        s = subs.add_parser(name, help=help_text)
+        s.add_argument("algebra", help="algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH")
+        s.add_argument("--force", action="store_true",
+                       help="override the enumeration size cap")
+        s.add_argument("--format", default="text",
+                       choices=("text", "json", "csv") if name == "degrees" else ("text", "json"))
+        s.set_defaults(func=func, render=render)
+    s = subs.choices["graph"]
+    s.add_argument("--dot", metavar="PATH", help="write a Graphviz DOT file")
+    s.add_argument("--json", metavar="PATH", help="write a JSON graph file")
+    s.add_argument("--csv", metavar="PATH", help="write a degree,multiplicity CSV")
+    subs.choices["solvabilizer"].add_argument(
+        "--element", required=True,
+        help="comma-separated coordinates in constructor basis order")
+    return parser

@@ -1,15 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import permuted_sl2_3_file
+from oracles import permuted_sl2_3_file, reference_parser
 from solvgraph import graph, solv
-from solvgraph.cli import main, parse_spec
+from solvgraph.cli import main, parse_args, parse_spec
 from solvgraph.liealg import LieAlgebra, make_gl, make_sl, to_file
 
 
@@ -93,6 +97,98 @@ def test_info_and_solvabilizer_stdout_is_golden(capsys, argv):
     text, js = GOLDEN[argv]
     assert run_cli(capsys, *argv) == (0, text, "")
     assert run_cli(capsys, *argv, "--format", "json") == (0, js, "")
+
+
+# the 13 commands of the benchmark's four workloads
+_PERFBENCH_ARGVS = [
+    ("verify", "gl2@5"), ("verify", "gl2@7"), ("verify", "sl2@13"), ("verify", "sl2@17"),
+    ("conjecture", "gl2@5"), ("conjecture", "sl2@11"), ("info", "gl2@7"),
+    ("solvabilizer", "gl2@7", "--element", "1,2,3,4"),
+    ("graph", "sl2@13", "--json", "s.json", "--dot", "s.dot", "--csv", "s.csv"),
+    ("graph", "gl2@5", "--json", "g.json", "--dot", "g.dot"),
+    ("complement", "sl2@13"), ("complement", "gl2@5"), ("info", "t3@3"),
+]
+
+_EDGE_ARGVS = [
+    # --opt=value, options before the algebra, a repeated option
+    ("info", "t3@3", "--format=json"), ("graph", "sl2@3", "--dot=a.dot", "--json=b=c"),
+    ("info", "--force", "--format", "json", "t3@3"), ("solvabilizer", "--element", "0,0,1", "sl2@3"),
+    ("info", "t3@3", "--format", "json", "--format", "text"), ("graph", "w3", "--dot", "a", "--dot", "b"),
+    ("info", "t3@3", "--force", "--force"),
+    # unique prefixes, and ambiguous ones, which are refused before -h is read
+    ("info", "t3@3", "--forc"), ("info", "t3@3", "--form", "json"), ("info", "t3@3", "--form=json"),
+    ("solvabilizer", "sl2@3", "--e", "1,0,0"), ("graph", "sl2@3", "--d", "x", "--j", "y", "--c", "z"),
+    ("info", "t3@3", "--f"), ("info", "t3@3", "--f=json"), ("info", "-h", "--fo"),
+    # --element= and values that start with '-'
+    ("solvabilizer", "sl1@3", "--element="), ("solvabilizer", "sl2@3", "--element", "-1,0,0"),
+    ("solvabilizer", "sl2@3", "--element=-1,0,0"), ("solvabilizer", "sl2@3", "--element", "-1"),
+    ("solvabilizer", "sl2@3", "--element", " -1,0,0"), ("solvabilizer", "sl2@3", "--element"),
+    # '--' next to the algebra, and what follows it
+    ("info", "--", "t3@3"), ("info", "t3@3", "--"), ("info", "--force", "--", "t3@3"),
+    ("info", "--", "--force"), ("info", "--", "t3@3", "x"), ("info", "--force", "--"),
+    # options a command does not take, and bad values
+    ("info", "t3@3", "--dot", "x"), ("info", "t3@3", "--format", "csv"),
+    ("degrees", "sl2@3", "--format", "csv"), ("info", "t3@3", "--format", "xml"),
+    ("info", "t3@3", "--format"), ("info", "t3@3", "--format", "--force"),
+    ("info", "--force=1", "t3@3"), ("info", "t3@3", "--force="), ("info", "t3@3", "--help=x"),
+    ("degrees", "sl2@3", "--threads", "4"), ("--threads", "4", "info", "t3@3"),
+    ("info", "t3@3", "-x"),
+    # extra or missing positionals, and positionals that look like options
+    ("info", "t3@3", "x"), ("info",), ("info", "--force"), ("solvabilizer", "sl2@3"), ("graph",),
+    ("info", "-1"), ("info", "-"), ("info", ""), ("info", "-x y"),
+    # unknown commands and no command
+    ("nope", "t3@3"), ("inf", "t3@3"), ("-1", "t3@3"), ("--force",), (),
+    # help at the top and after a command, and what precedes it
+    ("-h",), ("--help",), ("--he",), ("-h", "info"), ("-h", "nope"), ("nope", "-h"),
+    ("info", "-h"), ("info", "t3@3", "--help"), ("solvabilizer", "-h"), ("info", "--bogus", "-h"),
+    ("info", "t3@3", "x", "-h"), ("info", "t3@3", "--format", "xml", "-h"),
+    ("info", "-h", "--format", "xml"), ("--bogus", "info", "-h"),
+]
+
+_FIELDS = ("command", "algebra", "force", "format", "dot", "json", "csv", "element",
+           "func", "render")
+
+
+def _parse_outcome(parse, argv):
+    """(None, fields) when argv parses, else (exit code, last stderr line)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            ns = parse(list(argv))
+        except SystemExit as exc:
+            lines = err.getvalue().splitlines()
+            return exc.code, lines[-1] if lines else ""
+    return None, {f: getattr(ns, f, None) for f in _FIELDS}
+
+
+def _assert_parsed_alike(argv):
+    expected = _parse_outcome(reference_parser().parse_args, argv)
+    got = _parse_outcome(parse_args, argv)
+    if expected[0] is None:
+        assert got == expected, argv
+    elif expected[0] == 0:
+        assert got[0] == 0, argv
+    else:
+        assert (expected[0], got[0]) == (2, 2), argv
+        assert ": error: " in expected[1] and ": error: " in got[1], argv
+
+
+@pytest.mark.parametrize("argv", [*GOLDEN, *_PERFBENCH_ARGVS, *_EDGE_ARGVS])
+def test_parse_args_reads_argv_as_argparse(argv):
+    # a parse gives the same fields, a usage error exits 2 and help 0
+    _assert_parsed_alike(argv)
+
+
+_TOKENS = ("info", "graph", "solvabilizer", "degrees", "t3@3", "x", "-1", "-1,0,0", "-", "",
+           "--force", "--forc", "--f", "--format", "--form=json", "json", "csv", "xml",
+           "--dot", "--d=p", "--json", "--csv", "--element", "--element=", "--e=1",
+           "-h", "--help", "--he", "--bogus", "-x", "a b")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=6))
+def test_parse_args_reads_random_argv_as_argparse(argv):
+    _assert_parsed_alike(argv)
 
 
 class TestSpecParsing:
@@ -525,6 +621,23 @@ class TestStartup:
                               text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.stdout == "[]\n"
 
+    def test_commands_load_no_argparse_or_json(self, tmp_path):
+        # argv is read from cli's command table, and export_json quotes a
+        # plain algebra name itself: argparse, with the gettext and locale
+        # it imports, and json stay out of the child
+        graph_argv = ["graph", "sl2@3", "--json", str(tmp_path / "g.json"),
+                      "--dot", str(tmp_path / "g.dot")]
+        code = ("import sys\n"
+                "from solvgraph import cli\n"
+                f"for argv in (['info', 't3@3'], ['verify', 'sl2@5'], {graph_argv!r}):\n"
+                "    assert cli.main(argv) == 0\n"
+                "print(sorted({'argparse', 'gettext', 'locale', 'json'} & set(sys.modules)))\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert json.loads((tmp_path / "g.json").read_text())["algebra"] == "sl2@3"
+
     def test_text_output_loads_no_json_or_fractions(self):
         # imports are per process, so the commands run in a child of their own
         code = ("import sys\n"
@@ -573,6 +686,10 @@ class TestProcessEntry:
         (["info", "sl2@4"], 2),
         (["degrees", "sl2@3", "--threads", "4"], 2),
         (["--help"], 0),
+        (["info", "-h"], 0),
+        (["info"], 2),
+        ([], 2),
+        (["info", "t3@3", "--format=json"], 0),
     ])
     def test_output_and_code_match_the_normal_exit(self, argv, code):
         entry = self.child(["-m", "solvgraph", *argv])

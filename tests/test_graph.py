@@ -414,14 +414,17 @@ class TestExports:
         # sl2@2 has no vertices, nor has t3@3, whose rows are all full; w3
         # and so3@2 have p = 2, one element per line; gl2@3's and gl2@5's
         # tables are lifted, so lines share rows (q(q - 1) vertices each at
-        # gl2@5); sl3@2 is classified directly; the file algebra's name needs
-        # escaping, and JSON writes its non-ASCII letter as \u00e9
-        table = tmp_path / 'a"b\\c\u00e9.txt'
-        table.write_text("p 2\ndim 3\n0 1 1 1\n0 2 2 1\n1 2 0 1\n")
-        named = from_file(table)
-        assert '"' in named.name and "\\" in named.name and "\u00e9" in named.name
+        # gl2@5); sl3@2 is classified directly; the file algebras' names
+        # need escaping, for all reasons at once or each alone, and JSON
+        # writes the non-ASCII letter as \u00e9
+        named = []
+        for stem in ('a"b\\c\u00e9', 'a"b', "a\\b", "\u00e9", "a\tb"):
+            table = tmp_path / f"{stem}.txt"
+            table.write_text("p 2\ndim 3\n0 1 1 1\n0 2 2 1\n1 2 0 1\n")
+            named.append(from_file(table))
+            assert named[-1].name == stem
         for L in (sl2_2, make_t(3, 3), w3, make_so(3, 2), gl2_3, make_gl(2, 5),
-                  make_sl(3, 2), named):
+                  make_sl(3, 2), *named):
             _assert_matches_per_edge_writers(build(L), tmp_path)
 
     @pytest.mark.parametrize("make, q, entries, edges", [(make_sl, 13, 32772, 195534),

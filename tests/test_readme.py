@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from solvgraph.cli import main, make_parser
+from oracles import reference_parser
+from solvgraph.cli import _COMMANDS, _options, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -17,14 +18,17 @@ def test_library_examples_in_readme_run():
 
 
 def test_command_line_section_names_every_parser_option():
-    # README's "Command line" section and make_parser() must name the same
-    # options, so a removed or added flag cannot leave the docs stale
+    # README's "Command line" section, the command table and the argparse
+    # reference must name the same options, so a removed or added flag
+    # cannot leave the docs stale
     section = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
-    subs = next(a for a in make_parser()._actions
+    options = {flag for entry in _COMMANDS for flag in _options(entry)}
+    subs = next(a for a in reference_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
-    options = {o for sub in subs.choices.values() for a in sub._actions
-               for o in a.option_strings} - {"-h", "--help"}
+    reference = {o for sub in subs.choices.values() for a in sub._actions
+                 for o in a.option_strings} - {"-h", "--help"}
+    assert options == reference
     assert named == options
 
 
