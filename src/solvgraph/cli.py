@@ -12,13 +12,13 @@ compact JSON or as the text of the command's renderer in _COMMANDS
 (nothing when that text is empty), and exits 1 exactly when the fields
 say passed is false, as a FAIL report of verify does.
 
-parse_args reads argv from the same table, which names each command's
-options beyond the shared --force and --format, and prints -h help from
-it.  It reads every argv as an argparse parser of those options would
-(--opt=value, unique prefixes, the last repeat winning, '--'), and exits
-2 on a usage error and 0 after help as argparse does.  It does not
-import argparse: with the gettext and locale argparse imports, that
-cost every command a few milliseconds of start-up.
+The same table names each command's options beyond the shared --force
+and --format.  parse_args reads a plain argv (the command, exact options
+with their values and the algebra) from it in one loop, and hands every
+other argv to an argparse parser built from it, which alone prints help
+and usage errors.  So a plain argv never imports argparse, which with
+the gettext and locale it imports cost every command a few milliseconds
+of start-up.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ def cmd_info(L, args) -> dict:
     s_lie = solv.is_s_lie(L, force=args.force)
     return {
         "algebra": L.name, "p": L.field.p, "dim": L.dim, "order": L.size,
-        "solvable": liealg.is_solvable(L), "sol_size": solv.row_size(L, sol),
+        "solvable": rad.dim == L.dim, "sol_size": solv.row_size(L, sol),
         "radical_dim": rad.dim, "radical_size": rad.size, "s_lie": s_lie,
     }
 
@@ -216,164 +216,62 @@ _COMMANDS = (
     ("slie", "is every solvabilizer a subalgebra?", cmd_slie, _slie_text, _TEXT_JSON, ()),
 )
 
-_HELP = ("-h", "--help")
-
-
-def _options(entry) -> dict:
-    """A command's options as {flag: (metavar, help, choices, required)};
-    a flag whose metavar is None takes no value."""
-    formats = entry[4]
-    return {"--force": (None, "override the enumeration size cap", None, False),
-            "--format": ("{" + ",".join(formats) + "}", "output format (default: text)",
-                         formats, False),
-            **{flag: (metavar, text, None, required)
-               for flag, metavar, text, required in entry[5]}}
-
-
-def _spelled(flag, metavar) -> str:
-    return f"{flag} {metavar}" if metavar else flag
-
-
-def _usage(entry=None) -> str:
-    if entry is None:
-        return "usage: solvgraph [-h] {" + ",".join(e[0] for e in _COMMANDS) + "} ..."
-    words = (_spelled(flag, metavar) if required else f"[{_spelled(flag, metavar)}]"
-             for flag, (metavar, _, _, required) in _options(entry).items())
-    return f"usage: solvgraph {entry[0]} [-h] {' '.join(words)} algebra"
-
-
-def _help(entry=None) -> str:
-    if entry is None:
-        head = "Solvable graphs and solvabilizers of Lie algebras over F_p.\n\ncommands:"
-        rows = [e[:2] for e in _COMMANDS]
-    else:
-        head = f"{entry[1]}\n\narguments:"
-        rows = [("algebra", "algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH"),
-                ("-h, --help", "show this help message and exit"),
-                *((_spelled(flag, metavar), text + " (required)" * required)
-                  for flag, (metavar, text, _, required) in _options(entry).items())]
-    width = max(len(a) for a, _ in rows) + 2
-    return "\n".join([_usage(entry), "", head, *(f"  {a:<{width}}{b}" for a, b in rows)])
-
-
-def _fail(entry, message):
-    """A usage error, reported as argparse reports one."""
-    prog = "solvgraph" if entry is None else f"solvgraph {entry[0]}"
-    print(f"{_usage(entry)}\n{prog}: error: {message}", file=sys.stderr)
-    raise SystemExit(2)
-
-
-def _show_help(entry, value):
-    """Print help for -h or --help and exit; --help=VALUE is an error."""
-    if value is not None:
-        _fail(entry, f"argument -h/--help: ignored explicit argument {value!r}")
-    print(_help(entry))
-    raise SystemExit(0)
-
-
-def _classify(arg, flags, entry):
-    """How argparse reads one argument other than '--': None for a
-    positional, else (flag, the value after '=' or None), with flag None
-    for an unknown option.  A long option may be a unique prefix."""
-    if arg[:1] != "-" or arg == "-":
-        return None
-    if arg in flags:
-        return arg, None
-    name, eq, value = arg.partition("=")
-    if eq and name in flags:
-        return name, value
-    if arg[1] == "-":
-        matches = [f for f in flags if f.startswith(name)]
-        if len(matches) > 1:
-            _fail(entry, f"ambiguous option: {arg} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], value if eq else None
-    # argparse reads a negative number, or an argument with a space, as a positional
-    return None if re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg else (None, None)
+def _argparse_parser():
+    """The command line as an argparse parser of the same table.  It reads
+    every argv that parse_args' own loop does not: help, usage errors,
+    --opt=value, prefixes, '--' and values that start with '-'."""
+    import argparse  # here, so a plain argv never loads it
+    parser = argparse.ArgumentParser(
+        prog="solvgraph",
+        description="Solvable graphs and solvabilizers of Lie algebras over F_p.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, func, render, formats, options in _COMMANDS:
+        s = subs.add_parser(name, help=help_text, description=help_text)
+        s.add_argument("algebra", help="algebra spec, e.g. sl2@3, gl2@5, w3, file:PATH")
+        s.add_argument("--force", action="store_true", help="override the enumeration size cap")
+        s.add_argument("--format", default="text", choices=formats,
+                       help="output format (default: text)")
+        for flag, metavar, text, required in options:
+            s.add_argument(flag, metavar=metavar, help=text, required=required)
+        s.set_defaults(func=func, render=render)
+    return parser
 
 
 def parse_args(argv=None):
-    """Read argv as argparse read it from the parser these tables describe.
+    """Read argv into the fields argparse gives for it.
 
-    Before the command only -h and --help are options; after it, the
-    command's own.  An option takes its value as the next argument or
-    after '='; a long option may be a unique prefix; the last of a
-    repeated option wins; every argument after '--' is positional.
-    Unknown options and extra arguments are reported after the rest is
-    read, so a later -h still prints help.  A usage error prints a usage
-    line and 'solvgraph[ COMMAND]: error: ...' to stderr and raises
-    SystemExit(2); help is printed to stdout and raises SystemExit(0).
+    A plain argv is read here, from _COMMANDS: the exact command name,
+    then in any order --force, exact options of that command each with a
+    value that does not start with '-' (for --format, one of its
+    choices), and one algebra that does not start with '-'; the algebra
+    and every required option present.  Every other argv is read by
+    _argparse_parser(), which prints help or a usage error and exits.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    extras = []
-    for i, arg in enumerate(argv):
-        # a "--" here is read as the command, and refused, as argparse does
-        kind = None if arg == "--" else _classify(arg, _HELP, None)
-        if kind is None:
-            break
-        if kind[0]:
-            _show_help(None, kind[1])
-        extras.append(arg)
-    else:
-        _fail(None, "the following arguments are required: command")
-    entry = next((e for e in _COMMANDS if e[0] == arg), None)
-    if entry is None:
-        _fail(None, f"argument command: invalid choice: {arg!r} (choose from "
-                    + ", ".join(repr(e[0]) for e in _COMMANDS) + ")")
-    options = _options(entry)
-    args = {"command": arg, "algebra": None, "force": False, "format": "text",
-            **{flag[2:]: None for flag, *_ in entry[5]}, "func": entry[2], "render": entry[3]}
-    # each argument after the command read first, as argparse does: an
-    # ambiguous option is refused even after -h; "--" marks the rest positional
-    rest = argv[i + 1:]
-    flags = (*_HELP, *options)
-    kinds = []
-    for j, arg in enumerate(rest):
-        if arg == "--":
-            kinds += ["--"] + [None] * (len(rest) - j - 1)
-            break
-        kinds.append(_classify(arg, flags, entry))
-    kinds.append("end")  # no option value or algebra follows the last argument
-    j = 0
-    while j < len(rest):
-        kind, arg = kinds[j], rest[j]
-        j += 1
-        if kind is None or kind == "--":
-            # the algebra is one positional with at most one "--" on either side
-            k = j if kind == "--" else j - 1
-            if args["algebra"] is not None or kinds[k] is not None:
-                extras.append(arg)
-                continue
-            args["algebra"] = rest[k]
-            j = k + 1 + (kinds[k + 1] == "--")
+    for name, _, func, render, formats, options in _COMMANDS:
+        if argv[:1] != [name]:
             continue
-        flag, value = kind
-        if flag is None:
-            extras.append(arg)
-        elif flag in _HELP:
-            _show_help(entry, value)
-        elif options[flag][0] is None:
-            if value is not None:
-                _fail(entry, f"argument {flag}: ignored explicit argument {value!r}")
-            args[flag[2:]] = True
+        args = {"command": name, "algebra": None, "force": False, "format": "text",
+                **{flag[2:]: None for flag, *_ in options}, "func": func, "render": render}
+        choices = {"--format": formats, **{flag: None for flag, *_ in options}}
+        rest = iter(argv[1:])
+        for arg in rest:
+            if arg == "--force":
+                args["force"] = True
+            elif arg in choices:
+                value = next(rest, "-")  # a missing value reads as an option
+                if value[:1] == "-" or choices[arg] and value not in choices[arg]:
+                    break
+                args[arg[2:]] = value
+            elif arg[:1] != "-" and args["algebra"] is None:
+                args["algebra"] = arg
+            else:
+                break
         else:
-            if value is None:
-                if kinds[j] is not None:
-                    _fail(entry, f"argument {flag}: expected one argument")
-                value, j = rest[j], j + 1
-            choices = options[flag][2]
-            if choices and value not in choices:
-                _fail(entry, f"argument {flag}: invalid choice: {value!r} (choose from "
-                             + ", ".join(map(repr, choices)) + ")")
-            args[flag[2:]] = value
-    missing = ["algebra"] * (args["algebra"] is None) + [
-        flag for flag, (_, _, _, required) in options.items()
-        if required and args[flag[2:]] is None]
-    if missing:
-        _fail(entry, "the following arguments are required: " + ", ".join(missing))
-    if extras:
-        _fail(None, "unrecognized arguments: " + " ".join(extras))
-    return SimpleNamespace(**args)
+            if args["algebra"] is not None and all(
+                    args[flag[2:]] is not None for flag, *_, required in options if required):
+                return SimpleNamespace(**args)
+    return _argparse_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import permuted_sl2_3_file, reference_parser
-from solvgraph import graph, solv
+from solvgraph import cli, graph, solv
 from solvgraph.cli import main, parse_args, parse_spec
 from solvgraph.liealg import LieAlgebra, make_gl, make_sl, to_file
 
@@ -143,6 +143,9 @@ _EDGE_ARGVS = [
     ("info", "-h"), ("info", "t3@3", "--help"), ("solvabilizer", "-h"), ("info", "--bogus", "-h"),
     ("info", "t3@3", "x", "-h"), ("info", "t3@3", "--format", "xml", "-h"),
     ("info", "-h", "--format", "xml"), ("--bogus", "info", "-h"),
+    # repeated short flags, an empty option name or value
+    ("-hh",), ("info", "-hh"), ("info", "t3@3", "-hx"), ("info", "--=x", "t3@3"),
+    ("info", "t3@3", "--format="),
 ]
 
 _FIELDS = ("command", "algebra", "force", "format", "dot", "json", "csv", "element",
@@ -182,13 +185,28 @@ def test_parse_args_reads_argv_as_argparse(argv):
 _TOKENS = ("info", "graph", "solvabilizer", "degrees", "t3@3", "x", "-1", "-1,0,0", "-", "",
            "--force", "--forc", "--f", "--format", "--form=json", "json", "csv", "xml",
            "--dot", "--d=p", "--json", "--csv", "--element", "--element=", "--e=1",
-           "-h", "--help", "--he", "--bogus", "-x", "a b")
+           "-h", "--help", "--he", "--bogus", "-x", "a b", "-hh", "--=x", "-1.5")
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.sampled_from(_TOKENS), max_size=6))
 def test_parse_args_reads_random_argv_as_argparse(argv):
     _assert_parsed_alike(argv)
+
+
+# GOLDEN's argvs in both formats, less the --opt=value form argparse reads
+_PLAIN_ARGVS = [(*argv, *fmt) for argv in GOLDEN for fmt in ((), ("--format", "json"))
+                if not any(a.startswith("-") and "=" in a for a in argv)]
+
+
+@pytest.mark.parametrize("argv", [*_PLAIN_ARGVS, *_PERFBENCH_ARGVS])
+def test_plain_argv_is_read_without_argparse(monkeypatch, argv):
+    # the benchmark's and the golden commands never fall back to argparse
+    def refuse():
+        raise AssertionError(f"{argv} fell back to argparse")
+    monkeypatch.setattr(cli, "_argparse_parser", refuse)
+    expected = _parse_outcome(reference_parser().parse_args, argv)
+    assert expected[0] is None and _parse_outcome(parse_args, argv) == expected
 
 
 class TestSpecParsing:
@@ -690,6 +708,8 @@ class TestProcessEntry:
         (["info"], 2),
         ([], 2),
         (["info", "t3@3", "--format=json"], 0),
+        (["-hh"], 0),
+        (["info", "-hh"], 0),
     ])
     def test_output_and_code_match_the_normal_exit(self, argv, code):
         entry = self.child(["-m", "solvgraph", *argv])

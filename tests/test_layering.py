@@ -86,12 +86,11 @@ def test_cli_loads_the_algebra_once_in_main():
 
 def test_only_main_and_verify_print_in_cli():
     # commands return their fields and main prints them, verify's report
-    # included: no command prints, however it exits.  Besides main, only
-    # the argv parser prints: -h help and usage errors, before any command
-    # runs, which argparse printed when it read argv
+    # included: no command prints, however it exits; help and usage errors
+    # are argparse's
     cli = PACKAGE / "cli.py"
     printers = {fn for callee in ("print", "_print_json") for fn, _ in _calls(cli, callee)}
-    assert printers == {"main", "_print_json", "_fail", "_show_help"}
+    assert printers == {"main", "_print_json"}
 
 
 def test_only_main_reads_the_format():

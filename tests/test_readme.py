@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from oracles import reference_parser
-from solvgraph.cli import _COMMANDS, _options, main
+from solvgraph.cli import _COMMANDS, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,7 +23,7 @@ def test_command_line_section_names_every_parser_option():
     # cannot leave the docs stale
     section = README.read_text().split("## Command line\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
-    options = {flag for entry in _COMMANDS for flag in _options(entry)}
+    options = {"--force", "--format", *(o[0] for *_, extra in _COMMANDS for o in extra)}
     subs = next(a for a in reference_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
     reference = {o for sub in subs.choices.values() for a in sub._actions
